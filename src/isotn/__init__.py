@@ -39,6 +39,7 @@ from .model_io import ModelBundle, load_model, save_model
 from .network import (
     TensorNetwork,
     amplitude,
+    amplitudes,
     evaluate,
     intermediate_state,
     layer_map,

@@ -110,13 +110,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _fit_or_none(curve, kind):
-    try:
-        return diagnostics.fit_decay(curve, kind)
-    except IsotnError:
-        return diagnostics.DecayFit(kind, (), math.inf, 0.0, degenerate=True)
-
-
 def cmd_mi(args) -> int:
     if bool(args.model) == bool(args.data):
         raise IsotnError("give exactly one of --model or --data")
@@ -133,7 +126,7 @@ def cmd_mi(args) -> int:
         source = [tokens[k:k + args.n] for k in range(0, len(tokens) - args.n + 1, args.stride)]
         label = args.data
     curve = diagnostics.decay_curve(source, args.lmax)
-    fits = {kind: _fit_or_none(curve, kind) for kind in ("power", "exponential")}
+    fits = {kind: diagnostics._safe_fit(curve, kind) for kind in ("power", "exponential")}
 
     print(f"# mutual information decay: {label}")
     print(f"{'l':>4s}  {'I(l)':>14s}")

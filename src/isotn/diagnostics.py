@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import FitError
-from .network import TensorNetwork, random_tensors, site_marginal
+from .network import TensorNetwork, _projector, random_tensors, site_marginal
 
 _NEG_TOL = -1e-12
 _I_FLOOR = 1e-12
@@ -67,12 +67,6 @@ class DecayFit:
     residual: float
     r_squared: float
     degenerate: bool = False
-
-
-def _projector(dim: int, index: int) -> np.ndarray:
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    p[index, index] = 1.0
-    return p
 
 
 def _mi_from_joint(joint: np.ndarray) -> float:

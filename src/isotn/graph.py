@@ -6,6 +6,10 @@ vertex and edge ids deterministically: the In edge gets id 0, internal edges
 follow in construction order, and Out edges get the highest ids in
 left-to-right observable order (so sorting Out edges by id yields sequence
 position order).
+
+Everything a contraction needs to know about the graph alone (layering,
+tree test, leg bookkeeping) is compiled once into a :class:`Plan` and
+cached on the immutable quiver.
 """
 
 from __future__ import annotations
@@ -74,6 +78,19 @@ class Quiver:
         """Edges (internal or Out) sourced at ``v``, sorted by edge id."""
         return self._out_by_v[v]
 
+    @property
+    def plan(self) -> "Plan":
+        """The contraction plan, built on first use and then reused.
+
+        Built lazily because a quiver may be cyclic at construction; the
+        CycleError surfaces on first use and nothing is cached then.
+        """
+        plan = self.__dict__.get("_plan")
+        if plan is None:
+            plan = _build_plan(self)
+            object.__setattr__(self, "_plan", plan)
+        return plan
+
 
 @dataclass(frozen=True)
 class Layering:
@@ -126,6 +143,55 @@ def topological_layers(q: Quiver) -> Layering:
     for v in sorted(q.vertices):
         layers[depth[v]].append(v)
     return Layering(tuple(tuple(l) for l in layers))
+
+
+@dataclass(frozen=True)
+class VertexLegs:
+    """The out legs of one vertex, split into leaf legs and internal legs.
+
+    Axes index the vertex tensor in canonical order (in legs first). Leaf
+    legs carry Out edges and are named by sequence position; internal legs
+    are named by edge id.
+    """
+
+    leaf_axes: tuple[int, ...]
+    leaf_positions: tuple[int, ...]
+    inner_axes: tuple[int, ...]
+    inner_edges: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Plan:
+    """Graph-only data shared by every contraction of one quiver.
+
+    ``in_edge`` maps each vertex to its single in edge and is filled only
+    when ``is_tree`` holds.
+    """
+
+    layering: Layering
+    is_tree: bool
+    out_position: Mapping[int, int]
+    in_edge: Mapping[int, int]
+    legs: Mapping[int, VertexLegs]
+
+
+def _build_plan(q: Quiver) -> Plan:
+    """Compile the plan of ``q``; callers use the cached ``q.plan``."""
+    layering = topological_layers(q)
+    tree = is_tree(q)
+    pos = {e: p for p, e in enumerate(q.out_edges)}
+    legs = {}
+    for v in q.vertices:
+        n_in = len(q.vertex_in_edges(v))
+        axes = list(enumerate(q.vertex_out_edges(v), start=n_in))
+        leaf = [(ax, pos[e]) for ax, e in axes if e in pos]
+        inner = [(ax, e) for ax, e in axes if e not in pos]
+        legs[v] = VertexLegs(
+            tuple(ax for ax, _ in leaf), tuple(p for _, p in leaf),
+            tuple(ax for ax, _ in inner), tuple(e for _, e in inner),
+        )
+    in_edge = {v: q.vertex_in_edges(v)[0] for v in q.vertices} if tree else {}
+    return Plan(layering, tree, pos, in_edge, legs)
 
 
 def _find_cycle(q: Quiver, resolved: set[int]) -> tuple[int, ...]:

@@ -15,7 +15,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .network import SequenceState, TensorNetwork, amplitude
+import numpy as np
+
+from .network import SequenceState, TensorNetwork, amplitude, amplitudes
 
 Distribution = dict[SequenceState, float]
 
@@ -88,9 +90,12 @@ def log_likelihood(net: TensorNetwork, sample: SampleMultiset) -> float:
     reported as ``inf`` together with a warning naming the sequence rather
     than being epsilon-smoothed away.
     """
+    items = list(sample.items())
+    if not items:
+        return 0.0
+    probs = np.abs(amplitudes(net, [s for s, _ in items])) ** 2
     total = 0.0
-    for s, m in sample.items():
-        p = born_probability(net, s)
+    for (s, m), p in zip(items, probs.tolist()):
         if p == 0.0:
             warnings.warn(
                 f"sequence {s} has zero model probability; objective is infinite",

@@ -7,29 +7,43 @@ by edge id; every contraction and the serialization format rely on this one
 convention.
 
 Evaluation is strict layer-by-layer composition of per-layer tensor-product
-maps. Sequence amplitudes on directed trees use leaf-to-root message
-passing (linear in the vertex count, never materializing the full state);
-general DAGs fall back to contracting the running boundary state, which is
-adequate at the sizes this package targets.
+maps; that dense path is kept as the reference the fast paths are tested
+against. Sequence amplitudes on directed trees come from one batched
+kernel driven by the quiver's cached :class:`~isotn.graph.Plan`: a
+leaf-to-root sweep (:func:`tree_up`) over a (B, n) array of sequences
+gives B amplitudes at once, and the matching root-to-leaf sweep
+(:func:`tree_environments`) folds the weighted vertex environments of the
+whole batch into one tensor per vertex, which is what the likelihood
+gradient needs. Neither sweep materializes the full state or any
+per-sequence environment. General DAGs (MERA) fall back to contracting
+the running boundary state one sequence at a time, which is adequate at
+the sizes this package targets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import graph as graphs
 from .errors import IsometryImpossibleError, ShapeError
-from .graph import Layering, Quiver, build_binary_tree, build_chain, build_mera, topological_layers
+from .graph import (
+    Layering,
+    Quiver,
+    VertexLegs,
+    build_binary_tree,
+    build_chain,
+    build_mera,
+    topological_layers,
+)
 from .tensor_core import (
     DEFAULT_ISOMETRY_TOL,
     IndexSplit,
     astensor,
     from_matrix,
-    is_isometry,
     isometry_violation,
     random_isometry,
 )
@@ -62,6 +76,7 @@ class TensorNetwork:
             d = self.edge_dim.get(e)
             if d is None or d < 1:
                 raise ShapeError(f"edge {e} has no positive dimension assigned")
+        worst = 0.0
         for v in q.vertices:
             t = self.vertex_tensor.get(v)
             if t is None:
@@ -79,11 +94,14 @@ class TensorNetwork:
                 raise IsometryImpossibleError(
                     f"vertex {v}: incoming dimension {in_dim} exceeds outgoing {out_dim}"
                 )
-            if not is_isometry(t, split, self.isometry_tol):
+            violation = isometry_violation(t, split)
+            if not violation <= self.isometry_tol:
                 raise ValueError(
                     f"vertex {v} tensor is not isometric "
-                    f"(violation {isometry_violation(t, split):.3e} > tol {self.isometry_tol:g})"
+                    f"(violation {violation:.3e} > tol {self.isometry_tol:g})"
                 )
+            worst = max(worst, violation)
+        object.__setattr__(self, "_max_violation", worst)
 
     def vertex_shape(self, v: int) -> tuple[int, ...]:
         ins = self.quiver.vertex_in_edges(v)
@@ -113,10 +131,8 @@ class TensorNetwork:
         return TensorNetwork(self.quiver, self.edge_dim, tensors, self.isometry_tol)
 
     def max_isometry_violation(self) -> float:
-        return max(
-            isometry_violation(self.vertex_tensor[v], self.vertex_split(v))
-            for v in self.quiver.vertices
-        )
+        """max over vertices of ‖M†M − I‖_max, computed once at construction."""
+        return self._max_violation
 
 
 def check_sequence(net: TensorNetwork, sequence: Sequence[int]) -> SequenceState:
@@ -241,18 +257,43 @@ def state(net: TensorNetwork) -> np.ndarray:
 # sequence amplitudes
 # ------------------------------------------------------------------
 
-def amplitude(net: TensorNetwork, sequence: Sequence[int]) -> complex:
-    """The coefficient of basis sequence ``s`` in the network state.
+def sequence_array(net: TensorNetwork, sequences: Sequence[Sequence[int]]) -> np.ndarray:
+    """Validate a batch of sequences at once and return it as a (B, n) int array.
 
-    Tree networks use leaf-to-root message passing; other DAGs contract
-    the boundary state layer by layer, fixing each observable leg to its
-    symbol as soon as it appears.
+    The first invalid sequence raises the same ValueError as
+    :func:`check_sequence`.
+    """
+    dims = np.asarray(net.site_dims)
+    try:
+        arr = np.asarray(sequences, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError):
+        arr = None
+    if (arr is None or arr.ndim != 2 or arr.shape[1] != dims.size
+            or not np.all((arr >= 0) & (arr < dims))):
+        for s in sequences:
+            check_sequence(net, s)
+        raise ValueError("sequences must form a nonempty (count, sites) table")
+    return arr
+
+
+def amplitude(net: TensorNetwork, sequence: Sequence[int]) -> complex:
+    """The coefficient of basis sequence ``s`` in the network state."""
+    return complex(amplitudes(net, [sequence])[0])
+
+
+def amplitudes(net: TensorNetwork, sequences: Sequence[Sequence[int]]) -> np.ndarray:
+    """Amplitudes of a batch of basis sequences, as a complex (B,) array.
+
+    Tree networks run one batched leaf-to-root sweep (:func:`tree_up`);
+    other DAGs contract the boundary state layer by layer per sequence,
+    fixing each observable leg to its symbol as soon as it appears.
     """
     _require_model(net)
-    sequence = check_sequence(net, sequence)
-    if graphs.is_tree(net.quiver):
-        return _amplitude_tree(net, sequence)
-    return _amplitude_dag(net, sequence)
+    seqs = sequence_array(net, sequences)
+    plan = net.quiver.plan
+    if plan.is_tree:
+        return tree_up(net, seqs)[net.quiver.in_edges[0]][:, 0]
+    return np.array([_amplitude_dag(net, tuple(s)) for s in seqs.tolist()], dtype=np.complex128)
 
 
 def _basis_vector(dim: int, index: int) -> np.ndarray:
@@ -261,24 +302,111 @@ def _basis_vector(dim: int, index: int) -> np.ndarray:
     return v
 
 
-def _amplitude_tree(net: TensorNetwork, s: SequenceState) -> complex:
-    q = net.quiver
-    pos = net.out_position()
-    layering = topological_layers(q)
-    msgs: dict[int, np.ndarray] = {}
-    for verts in reversed(layering.layers):
+def _projector(dim: int, index: int) -> np.ndarray:
+    p = np.zeros((dim, dim), dtype=np.complex128)
+    p[index, index] = 1.0
+    return p
+
+
+# Batched tree kernel. A message on edge e is a (B, dim e) array, one row per
+# sequence. Leaf legs are fixed by gathering the tensor at the symbols, never
+# by contracting one-hot vectors; internal legs are contracted by batched
+# matrix-vector products, and sums over the batch by a segment sum or a GEMM.
+
+def _fix_leaves(t: np.ndarray, legs: VertexLegs, seqs: np.ndarray) -> np.ndarray:
+    """t with every leaf leg set to its symbol, as (B, d_in, *inner dims).
+
+    A vertex without leaf legs gives a broadcast view, not B copies.
+    """
+    if not legs.leaf_axes:
+        return np.broadcast_to(t, (seqs.shape[0],) + t.shape)
+    moved = t.transpose(legs.leaf_axes + (0,) + legs.inner_axes)
+    return moved[tuple(seqs[:, p] for p in legs.leaf_positions)]
+
+
+def _absorb(x: np.ndarray, axis: int, m: np.ndarray) -> np.ndarray:
+    """Contract ``axis`` of the batched ``x`` with the per-row vectors ``m``."""
+    x = np.moveaxis(x, axis, -1)
+    b, d = m.shape
+    return (x.reshape(b, -1, d) @ m[:, :, None]).reshape(x.shape[:-1])
+
+
+def _row_outer(first: np.ndarray, rest: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-row outer product of (B, d_k) arrays, flattened to (B, Π d_k)."""
+    out = first
+    for m in rest:
+        out = (out[:, :, None] * m[:, None, :]).reshape(len(out), -1)
+    return out
+
+
+def _sum_by_code(rows: np.ndarray, code: np.ndarray, size: int) -> np.ndarray:
+    """out[k] = Σ of the rows whose code is k, for k in range(size)."""
+    order = np.argsort(code, kind="stable")
+    ordered = code[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    out = np.zeros((size,) + rows.shape[1:], dtype=rows.dtype)
+    out[ordered[starts]] = np.add.reduceat(rows[order], starts, axis=0)
+    return out
+
+
+def tree_up(net: TensorNetwork, seqs: np.ndarray) -> dict[int, np.ndarray]:
+    """Leaf-to-root messages of a directed tree for a validated (B, n) batch.
+
+    Returns the message on every internal and In edge; the In edge's
+    column 0 holds the amplitudes.
+    """
+    plan = net.quiver.plan
+    up: dict[int, np.ndarray] = {}
+    for verts in reversed(plan.layering.layers):
+        for v in verts:
+            legs = plan.legs[v]
+            x = _fix_leaves(net.vertex_tensor[v], legs, seqs)
+            for e in reversed(legs.inner_edges):
+                x = _absorb(x, -1, up[e])
+            up[plan.in_edge[v]] = x
+    return up
+
+
+def tree_environments(
+    net: TensorNetwork, seqs: np.ndarray, up: Mapping[int, np.ndarray], weights: np.ndarray
+) -> dict[int, np.ndarray]:
+    """Σ_b weights[b]·∂A(s_b)/∂t_v for every vertex v, by one root-to-leaf sweep.
+
+    ``up`` is :func:`tree_up` of the same batch. Each vertex's sum is
+    folded into one tensor of its own shape: rows are summed per joint
+    code of the vertex's leaf symbols (a segment sum over the sorted
+    batch), or by one GEMM over the batch at a vertex without leaf legs,
+    so no per-sequence environment is ever formed.
+    """
+    plan = net.quiver.plan
+    b = seqs.shape[0]
+    down = {net.quiver.in_edges[0]: np.asarray(weights, dtype=np.complex128)[:, None]}
+    envs: dict[int, np.ndarray] = {}
+    for verts in plan.layering.layers:
         for v in verts:
             t = net.vertex_tensor[v]
-            outs = q.vertex_out_edges(v)
-            n_in = len(q.vertex_in_edges(v))
-            # contract out axes from the last to keep positions stable
-            for k in range(len(outs) - 1, -1, -1):
-                e = outs[k]
-                vec = _basis_vector(net.edge_dim[e], s[pos[e]]) if e in pos else msgs.pop(e)
-                t = np.tensordot(t, vec, axes=([n_in + k], [0]))
-            msgs[q.vertex_in_edges(v)[0]] = t
-    root_msg = msgs[q.in_edges[0]]
-    return complex(root_msg[0])
+            legs = plan.legs[v]
+            dn = down.pop(plan.in_edge[v])
+            msgs = [up[e] for e in legs.inner_edges]
+            x = _fix_leaves(t, legs, seqs)
+            y = (dn[:, None, :] @ x.reshape(b, x.shape[1], -1)).reshape((b,) + x.shape[2:])
+            for j, e in enumerate(legs.inner_edges):
+                z = y
+                for i in range(len(msgs) - 1, -1, -1):
+                    if i != j:
+                        z = _absorb(z, 1 + i, msgs[i])
+                down[e] = z
+            if legs.leaf_axes:
+                leaf_dims = tuple(t.shape[a] for a in legs.leaf_axes)
+                code = np.ravel_multi_index(
+                    tuple(seqs[:, p] for p in legs.leaf_positions), leaf_dims)
+                grouped = _sum_by_code(_row_outer(dn, msgs), code, math.prod(leaf_dims))
+            else:
+                last = msgs.pop() if msgs else np.ones((b, 1))
+                grouped = _row_outer(dn, msgs).T @ last
+            layout = legs.leaf_axes + (0,) + legs.inner_axes
+            envs[v] = grouped.reshape([t.shape[a] for a in layout]).transpose(np.argsort(layout))
+    return envs
 
 
 def _amplitude_dag(net: TensorNetwork, s: SequenceState) -> complex:
@@ -386,7 +514,7 @@ def site_operator_expectation(net: TensorNetwork, site_ops: Mapping[int, np.ndar
             raise ShapeError(f"operator at position {p} has shape {o.shape}, expected square {dims[p]}")
         ops[p] = o
     _require_model(net)
-    if graphs.is_tree(net.quiver):
+    if net.quiver.plan.is_tree:
         return _site_expectation_tree(net, ops)
     return _site_expectation_dense(net, ops)
 
@@ -417,10 +545,9 @@ def _sandwich(t: np.ndarray, n_in: int, out_msgs: list[np.ndarray | None]) -> np
 
 def _site_expectation_tree(net: TensorNetwork, ops: dict[int, np.ndarray]) -> complex:
     q = net.quiver
-    pos = net.out_position()
-    layering = topological_layers(q)
+    pos = q.plan.out_position
     msgs: dict[int, np.ndarray | None] = {}
-    for verts in reversed(layering.layers):
+    for verts in reversed(q.plan.layering.layers):
         for v in verts:
             outs = q.vertex_out_edges(v)
             out_msgs = [ops.get(pos[e]) if e in pos else msgs.pop(e) for e in outs]
@@ -467,7 +594,8 @@ def site_marginal(
             raise ShapeError(f"operator at position {p} has shape {o.shape}, expected square {dims[p]}")
         ops[p] = o
     w = dims[position]
-    if not graphs.is_tree(net.quiver):
+    plan = net.quiver.plan
+    if not plan.is_tree:
         psi = state(net)
         b = psi
         for p, o in ops.items():
@@ -479,10 +607,9 @@ def site_marginal(
     for a in range(w):
         open_msg[a, a, a] = 1.0
     q = net.quiver
-    pos = net.out_position()
-    layering = topological_layers(q)
+    pos = plan.out_position
     msgs: dict[int, np.ndarray | None] = {}
-    for verts in reversed(layering.layers):
+    for verts in reversed(plan.layering.layers):
         for v in verts:
             outs = q.vertex_out_edges(v)
             out_msgs = []

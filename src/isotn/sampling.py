@@ -13,16 +13,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConditioningError
-from .network import SequenceState, TensorNetwork, site_marginal
+from .network import SequenceState, TensorNetwork, _projector, site_marginal
 
 # conditionals smaller than this total mass are treated as exactly zero
 _MASS_FLOOR = 1e-300
-
-
-def _projector(dim: int, index: int) -> np.ndarray:
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    p[index, index] = 1.0
-    return p
 
 
 def conditional_distribution(net: TensorNetwork, prefix: Sequence[int]) -> np.ndarray:

@@ -3,11 +3,15 @@
 The per-sequence objective is F(u|s) = −2 Re log⟨s|Ψ⟩ = −log μ(s). Its
 gradient with respect to the conjugate parameters (the ascent direction
 for the real objective) is −conj(E_v / A) per vertex, where A is the
-amplitude and E_v = ∂A/∂u_v the vertex environment. Environments come from
-one reverse pass: a downward message sweep on trees, a recorded-operation
-tape on general DAGs. A step projects the mean descent direction to the
-Stiefel tangent space and retracts by the polar factor, so every iterate
-is exactly isometric.
+amplitude and E_v = ∂A/∂u_v the vertex environment. On trees the batch
+mean is computed without a per-sequence loop: the batched kernel of
+:mod:`isotn.network` sweeps all batch sequences up to the root at once,
+then sends the multiplicity-over-amplitude weights back down and folds
+Σ_b m_b E_v(s_b)/A(s_b) into one tensor per vertex. General DAGs (MERA)
+run a recorded-operation tape once per sequence. A step projects the mean
+descent direction to the Stiefel tangent space and retracts by the polar
+factor, so every iterate is exactly isometric; the isometry violation the
+step records is the one measured when the retracted network is built.
 """
 
 from __future__ import annotations
@@ -15,17 +19,22 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import graph as graphs
 from .errors import IsotnError, ZeroAmplitudeError
 from .graph import topological_layers
 from .manifold import retract, tangent_project
 from .model import SampleMultiset
-from .network import SequenceState, TensorNetwork, check_sequence, _basis_vector, _require_model
+from .network import (
+    SequenceState,
+    TensorNetwork,
+    _require_model,
+    sequence_array,
+    tree_environments,
+    tree_up,
+)
 
 Gradient = dict[int, np.ndarray]
 
@@ -71,65 +80,13 @@ class LossTrace:
         return "\n".join(lines) + "\n"
 
 
-def _term_gradient(net: TensorNetwork, s: SequenceState) -> tuple[Gradient, complex]:
-    """Environments turned into Wirtinger gradients, plus the amplitude."""
-    if graphs.is_tree(net.quiver):
-        envs, amp = _environments_tree(net, s)
-    else:
-        envs, amp = _environments_dag(net, s)
-    if amp == 0:
-        raise ZeroAmplitudeError(s)
-    return {v: -np.conj(e / amp) for v, e in envs.items()}, amp
-
-
 def gradient(net: TensorNetwork, sequence: Sequence[int]) -> Gradient:
     """∂F/∂(conjugate parameters) per vertex for F(u|s) = −2 Re log⟨s|Ψ⟩.
 
     Raises ZeroAmplitudeError when the sequence has amplitude zero (the
     objective is singular there).
     """
-    _require_model(net)
-    sequence = check_sequence(net, sequence)
-    return _term_gradient(net, sequence)[0]
-
-
-def _environments_tree(net: TensorNetwork, s: SequenceState) -> tuple[Gradient, complex]:
-    """E_v = (down message on the in edge) ⊗ (up messages on the out edges)."""
-    q = net.quiver
-    pos = net.out_position()
-    layering = topological_layers(q)
-
-    up: dict[int, np.ndarray] = {
-        e: _basis_vector(net.edge_dim[e], s[pos[e]]) for e in q.out_edges
-    }
-    for verts in reversed(layering.layers):
-        for v in verts:
-            t = net.vertex_tensor[v]
-            outs = q.vertex_out_edges(v)
-            for k in range(len(outs) - 1, -1, -1):
-                t = np.tensordot(t, up[outs[k]], axes=([1 + k], [0]))
-            up[q.vertex_in_edges(v)[0]] = t
-
-    root_in = q.in_edges[0]
-    amp = complex(up[root_in][0])
-
-    down: dict[int, np.ndarray] = {root_in: np.ones(1, dtype=np.complex128)}
-    envs: Gradient = {}
-    for verts in layering.layers:
-        for v in verts:
-            t = net.vertex_tensor[v]
-            f = q.vertex_in_edges(v)[0]
-            outs = q.vertex_out_edges(v)
-            envs[v] = reduce(np.multiply.outer, [down[f]] + [up[e] for e in outs])
-            for j, e in enumerate(outs):
-                if e in pos:
-                    continue
-                d = np.tensordot(t, down[f], axes=([0], [0]))
-                for k in range(len(outs) - 1, -1, -1):
-                    if k != j:
-                        d = np.tensordot(d, up[outs[k]], axes=([k], [0]))
-                down[e] = d
-    return envs, amp
+    return mean_gradient(net, [(sequence, 1)])[0]
 
 
 def _environments_dag(net: TensorNetwork, s: SequenceState) -> tuple[Gradient, complex]:
@@ -188,22 +145,39 @@ def _environments_dag(net: TensorNetwork, s: SequenceState) -> tuple[Gradient, c
 
 
 def mean_gradient(
-    net: TensorNetwork, batch: Sequence[tuple[SequenceState, int]]
+    net: TensorNetwork, batch: Sequence[tuple[Sequence[int], int]]
 ) -> tuple[Gradient, float]:
-    """Multiplicity-weighted mean gradient and mean per-sequence objective."""
+    """Multiplicity-weighted mean gradient and mean per-sequence objective.
+
+    On trees the whole batch goes through one batched up/down sweep; other
+    DAGs run the recorded-operation tape once per batch entry.
+    """
     if not batch:
         raise ValueError("batch must be nonempty")
-    total = 0
-    acc: Gradient = {v: np.zeros(net.vertex_tensor[v].shape, dtype=np.complex128)
-                     for v in net.quiver.vertices}
-    loss = 0.0
-    for s, m in batch:
-        g, amp = _term_gradient(net, tuple(s))
-        for v in acc:
-            acc[v] += m * g[v]
-        loss += -2.0 * m * float(np.log(abs(amp)))
-        total += m
-    return {v: a / total for v, a in acc.items()}, loss / total
+    _require_model(net)
+    seqs = sequence_array(net, [s for s, _ in batch])
+    mult = np.array([m for _, m in batch], dtype=np.float64)
+    total = float(mult.sum())
+    if net.quiver.plan.is_tree:
+        up = tree_up(net, seqs)
+        amps = up[net.quiver.in_edges[0]][:, 0]
+        _require_nonzero(seqs, amps)
+        envs = tree_environments(net, seqs, up, mult / amps)
+    else:
+        tapes = [_environments_dag(net, tuple(s)) for s in seqs.tolist()]
+        amps = np.array([amp for _, amp in tapes])
+        _require_nonzero(seqs, amps)
+        envs = {v: sum((m / amp) * env[v] for (env, amp), m in zip(tapes, mult))
+                for v in net.quiver.vertices}
+    loss = -2.0 * float(mult @ np.log(np.abs(amps))) / total
+    return {v: np.conj(e) * (-1.0 / total) for v, e in envs.items()}, loss
+
+
+def _require_nonzero(seqs: np.ndarray, amps: np.ndarray) -> None:
+    """Raise ZeroAmplitudeError naming the first sequence with amplitude zero."""
+    zero = np.flatnonzero(amps == 0)
+    if zero.size:
+        raise ZeroAmplitudeError(tuple(seqs[zero[0]].tolist()))
 
 
 def sgd_step(
@@ -231,8 +205,8 @@ def train(
     if sample.n != net.n_sites:
         raise ValueError(f"sample length {sample.n} != network sites {net.n_sites}")
     items = sorted(sample.items())
-    for s, _ in items:
-        check_sequence(net, s)
+    if items:
+        sequence_array(net, [s for s, _ in items])
     expanded: list[SequenceState] = []
     for s, m in items:
         expanded.extend([s] * m)

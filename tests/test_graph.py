@@ -117,6 +117,9 @@ def test_two_cycle_detected():
     with pytest.raises(CycleError) as err:
         topological_layers(q)
     assert len(err.value.cycle_edges) == 2
+    for _ in range(2):  # the lazy plan raises on every use and caches nothing
+        with pytest.raises(CycleError):
+            q.plan
 
 
 def test_constructor_boundary_maps_are_total():

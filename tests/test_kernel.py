@@ -1,0 +1,119 @@
+"""The per-quiver plan and the batched tree kernel against independent oracles.
+
+The oracles are the dense full state (amplitudes) and the per-sequence
+recorded-operation tape that MERA uses (gradients); both are computed
+without the plan's leg bookkeeping or any batching.
+"""
+
+import math
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from isotn import graph
+from isotn.errors import ZeroAmplitudeError
+from isotn.model import SampleMultiset, log_likelihood
+from isotn.network import amplitudes, random_network, state
+from isotn.tensor_core import isometry_violation
+from isotn.training import TrainConfig, _environments_dag, gradient, mean_gradient, train
+
+from conftest import deterministic_chain_net, enumerate_sequences, philox
+
+
+@pytest.mark.parametrize("kind", ["chain", "tree"])
+def test_batched_amplitudes_match_dense_state(kind):
+    net = random_network(kind, 8, 3, 3, philox(21))
+    seqs = enumerate_sequences(net.site_dims)
+    psi = state(net)
+    expected = np.array([psi[s] for s in seqs])
+    assert np.max(np.abs(amplitudes(net, seqs) - expected)) <= 1e-12
+
+
+def random_batch(net, gen, size):
+    w = net.site_dims[0]
+    return [(tuple(int(x) for x in gen.integers(0, w, net.n_sites)), int(gen.integers(2, 5)))
+            for _ in range(size)]
+
+
+@pytest.mark.parametrize("kind", ["chain", "tree"])
+def test_mean_gradient_matches_tape_oracle(kind):
+    gen = philox(22)
+    net = random_network(kind, 8, 3, 3, gen)
+    batch = random_batch(net, gen, 12)
+    acc = {v: np.zeros(t.shape, dtype=np.complex128) for v, t in net.vertex_tensor.items()}
+    loss = 0.0
+    for s, m in batch:
+        envs, amp = _environments_dag(net, s)
+        for v, e in envs.items():
+            acc[v] += m * -np.conj(e / amp)
+        loss += -2.0 * m * math.log(abs(amp))
+    total = sum(m for _, m in batch)
+    g, batch_loss = mean_gradient(net, batch)
+    scale = max(np.max(np.abs(a)) for a in acc.values()) / total
+    worst = max(np.max(np.abs(g[v] - acc[v] / total)) for v in acc)
+    assert worst <= 1e-12 * scale
+    assert abs(batch_loss - loss / total) <= 1e-12 * abs(loss / total)
+
+
+def test_single_row_batch_equals_gradient():
+    gen = philox(23)
+    net = random_network("tree", 8, 3, 3, gen)
+    s = tuple(int(x) for x in gen.integers(0, 3, 8))
+    g, _ = mean_gradient(net, [(s, 1)])
+    single = gradient(net, s)
+    for v in g:
+        np.testing.assert_array_equal(g[v], single[v])
+
+
+def test_zero_amplitude_row_named():
+    net = deterministic_chain_net((0, 1, 0), 2)
+    batch = [((0, 1, 0), 2), ((1, 1, 0), 1), ((0, 0, 0), 1)]
+    with pytest.raises(ZeroAmplitudeError) as err:
+        mean_gradient(net, batch)
+    assert err.value.sequence == (1, 1, 0)
+
+
+def test_log_likelihood_zero_row_is_infinite():
+    net = deterministic_chain_net((0, 1, 0), 2)
+    sample = SampleMultiset(3, {(0, 1, 0): 3, (1, 1, 0): 1})
+    with pytest.warns(RuntimeWarning, match=r"\(1, 1, 0\)"):
+        assert log_likelihood(net, sample) == math.inf
+
+
+def test_train_rejects_first_bad_sequence_in_sorted_order():
+    net = random_network("tree", 4, 2, 2, philox(24))
+    sample = SampleMultiset(4, {(1, 0, 0, 5): 1, (0, 1, 3, 0): 2, (0, 0, 0, 0): 1})
+    with pytest.raises(ValueError, match=r"^symbol index 3 at position 2 outside \[0,2\)$"):
+        train(net, sample, TrainConfig(learning_rate=0.05, steps=1))
+
+
+def test_recorded_isometry_violation_is_the_per_vertex_maximum():
+    net = random_network("tree", 8, 3, 3, philox(25))
+    worst = max(isometry_violation(net.vertex_tensor[v], net.vertex_split(v))
+                for v in net.quiver.vertices)
+    assert net.max_isometry_violation() == worst
+
+
+def test_training_builds_plan_once_per_quiver(monkeypatch):
+    calls = Counter()
+    for name in ("topological_layers", "is_tree"):
+        original = getattr(graph, name)
+
+        def counting(q, _original=original, _name=name):
+            calls[_name, id(q)] += 1
+            return _original(q)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("isotn")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counting)
+    net = random_network("tree", 8, 2, 2, philox(26))
+    gen = philox(27)
+    sample = SampleMultiset(8, {tuple(int(x) for x in gen.integers(0, 2, 8)): 1 + k % 2
+                                for k in range(6)})
+    train(net, sample, TrainConfig(learning_rate=0.05, steps=3, batch_size=4))
+    q = id(net.quiver)
+    assert calls["topological_layers", q] == 1 and calls["is_tree", q] == 1
+    assert max(calls.values()) == 1
