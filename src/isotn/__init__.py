@@ -53,11 +53,9 @@ from .sampling import conditional_distribution, sample
 from .tensor_core import (
     IndexSplit,
     astensor,
-    contract,
     is_isometry,
     project_to_isometry,
     random_isometry,
-    reshape_group,
 )
 from .training import LossTrace, TrainConfig, gradient, sgd_step, train
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import corpus, diagnostics, model, sampling, training
 from .errors import IsotnError
-from .graph import topological_layers
 from .manifold import gauge_orbit_rank, moduli_dimension, real_stiefel_dim
 from .model_io import ModelBundle, load_model, save_model
 from .network import random_network
@@ -136,12 +135,8 @@ def cmd_mi(args) -> int:
         print(diagnostics.format_fit_line(kind, fits[kind]))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            for l, v in curve.points:
-                fh.write(f"I[{l}] {v!r}\n")
-            for kind, fit in sorted(fits.items()):
-                fh.write(f"{kind}.params {','.join(repr(p) for p in fit.params)}\n")
-                fh.write(f"{kind}.r_squared {fit.r_squared!r}\n")
-                fh.write(f"{kind}.degenerate {fit.degenerate}\n")
+            for key, value in diagnostics.curve_records(curve, fits):
+                fh.write(f"{key} {value}\n")
         print(f"wrote {args.out}")
     return 0
 
@@ -164,7 +159,7 @@ def cmd_inspect(args) -> int:
     bundle = load_model(args.model)
     net = bundle.net
     q = net.quiver
-    layering = topological_layers(q)
+    layering = q.plan.layering
     print(f"kind               {bundle.kind}")
     print(f"sites              {net.n_sites}")
     print(f"site dims          {sorted(set(net.site_dims))}")

@@ -314,6 +314,22 @@ def render_decay_report(report: DecayReport, name_a: str = "A", name_b: str = "B
     return "\n".join(lines) + "\n"
 
 
+def curve_records(
+    curve: DecayCurve, fits: Mapping[str, DecayFit], prefix: str = ""
+) -> list[tuple[str, str]]:
+    """Flat key-value pairs of one curve and its fits, keys led by ``prefix``.
+
+    The points come first as ``I[l]``, then ``params``, ``r_squared`` and
+    ``degenerate`` for each fit kind in sorted order; values are exact reprs.
+    """
+    recs = [(f"{prefix}I[{l}]", repr(v)) for l, v in curve.points]
+    for kind, fit in sorted(fits.items()):
+        recs.append((f"{prefix}{kind}.params", ",".join(repr(p) for p in fit.params)))
+        recs.append((f"{prefix}{kind}.r_squared", repr(fit.r_squared)))
+        recs.append((f"{prefix}{kind}.degenerate", str(fit.degenerate)))
+    return recs
+
+
 def decay_report_records(report: DecayReport, name_a: str = "A", name_b: str = "B"):
     """Flat key-value pairs of the report for the structured output file."""
     recs: list[tuple[str, str]] = [("ensemble_size", str(report.ensemble_size))]
@@ -321,12 +337,7 @@ def decay_report_records(report: DecayReport, name_a: str = "A", name_b: str = "
         (name_a, report.curve_a, report.fits_a, report.verdict_a, report.delta_r2_a),
         (name_b, report.curve_b, report.fits_b, report.verdict_b, report.delta_r2_b),
     ):
-        for l, v in curve.points:
-            recs.append((f"{name}.I[{l}]", repr(v)))
-        for kind, fit in sorted(fits.items()):
-            recs.append((f"{name}.{kind}.params", ",".join(repr(p) for p in fit.params)))
-            recs.append((f"{name}.{kind}.r_squared", repr(fit.r_squared)))
-            recs.append((f"{name}.{kind}.degenerate", str(fit.degenerate)))
+        recs += curve_records(curve, fits, f"{name}.")
         recs.append((f"{name}.verdict", verdict))
         recs.append((f"{name}.delta_r2", repr(delta)))
     return recs

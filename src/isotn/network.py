@@ -18,6 +18,12 @@ gradient needs. Neither sweep materializes the full state or any
 per-sequence environment. General DAGs (MERA) fall back to contracting
 the running boundary state one sequence at a time, which is adequate at
 the sizes this package targets.
+
+Expectations of site-operator products and site marginals, and through
+them the sampler's conditionals and the mutual-information curves, come
+from one doubled (ket-bra) contraction, optionally with one open leg. On
+trees it is a single leaf-to-root sweep in which every operator-free
+subtree contracts to the identity; other DAGs contract the dense state.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from .graph import (
     build_binary_tree,
     build_chain,
     build_mera,
-    topological_layers,
 )
 from .tensor_core import (
     DEFAULT_ISOMETRY_TOL,
@@ -121,10 +126,6 @@ class TensorNetwork:
     def site_dims(self) -> tuple[int, ...]:
         """Out-edge dimensions in canonical (sequence position) order."""
         return tuple(self.edge_dim[e] for e in self.quiver.out_edges)
-
-    def out_position(self) -> dict[int, int]:
-        """Map Out edge id -> sequence position."""
-        return {e: p for p, e in enumerate(self.quiver.out_edges)}
 
     def with_tensors(self, tensors: Mapping[int, np.ndarray]) -> "TensorNetwork":
         """Same quiver and dims with replaced vertex tensors (revalidated)."""
@@ -231,7 +232,7 @@ def evaluate(net: TensorNetwork) -> np.ndarray:
     for a closed network the result is a scalar. Computed as the ordered
     composition of the layer maps.
     """
-    layering = topological_layers(net.quiver)
+    layering = net.quiver.plan.layering
     bounds = layer_boundaries(net, layering)
     in_dims = [net.edge_dim[e] for e in bounds[0]]
     d_in = int(np.prod(in_dims, dtype=np.int64))
@@ -294,12 +295,6 @@ def amplitudes(net: TensorNetwork, sequences: Sequence[Sequence[int]]) -> np.nda
     if plan.is_tree:
         return tree_up(net, seqs)[net.quiver.in_edges[0]][:, 0]
     return np.array([_amplitude_dag(net, tuple(s)) for s in seqs.tolist()], dtype=np.complex128)
-
-
-def _basis_vector(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=np.complex128)
-    v[index] = 1.0
-    return v
 
 
 def _projector(dim: int, index: int) -> np.ndarray:
@@ -411,11 +406,10 @@ def tree_environments(
 
 def _amplitude_dag(net: TensorNetwork, s: SequenceState) -> complex:
     q = net.quiver
-    pos = net.out_position()
-    layering = topological_layers(q)
+    pos = q.plan.out_position
     frontier: list[int] = [q.in_edges[0]]
     t = np.ones(net.edge_dim[q.in_edges[0]], dtype=np.complex128)
-    for verts in layering.layers:
+    for verts in q.plan.layering.layers:
         for v in verts:
             ins = q.vertex_in_edges(v)
             axes = [frontier.index(e) for e in ins]
@@ -423,8 +417,7 @@ def _amplitude_dag(net: TensorNetwork, s: SequenceState) -> complex:
             frontier = [e for e in frontier if e not in ins] + list(q.vertex_out_edges(v))
             for e in list(frontier):
                 if e in pos:
-                    ax = frontier.index(e)
-                    t = np.tensordot(t, _basis_vector(net.edge_dim[e], s[pos[e]]), axes=([ax], [0]))
+                    t = np.take(t, s[pos[e]], axis=frontier.index(e))
                     frontier.remove(e)
     return complex(t)
 
@@ -503,6 +496,29 @@ def site_operator_expectation(net: TensorNetwork, site_ops: Mapping[int, np.ndar
     property), so the cost scales with the operator positions' depth, not
     the system size. Other DAGs materialize the state.
     """
+    return complex(_doubled(net, _site_ops(net, site_ops)))
+
+
+def site_marginal(
+    net: TensorNetwork, fixed_ops: Mapping[int, np.ndarray], position: int
+) -> np.ndarray:
+    """All diagonal values ⟨Ψ| (⊗ fixed ops) ⊗ |a⟩⟨a|_position |Ψ⟩ at once.
+
+    Equivalent to one :func:`site_operator_expectation` call per basis
+    projector at ``position``, but computed in a single doubled-network
+    pass with an open leg there. Returns a real vector of length
+    ``site_dims[position]``.
+    """
+    n = net.n_sites
+    if not 0 <= position < n:
+        raise ValueError(f"position {position} outside [0,{n})")
+    if position in fixed_ops:
+        raise ValueError(f"position {position} is both fixed and open")
+    return np.real(_doubled(net, _site_ops(net, fixed_ops), position))
+
+
+def _site_ops(net: TensorNetwork, site_ops: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """Validate a position -> operator map against a pure-state model."""
     dims = net.site_dims
     ops: dict[int, np.ndarray] = {}
     for p, o in site_ops.items():
@@ -514,13 +530,52 @@ def site_operator_expectation(net: TensorNetwork, site_ops: Mapping[int, np.ndar
             raise ShapeError(f"operator at position {p} has shape {o.shape}, expected square {dims[p]}")
         ops[p] = o
     _require_model(net)
-    if net.quiver.plan.is_tree:
-        return _site_expectation_tree(net, ops)
-    return _site_expectation_dense(net, ops)
+    return ops
 
 
-def _sandwich(t: np.ndarray, n_in: int, out_msgs: list[np.ndarray | None]) -> np.ndarray:
-    """Ket-bra message through one vertex: Σ conj(t)[ī,ō] Π M_k[ō_k,o_k] t[i,o].
+def _doubled(
+    net: TensorNetwork, ops: dict[int, np.ndarray], open_pos: int | None = None
+) -> np.ndarray | complex:
+    """The doubled network ⟨Ψ| ⊗_p ops[p] |Ψ⟩ with identities elsewhere.
+
+    With ``open_pos`` the leg there is left open and the diagonal over it
+    is returned, a vector of length ``site_dims[open_pos]``; otherwise a
+    scalar. On trees one leaf-to-root sweep passes ket-bra messages, and a
+    subtree without an operator is an exact identity (isometry property),
+    so it is skipped. Other DAGs materialize the state.
+    """
+    plan = net.quiver.plan
+    if not plan.is_tree:
+        psi = state(net)
+        b = psi
+        for p, o in ops.items():
+            b = np.moveaxis(np.tensordot(b, o, axes=([p], [1])), -1, p)
+        if open_pos is None:
+            return np.vdot(psi, b)
+        other = [ax for ax in range(psi.ndim) if ax != open_pos]
+        return np.sum(psi.conj() * b, axis=tuple(other))
+
+    if open_pos is not None:
+        w = net.site_dims[open_pos]
+        open_msg = np.zeros((w, w, w), dtype=np.complex128)
+        open_msg[(np.arange(w),) * 3] = 1.0
+        ops = {**ops, open_pos: open_msg}
+    pos, in_edge, out_edges = plan.out_position, plan.in_edge, net.quiver.vertex_out_edges
+    tensors = net.vertex_tensor
+    msgs: dict[int, np.ndarray | None] = {}
+    for verts in reversed(plan.layering.layers):
+        for v in verts:
+            out_msgs = [ops.get(pos[e]) if e in pos else msgs.pop(e) for e in out_edges(v)]
+            if all(m is None for m in out_msgs):
+                msgs[in_edge[v]] = None
+            else:
+                msgs[in_edge[v]] = _sandwich(tensors[v], out_msgs)
+    root = msgs[net.quiver.in_edges[0]]
+    return 1.0 + 0.0j if root is None else root[0, 0]
+
+
+def _sandwich(t: np.ndarray, out_msgs: list[np.ndarray | None]) -> np.ndarray:
+    """Ket-bra message through a one-input vertex: Σ conj(t)[ī,ō] Π M_k[ō_k,o_k] t[i,o].
 
     A message is None (identity), a matrix, or a rank-3 tensor whose
     trailing axis is an open diagonal index; at most one message may be
@@ -535,97 +590,12 @@ def _sandwich(t: np.ndarray, n_in: int, out_msgs: list[np.ndarray | None]) -> np
             open_k = k
             continue
         # apply M on out axis k: b'[..., ō_k, ...] = Σ M[ō_k, o_k] b[..., o_k, ...]
-        b = np.moveaxis(np.tensordot(b, m, axes=([n_in + k], [1])), -1, n_in + k)
+        b = np.moveaxis(np.tensordot(b, m, axes=([1 + k], [1])), -1, 1 + k)
     if open_k is not None:
-        b = np.tensordot(b, out_msgs[open_k], axes=([n_in + open_k], [1]))
-        b = np.moveaxis(b, -2, n_in + open_k)
-    out_axes = list(range(n_in, t.ndim))
+        b = np.tensordot(b, out_msgs[open_k], axes=([1 + open_k], [1]))
+        b = np.moveaxis(b, -2, 1 + open_k)
+    out_axes = list(range(1, t.ndim))
     return np.tensordot(t.conj(), b, axes=(out_axes, out_axes))
-
-
-def _site_expectation_tree(net: TensorNetwork, ops: dict[int, np.ndarray]) -> complex:
-    q = net.quiver
-    pos = q.plan.out_position
-    msgs: dict[int, np.ndarray | None] = {}
-    for verts in reversed(q.plan.layering.layers):
-        for v in verts:
-            outs = q.vertex_out_edges(v)
-            out_msgs = [ops.get(pos[e]) if e in pos else msgs.pop(e) for e in outs]
-            in_edge = q.vertex_in_edges(v)[0]
-            if all(m is None for m in out_msgs):
-                msgs[in_edge] = None
-            else:
-                msgs[in_edge] = _sandwich(net.vertex_tensor[v], 1, out_msgs)
-    root = msgs[q.in_edges[0]]
-    if root is None:
-        return 1.0 + 0.0j
-    return complex(root[0, 0])
-
-
-def _site_expectation_dense(net: TensorNetwork, ops: dict[int, np.ndarray]) -> complex:
-    psi = state(net)
-    b = psi
-    for p, o in ops.items():
-        b = np.moveaxis(np.tensordot(b, o, axes=([p], [1])), -1, p)
-    return complex(np.vdot(psi, b))
-
-
-def site_marginal(
-    net: TensorNetwork, fixed_ops: Mapping[int, np.ndarray], position: int
-) -> np.ndarray:
-    """All diagonal values ⟨Ψ| (⊗ fixed ops) ⊗ |a⟩⟨a|_position |Ψ⟩ at once.
-
-    Equivalent to one :func:`site_operator_expectation` call per basis
-    projector at ``position``, but computed in a single doubled-network
-    pass with an open leg there. Returns a real vector of length
-    ``site_dims[position]``.
-    """
-    dims = net.site_dims
-    if not 0 <= position < len(dims):
-        raise ValueError(f"position {position} outside [0,{len(dims)})")
-    if position in fixed_ops:
-        raise ValueError(f"position {position} is both fixed and open")
-    _require_model(net)
-    ops: dict[int, np.ndarray] = {}
-    for p, o in fixed_ops.items():
-        p = int(p)
-        o = np.asarray(o, dtype=np.complex128)
-        if o.shape != (dims[p], dims[p]):
-            raise ShapeError(f"operator at position {p} has shape {o.shape}, expected square {dims[p]}")
-        ops[p] = o
-    w = dims[position]
-    plan = net.quiver.plan
-    if not plan.is_tree:
-        psi = state(net)
-        b = psi
-        for p, o in ops.items():
-            b = np.moveaxis(np.tensordot(b, o, axes=([p], [1])), -1, p)
-        other = [ax for ax in range(psi.ndim) if ax != position]
-        return np.real(np.sum(psi.conj() * b, axis=tuple(other)))
-
-    open_msg = np.zeros((w, w, w), dtype=np.complex128)
-    for a in range(w):
-        open_msg[a, a, a] = 1.0
-    q = net.quiver
-    pos = plan.out_position
-    msgs: dict[int, np.ndarray | None] = {}
-    for verts in reversed(plan.layering.layers):
-        for v in verts:
-            outs = q.vertex_out_edges(v)
-            out_msgs = []
-            for e in outs:
-                if e in pos:
-                    p = pos[e]
-                    out_msgs.append(open_msg if p == position else ops.get(p))
-                else:
-                    out_msgs.append(msgs.pop(e))
-            in_edge = q.vertex_in_edges(v)[0]
-            if all(m is None for m in out_msgs):
-                msgs[in_edge] = None
-            else:
-                msgs[in_edge] = _sandwich(net.vertex_tensor[v], 1, out_msgs)
-    root = msgs[q.in_edges[0]]
-    return np.real(root[0, 0, :])
 
 
 # ------------------------------------------------------------------
@@ -685,7 +655,7 @@ def _mera_dims(q: Quiver, n: int, w: int, bond: int | Sequence[int]) -> dict[int
     depth = n.bit_length() - 1
     # row of an edge = number of single-input (tree) vertices above it
     row: dict[int, int] = {q.in_edges[0]: 0}
-    for verts in topological_layers(q).layers:
+    for verts in q.plan.layering.layers:
         for v in verts:
             ins = q.vertex_in_edges(v)
             r = row[ins[0]]

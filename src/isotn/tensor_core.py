@@ -84,46 +84,6 @@ def from_matrix(matrix: np.ndarray, shape: Sequence[int], split: IndexSplit) -> 
     return astensor(matrix.reshape(grouped_shape).transpose(inverse))
 
 
-def contract(a: np.ndarray, b: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Contract ``a`` with ``b`` over the given (axis-of-a, axis-of-b) pairs.
-
-    Result axes are the uncontracted axes of ``a`` in order, followed by
-    those of ``b``. With no pairs this is the outer product. Contraction is
-    a single fused summation over all paired indices.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    axes_a = [p[0] for p in pairs]
-    axes_b = [p[1] for p in pairs]
-    if len(set(axes_a)) != len(axes_a) or len(set(axes_b)) != len(axes_b):
-        raise ValueError(f"repeated axis in contraction pairs {list(pairs)}")
-    for ax_a, ax_b in pairs:
-        if not (0 <= ax_a < a.ndim and 0 <= ax_b < b.ndim):
-            raise ValueError(f"contraction pair ({ax_a},{ax_b}) out of range")
-        if a.shape[ax_a] != b.shape[ax_b]:
-            raise ShapeError(
-                f"dimension mismatch on pair ({ax_a},{ax_b}): "
-                f"{a.shape[ax_a]} vs {b.shape[ax_b]}"
-            )
-    return np.tensordot(a, b, axes=(axes_a, axes_b))
-
-
-def reshape_group(a: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
-    """Merge axes group-wise: output axis k has the product dimension of group k.
-
-    ``groups`` must be an ordered partition of the axes. When the
-    concatenated groups preserve the original axis order the flat row-major
-    data is unchanged.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    flat = [ax for g in groups for ax in g]
-    if sorted(flat) != list(range(a.ndim)):
-        raise ValueError(f"groups {list(groups)} are not a partition of {a.ndim} axes")
-    permuted = a.transpose(flat)
-    new_shape = [int(np.prod([a.shape[ax] for ax in g], dtype=np.int64)) for g in groups]
-    return permuted.reshape(new_shape)
-
-
 def is_isometry(tensor: np.ndarray, split: IndexSplit, tol: float = DEFAULT_ISOMETRY_TOL) -> bool:
     """True iff the grouped matrix M satisfies ``‖M†M − I‖_max ≤ tol``.
 

@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import IsotnError, ZeroAmplitudeError
-from .graph import topological_layers
 from .manifold import retract, tangent_project
 from .model import SampleMultiset
 from .network import (
@@ -92,8 +91,8 @@ def gradient(net: TensorNetwork, sequence: Sequence[int]) -> Gradient:
 def _environments_dag(net: TensorNetwork, s: SequenceState) -> tuple[Gradient, complex]:
     """Reverse-mode pass through the boundary-state contraction."""
     q = net.quiver
-    pos = net.out_position()
-    layering = topological_layers(q)
+    pos = q.plan.out_position
+    layering = q.plan.layering
 
     frontier: list[int] = [q.in_edges[0]]
     t = np.ones(net.edge_dim[q.in_edges[0]], dtype=np.complex128)

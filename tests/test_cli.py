@@ -130,6 +130,10 @@ class TestMiCommand:
         text = kv.read_text()
         assert "power.degenerate True" in text
         assert "exponential.degenerate True" in text
+        keys = [line.split(" ", 1)[0] for line in text.splitlines()]
+        assert keys == ["I[1]", "I[2]", "I[3]", "I[4]",
+                        "exponential.params", "exponential.r_squared", "exponential.degenerate",
+                        "power.params", "power.r_squared", "power.degenerate"]
 
     def test_data_mode(self, tmp_path, corpus_file, vocab_file, capsys):
         assert main(["mi", "--data", str(corpus_file), "--vocab", str(vocab_file),

@@ -96,7 +96,9 @@ def test_recorded_isometry_violation_is_the_per_vertex_maximum():
     assert net.max_isometry_violation() == worst
 
 
-def test_training_builds_plan_once_per_quiver(monkeypatch):
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """Counts of topological_layers and is_tree calls per (name, quiver id)."""
     calls = Counter()
     for name in ("topological_layers", "is_tree"):
         original = getattr(graph, name)
@@ -109,6 +111,11 @@ def test_training_builds_plan_once_per_quiver(monkeypatch):
             if (getattr(module, "__name__", "").startswith("isotn")
                     and getattr(module, name, None) is original):
                 monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_training_builds_plan_once_per_quiver(plan_builds):
+    calls = plan_builds
     net = random_network("tree", 8, 2, 2, philox(26))
     gen = philox(27)
     sample = SampleMultiset(8, {tuple(int(x) for x in gen.integers(0, 2, 8)): 1 + k % 2
@@ -117,3 +124,12 @@ def test_training_builds_plan_once_per_quiver(monkeypatch):
     q = id(net.quiver)
     assert calls["topological_layers", q] == 1 and calls["is_tree", q] == 1
     assert max(calls.values()) == 1
+
+
+def test_dag_paths_build_plan_once_per_quiver(plan_builds):
+    net = random_network("mera", 8, 2, 2, philox(28))
+    gen = philox(29)
+    seqs = [tuple(int(x) for x in gen.integers(0, 2, 8)) for _ in range(20)]
+    amplitudes(net, seqs)
+    mean_gradient(net, [(s, 1) for s in seqs])
+    assert max(plan_builds.values()) == 1

@@ -190,14 +190,23 @@ class TestSiteOperators:
         assert abs(got - expected) < 1e-12
 
     def test_marginal_matches_projector_calls(self, rng):
-        net = random_network("tree", 8, 2, 3, rng)
+        # every topology; MERA runs the dense branch of both entry points
         fixed = {0: np.diag([1.0, 0.0]).astype(complex), 3: np.diag([0.0, 1.0]).astype(complex)}
-        vec = site_marginal(net, fixed, 5)
-        for a in range(2):
-            proj = np.zeros((2, 2), dtype=complex)
-            proj[a, a] = 1.0
-            want = site_operator_expectation(net, {**fixed, 5: proj}).real
-            assert abs(vec[a] - want) < 1e-12
+        for kind in ("tree", "chain", "mera"):
+            net = random_network(kind, 8, 2, 3, rng)
+            vec = site_marginal(net, fixed, 5)
+            for a in range(2):
+                proj = np.zeros((2, 2), dtype=complex)
+                proj[a, a] = 1.0
+                want = site_operator_expectation(net, {**fixed, 5: proj}).real
+                assert abs(vec[a] - want) < 1e-12, kind
+
+    @pytest.mark.parametrize("kind", ["tree", "mera"])
+    @pytest.mark.parametrize("bad", [-1, 9])
+    def test_marginal_rejects_fixed_position_out_of_range(self, rng, kind, bad):
+        net = random_network(kind, 8, 2, 2, rng)
+        with pytest.raises(ValueError, match=rf"position {bad} outside \[0,8\)"):
+            site_marginal(net, {bad: np.eye(2)}, 3)
 
     def test_marginal_dense_fallback_on_mera(self, rng):
         net = random_network("mera", 4, 2, 2, rng)

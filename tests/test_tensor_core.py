@@ -6,97 +6,13 @@ from isotn.tensor_core import (
     IndexSplit,
     as_matrix,
     astensor,
-    contract,
     is_isometry,
     isometry_violation,
     project_to_isometry,
     random_isometry,
-    reshape_group,
 )
 
 from conftest import philox
-
-
-def loop_contract(a, b, pairs):
-    """Brute-force nested-loop contraction oracle."""
-    axes_a = [p[0] for p in pairs]
-    axes_b = [p[1] for p in pairs]
-    keep_a = [ax for ax in range(a.ndim) if ax not in axes_a]
-    keep_b = [ax for ax in range(b.ndim) if ax not in axes_b]
-    out_shape = [a.shape[ax] for ax in keep_a] + [b.shape[ax] for ax in keep_b]
-    out = np.zeros(out_shape, dtype=np.complex128)
-    for idx_a in np.ndindex(*a.shape):
-        for idx_b in np.ndindex(*b.shape):
-            if all(idx_a[pa] == idx_b[pb] for pa, pb in pairs):
-                out_idx = tuple(idx_a[ax] for ax in keep_a) + tuple(idx_b[ax] for ax in keep_b)
-                out[out_idx] += a[idx_a] * b[idx_b]
-    return out
-
-
-class TestContract:
-    def test_identity_times_vector(self):
-        v = np.array([3.0, 4.0], dtype=np.complex128)
-        out = contract(np.eye(2), v, [(1, 0)])
-        np.testing.assert_allclose(out, v)
-
-    def test_scalar_outer_product(self):
-        out = contract(np.array(2.0), np.array(3.0), [])
-        assert out.shape == ()
-        assert out == 6.0
-
-    def test_matches_loop_oracle(self, rng):
-        a = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
-        b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        out = contract(a, b, [(1, 0), (2, 1)])
-        np.testing.assert_allclose(out, loop_contract(a, b, [(1, 0), (2, 1)]), atol=1e-12)
-
-    def test_bilinear(self, rng):
-        shape = (3, 4)
-        a1, a2, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3))
-        alpha, beta = 0.7 - 0.2j, -1.1 + 0.5j
-        lhs = contract(alpha * a1 + beta * a2, b, [(1, 1)])
-        rhs = alpha * contract(a1, b, [(1, 1)]) + beta * contract(a2, b, [(1, 1)])
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_associative_on_chain(self, rng):
-        a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-        c = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        left = contract(contract(a, b, [(1, 0)]), c, [(1, 0)])
-        right = contract(a, contract(b, c, [(1, 0)]), [(1, 0)])
-        np.testing.assert_allclose(left, right, atol=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            contract(np.zeros((2, 3)), np.zeros((4, 2)), [(1, 0)])
-
-    def test_repeated_axis(self):
-        with pytest.raises(ValueError):
-            contract(np.zeros((2, 2)), np.zeros((2, 2)), [(0, 0), (0, 1)])
-
-
-class TestReshapeGroup:
-    def test_merge_two_axes(self):
-        a = np.arange(24, dtype=np.complex128).reshape(2, 3, 4)
-        out = reshape_group(a, [[0], [1, 2]])
-        assert out.shape == (2, 12)
-        np.testing.assert_array_equal(out.ravel(), a.ravel())
-
-    def test_identity_group(self):
-        a = np.arange(5, dtype=np.complex128)
-        out = reshape_group(a, [[0]])
-        assert out.shape == (5,)
-        np.testing.assert_array_equal(out, a)
-
-    def test_round_trip(self, rng):
-        a = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
-        merged = reshape_group(a, [[0, 1], [2]])
-        back = merged.reshape(2, 3, 4)
-        np.testing.assert_array_equal(back, a)
-
-    def test_non_partition_rejected(self):
-        with pytest.raises(ValueError):
-            reshape_group(np.zeros((2, 2)), [[0], [0, 1]])
 
 
 class TestIsIsometry:
