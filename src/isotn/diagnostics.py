@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import FitError
-from .network import TensorNetwork, _projector, random_tensors, site_marginal
+from .network import TensorNetwork, random_tensors, site_marginal
 
 _NEG_TOL = -1e-12
 _I_FLOOR = 1e-12
@@ -91,18 +91,24 @@ def _mi_from_joint(joint: np.ndarray) -> float:
 def pairwise_mutual_information_model(net: TensorNetwork, i: int, j: int) -> float:
     """Exact mutual information between positions i and j of the model.
 
-    The two-site joint is computed by doubled-network contraction with
-    identities on every other leg (one open-leg pass per symbol at i on
-    trees; full-state marginalization otherwise).
+    The two-site joint is one doubled-network contraction with both legs
+    open (one sweep on trees; full-state marginalization otherwise). MI is
+    symmetric, so (i, j) and (j, i) make the same call.
     """
     n = net.n_sites
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"positions ({i},{j}) must be distinct and within [0,{n})")
-    w_i = net.site_dims[i]
-    joint = np.empty((w_i, net.site_dims[j]), dtype=float)
-    for a in range(w_i):
-        joint[a, :] = site_marginal(net, {i: _projector(w_i, a)}, j)
-    return _mi_from_joint(joint)
+    return _mi_from_joint(site_marginal(net, {}, (min(i, j), max(i, j))))
+
+
+def _sample_array(samples: Sequence[Sequence[int]]) -> np.ndarray:
+    """Sampled sequences as a (count, n) array of nonnegative symbols."""
+    arr = np.asarray(samples, dtype=int)
+    if arr.ndim != 2 or arr.shape[0] < 2:
+        raise ValueError("need at least 2 samples of equal length")
+    if arr.min() < 0:
+        raise ValueError(f"negative symbol {int(arr.min())} in samples")
+    return arr
 
 
 def pairwise_mutual_information_data(
@@ -114,9 +120,7 @@ def pairwise_mutual_information_data(
     estimate carries a positive bias of order w²/N for alphabet size w and
     N samples (no debiasing is applied).
     """
-    arr = np.asarray(samples, dtype=int)
-    if arr.ndim != 2 or arr.shape[0] < 2:
-        raise ValueError("need at least 2 samples of equal length")
+    arr = _sample_array(samples)
     n = arr.shape[1]
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"positions ({i},{j}) must be distinct and within [0,{n})")
@@ -138,9 +142,7 @@ def decay_curve(source, l_max: int) -> DecayCurve:
         mi = lambda i, j: pairwise_mutual_information_model(source, i, j)
         meta: dict[str, object] = {"source": "model"}
     else:
-        arr = np.asarray(source, dtype=int)
-        if arr.ndim != 2 or arr.shape[0] < 2:
-            raise ValueError("need at least 2 samples of equal length")
+        arr = _sample_array(source)
         n = arr.shape[1]
         mi = lambda i, j: pairwise_mutual_information_data(arr, i, j)
         w = int(arr.max()) + 1

@@ -129,11 +129,6 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return max(total, 0.0)
 
 
-def model_distribution(net: TensorNetwork, sequences: Sequence[SequenceState]) -> Distribution:
-    """Born probabilities of the given sequences (not normalized over them)."""
-    return {tuple(s): born_probability(net, s) for s in sequences}
-
-
 def all_sequences(net: TensorNetwork) -> list[SequenceState]:
     """Every basis sequence of the network's Out space, in row-major order."""
     dims = net.site_dims

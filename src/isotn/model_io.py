@@ -81,17 +81,8 @@ def save_model(bundle: ModelBundle, path) -> None:
         fh.write(digest)
 
 
-def load_model(path) -> ModelBundle:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(MAGIC) + 8 or raw[: len(MAGIC)] != MAGIC:
-        raise ModelFileError(f"{path}: not a model file (bad magic)")
-    (header_len,) = struct.unpack("<Q", raw[len(MAGIC): len(MAGIC) + 8])
-    header_start = len(MAGIC) + 8
-    if len(raw) < header_start + header_len + 8:
-        raise ModelFileError(f"{path}: truncated header")
-    header = raw[header_start: header_start + header_len].decode("utf-8")
-
+def _parse_header(text: str):
+    """(meta, symbols, quiver, edge_dim) of the header; ValueError if malformed."""
     meta: dict[str, str] = {}
     symbols: list = []
     vertices: list[int] = []
@@ -102,7 +93,7 @@ def load_model(path) -> ModelBundle:
     target: dict[int, int] = {}
     edge_dim: dict[int, int] = {}
     saw_end = False
-    for line in header.splitlines():
+    for line in text.splitlines():
         if not line:
             continue
         if line == "end":
@@ -114,34 +105,51 @@ def load_model(path) -> ModelBundle:
         elif key == "vertex":
             vertices.append(int(rest))
         elif key == "edge":
-            fields = rest.split()
-            role = fields[0]
+            role, *fields = rest.split()
+            ints = [int(x) for x in fields]
             if role == "in":
-                e, dst, d = (int(x) for x in fields[1:])
+                e, dst, d = ints
                 in_edges.append(e)
                 target[e] = dst
             elif role == "internal":
-                e, src, dst, d = (int(x) for x in fields[1:])
+                e, src, dst, d = ints
                 internal_edges.append(e)
                 source[e] = src
                 target[e] = dst
             elif role == "out":
-                e, src, d = (int(x) for x in fields[1:])
+                e, src, d = ints
                 out_edges.append(e)
                 source[e] = src
             else:
-                raise ModelFileError(f"{path}: unknown edge role {role!r}")
+                raise ValueError(f"unknown edge role {role!r}")
             edge_dim[e] = d
         else:
             meta[key] = rest
     if not saw_end:
-        raise ModelFileError(f"{path}: header missing 'end' marker")
+        raise ValueError("header missing 'end' marker")
     if int(meta.get("format_version", "-1")) != FORMAT_VERSION:
-        raise ModelFileError(f"{path}: unsupported format version {meta.get('format_version')}")
-
+        raise ValueError(f"unsupported format version {meta.get('format_version')}")
     quiver = Quiver(
         tuple(vertices), tuple(internal_edges), tuple(in_edges), tuple(out_edges), source, target
     )
+    return meta, symbols, quiver, edge_dim
+
+
+def load_model(path) -> ModelBundle:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < len(MAGIC) + 8 or raw[: len(MAGIC)] != MAGIC:
+        raise ModelFileError(f"{path}: not a model file (bad magic)")
+    (header_len,) = struct.unpack("<Q", raw[len(MAGIC): len(MAGIC) + 8])
+    header_start = len(MAGIC) + 8
+    if len(raw) < header_start + header_len + 8:
+        raise ModelFileError(f"{path}: truncated header")
+    try:  # UnicodeDecodeError is a ValueError
+        header = raw[header_start: header_start + header_len].decode("utf-8")
+        meta, symbols, quiver, edge_dim = _parse_header(header)
+        tol, seed = float(meta.get("isometry_tol", "1e-08")), int(meta.get("seed", "0"))
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: bad header: {str(exc)[:200]}") from exc
     binary = raw[header_start + header_len: -8]
     digest = raw[-8:]
     if hashlib.blake2b(binary, digest_size=8).digest() != digest:
@@ -150,10 +158,8 @@ def load_model(path) -> ModelBundle:
     tensors: dict[int, np.ndarray] = {}
     offset = 0
     for v in quiver.vertices:
-        ins = quiver.vertex_in_edges(v)
-        outs = quiver.vertex_out_edges(v)
-        shape = tuple(edge_dim[e] for e in ins) + tuple(edge_dim[e] for e in outs)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        shape = tuple(edge_dim[e] for e in quiver.vertex_in_edges(v) + quiver.vertex_out_edges(v))
+        count = int(np.prod(shape, dtype=object))  # exact: a corrupted dim may exceed int64
         nbytes = count * 16
         if offset + nbytes > len(binary):
             raise ModelFileError(f"{path}: binary section too short at vertex {v}")
@@ -162,15 +168,9 @@ def load_model(path) -> ModelBundle:
     if offset != len(binary):
         raise ModelFileError(f"{path}: {len(binary) - offset} trailing bytes in binary section")
 
-    tol = float(meta.get("isometry_tol", "1e-08"))
-    net = TensorNetwork(quiver, edge_dim, tensors, tol)
-    symbol_set = None
-    if symbols:
-        symbol_set = SymbolSet(tuple(symbols), meta.get("scheme", "chars"))
-    return ModelBundle(
-        net,
-        symbol_set,
-        meta.get("kind", "custom"),
-        int(meta.get("seed", "0")),
-        meta.get("prng", PRNG_NAME),
-    )
+    try:
+        net = TensorNetwork(quiver, edge_dim, tensors, tol)
+        symbol_set = SymbolSet(tuple(symbols), meta.get("scheme", "chars")) if symbols else None
+    except (ValueError, TypeError) as exc:
+        raise ModelFileError(f"{path}: invalid model: {str(exc)[:200]}") from exc
+    return ModelBundle(net, symbol_set, meta.get("kind", "custom"), seed, meta.get("prng", PRNG_NAME))

@@ -21,9 +21,10 @@ the sizes this package targets.
 
 Expectations of site-operator products and site marginals, and through
 them the sampler's conditionals and the mutual-information curves, come
-from one doubled (ket-bra) contraction, optionally with one open leg. On
-trees it is a single leaf-to-root sweep in which every operator-free
-subtree contracts to the identity; other DAGs contract the dense state.
+from one doubled (ket-bra) contraction that leaves any set of legs open
+(one for a conditional, two for a pair's joint). On trees it is a single
+leaf-to-root sweep in which every subtree without an operator or open leg
+contracts to the identity; other DAGs contract the dense state.
 """
 
 from __future__ import annotations
@@ -500,21 +501,26 @@ def site_operator_expectation(net: TensorNetwork, site_ops: Mapping[int, np.ndar
 
 
 def site_marginal(
-    net: TensorNetwork, fixed_ops: Mapping[int, np.ndarray], position: int
+    net: TensorNetwork, fixed_ops: Mapping[int, np.ndarray], position: int | tuple[int, ...]
 ) -> np.ndarray:
     """All diagonal values ⟨Ψ| (⊗ fixed ops) ⊗ |a⟩⟨a|_position |Ψ⟩ at once.
 
     Equivalent to one :func:`site_operator_expectation` call per basis
     projector at ``position``, but computed in a single doubled-network
     pass with an open leg there. Returns a real vector of length
-    ``site_dims[position]``.
+    ``site_dims[position]``; a strictly increasing tuple of positions gives
+    the real joint diagonal, one axis per position.
     """
     n = net.n_sites
-    if not 0 <= position < n:
-        raise ValueError(f"position {position} outside [0,{n})")
-    if position in fixed_ops:
-        raise ValueError(f"position {position} is both fixed and open")
-    return np.real(_doubled(net, _site_ops(net, fixed_ops), position))
+    opened = position if isinstance(position, tuple) else (position,)
+    for p in opened:
+        if not 0 <= p < n:
+            raise ValueError(f"position {p} outside [0,{n})")
+        if p in fixed_ops:
+            raise ValueError(f"position {p} is both fixed and open")
+    if any(a >= b for a, b in zip(opened, opened[1:])):
+        raise ValueError(f"open positions {opened} are not strictly increasing")
+    return np.real(_doubled(net, _site_ops(net, fixed_ops), opened))
 
 
 def _site_ops(net: TensorNetwork, site_ops: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -534,66 +540,65 @@ def _site_ops(net: TensorNetwork, site_ops: Mapping[int, np.ndarray]) -> dict[in
 
 
 def _doubled(
-    net: TensorNetwork, ops: dict[int, np.ndarray], open_pos: int | None = None
-) -> np.ndarray | complex:
+    net: TensorNetwork, ops: dict[int, np.ndarray], open_pos: tuple[int, ...] = ()
+) -> np.ndarray:
     """The doubled network ⟨Ψ| ⊗_p ops[p] |Ψ⟩ with identities elsewhere.
 
-    With ``open_pos`` the leg there is left open and the diagonal over it
-    is returned, a vector of length ``site_dims[open_pos]``; otherwise a
-    scalar. On trees one leaf-to-root sweep passes ket-bra messages, and a
-    subtree without an operator is an exact identity (isometry property),
-    so it is skipped. Other DAGs materialize the state.
+    The legs at the sorted positions ``open_pos`` stay open: the result is
+    the diagonal over them, one axis each (0-d when none is open). On trees
+    one leaf-to-root sweep passes ket-bra messages and skips every subtree
+    without an operator or open leg, an exact identity (isometry property).
+    Other DAGs materialize the state.
     """
     plan = net.quiver.plan
     if not plan.is_tree:
-        psi = state(net)
-        b = psi
+        psi = b = state(net)
         for p, o in ops.items():
             b = np.moveaxis(np.tensordot(b, o, axes=([p], [1])), -1, p)
-        if open_pos is None:
-            return np.vdot(psi, b)
-        other = [ax for ax in range(psi.ndim) if ax != open_pos]
-        return np.sum(psi.conj() * b, axis=tuple(other))
+        other = tuple(ax for ax in range(psi.ndim) if ax not in open_pos)
+        return np.asarray(np.sum(psi.conj() * b, axis=other))
 
-    if open_pos is not None:
-        w = net.site_dims[open_pos]
-        open_msg = np.zeros((w, w, w), dtype=np.complex128)
-        open_msg[(np.arange(w),) * 3] = 1.0
-        ops = {**ops, open_pos: open_msg}
+    dims, root_edge = net.site_dims, net.quiver.in_edges[0]
+    ops = dict(ops)
+    for p in open_pos:
+        ops[p] = np.zeros((dims[p],) * 3, dtype=np.complex128)
+        ops[p][(np.arange(dims[p]),) * 3] = 1.0
     pos, in_edge, out_edges = plan.out_position, plan.in_edge, net.quiver.vertex_out_edges
-    tensors = net.vertex_tensor
-    msgs: dict[int, np.ndarray | None] = {}
+    tensors, msgs = net.vertex_tensor, {}
+    # positions of the open axes an edge's message carries, in _sandwich's order
+    opened = {net.quiver.out_edges[p]: (p,) for p in open_pos}
     for verts in reversed(plan.layering.layers):
         for v in verts:
-            out_msgs = [ops.get(pos[e]) if e in pos else msgs.pop(e) for e in out_edges(v)]
+            outs = out_edges(v)
+            out_msgs = [ops.get(pos[e]) if e in pos else msgs.pop(e) for e in outs]
+            below = [opened.pop(e) for e in outs if e in opened]
+            if below:
+                opened[in_edge[v]] = sum(below, ())
             if all(m is None for m in out_msgs):
                 msgs[in_edge[v]] = None
             else:
                 msgs[in_edge[v]] = _sandwich(tensors[v], out_msgs)
-    root = msgs[net.quiver.in_edges[0]]
-    return 1.0 + 0.0j if root is None else root[0, 0]
+    root = msgs[root_edge]
+    if root is None:
+        return np.array(1.0 + 0.0j)
+    order = opened.get(root_edge, ())
+    return root[0, 0, ...].transpose(sorted(range(len(order)), key=order.__getitem__))
 
 
 def _sandwich(t: np.ndarray, out_msgs: list[np.ndarray | None]) -> np.ndarray:
-    """Ket-bra message through a one-input vertex: Σ conj(t)[ī,ō] Π M_k[ō_k,o_k] t[i,o].
+    """Ket-bra message through a one-input vertex: Σ conj(t)[ī,ō] Π M_k[ō_k,o_k,...] t[i,o].
 
-    A message is None (identity), a matrix, or a rank-3 tensor whose
-    trailing axis is an open diagonal index; at most one message may be
-    open, and the open axis is carried through to the result.
+    A message is None (identity) or a (bra, ket, *open) array whose
+    trailing axes are open diagonal indices. Plain matrices are applied
+    first, so no product carries an open axis it does not need; the open
+    axes follow ī, i in the result, in out-edge order.
     """
     b = t
-    open_k = None
-    for k, m in enumerate(out_msgs):
-        if m is None:
-            continue
-        if m.ndim == 3:
-            open_k = k
-            continue
-        # apply M on out axis k: b'[..., ō_k, ...] = Σ M[ō_k, o_k] b[..., o_k, ...]
-        b = np.moveaxis(np.tensordot(b, m, axes=([1 + k], [1])), -1, 1 + k)
-    if open_k is not None:
-        b = np.tensordot(b, out_msgs[open_k], axes=([1 + open_k], [1]))
-        b = np.moveaxis(b, -2, 1 + open_k)
+    for opening in (False, True):
+        for k, m in enumerate(out_msgs):
+            if m is not None and (m.ndim > 2) == opening:
+                # b'[..., ō_k, ..., open] = Σ M[ō_k, o_k, open] b[..., o_k, ...]
+                b = np.moveaxis(np.tensordot(b, m, axes=([1 + k], [1])), 1 - m.ndim, 1 + k)
     out_axes = list(range(1, t.ndim))
     return np.tensordot(t.conj(), b, axes=(out_axes, out_axes))
 

@@ -44,7 +44,6 @@ class TrainConfig:
     steps: int
     batch_size: int = 1
     seed: int = 0
-    shuffle: bool = True
     checkpoint_every: int = 0
     isometry_tol: float = 1e-8
 
@@ -220,8 +219,7 @@ def train(
     for step in range(cfg.steps):
         while len(order) < cfg.batch_size:
             epoch = list(range(len(expanded)))
-            if cfg.shuffle:
-                shuffle_rng.shuffle(epoch)
+            shuffle_rng.shuffle(epoch)
             order.extend(epoch)
         take, order = order[: cfg.batch_size], order[cfg.batch_size:]
         batch = sorted(Counter(expanded[i] for i in take).items())

@@ -1,9 +1,12 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from isotn.cli import main
 from isotn.model import SymbolSet
-from isotn.model_io import ModelBundle, load_model, save_model
+from isotn.model_io import MAGIC, ModelBundle, load_model, save_model
 from isotn.network import random_network
 
 from conftest import deterministic_chain_net, philox, single_vertex_net
@@ -185,6 +188,27 @@ class TestModelFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(ModelFileError):
             load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.replace(b"kind tree", b"kind tr\xffe"),  # not UTF-8
+        lambda h: re.sub(rb"edge in (\d+) \d+", rb"edge in \1 x", h),  # not an integer
+        lambda h: re.sub(rb"edge in (\d+) \d+", rb"edge in \1 999", h),  # unknown vertex
+        lambda h: re.sub(rb"(edge out \d+ \d+) \d+", rb"\1 " + b"9" * 30, h, count=1),  # huge dim
+    ], ids=["non_utf8", "non_integer_field", "unknown_vertex", "dim_beyond_int64"])
+    def test_corrupted_header_detected(self, tmp_path, rng, edit):
+        from isotn.errors import ModelFileError
+
+        path = tmp_path / "m.isotn"
+        save_model(ModelBundle(random_network("tree", 4, 2, 2, rng), None, "tree", 0), path)
+        raw = path.read_bytes()
+        start = len(MAGIC) + 8
+        (size,) = struct.unpack("<Q", raw[len(MAGIC):start])
+        header = edit(raw[start:start + size])
+        assert header != raw[start:start + size]
+        path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + raw[start + size:])
+        with pytest.raises(ModelFileError, match=re.escape(str(path))) as info:
+            load_model(path)
+        assert len(str(info.value)) < len(str(path)) + 250
 
     def test_bad_magic_detected(self, tmp_path):
         from isotn.errors import ModelFileError

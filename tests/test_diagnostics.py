@@ -54,6 +54,18 @@ class TestModelMI:
             expected = plug_in_mi(joint)
             assert abs(pairwise_mutual_information_model(net, i, j) - expected) < 1e-10
 
+    def test_one_marginal_call_per_pair(self, rng, monkeypatch):
+        import isotn.diagnostics as diagnostics
+
+        calls = []
+        real = diagnostics.site_marginal
+        monkeypatch.setattr(diagnostics, "site_marginal",
+                            lambda *args: calls.append(args[2]) or real(*args))
+        net = random_network("tree", 8, 3, 3, rng)
+        for i, j in ((0, 1), (5, 2), (3, 7)):
+            pairwise_mutual_information_model(net, i, j)
+        assert calls == [(0, 1), (2, 5), (3, 7)]
+
     def test_position_validation(self, rng):
         net = random_network("tree", 4, 2, 2, rng)
         with pytest.raises(ValueError):
@@ -86,6 +98,13 @@ class TestDataMI:
             boots.append(pairwise_mutual_information_data(samples[idx], 0, 1))
         sigma = float(np.std(boots))
         assert abs(est - analytic) <= 3 * sigma + 4.0 / (2 * n)  # 3σ band plus plug-in bias order
+
+    def test_rejects_negative_symbols(self):
+        samples = [[-1, 1, 0], [1, 0, 1], [0, 0, 1], [-1, 1, 0]]
+        with pytest.raises(ValueError, match="negative symbol -1"):
+            pairwise_mutual_information_data(samples, 0, 1)
+        with pytest.raises(ValueError, match="negative symbol -1"):
+            decay_curve(samples, 1)
 
     def test_rejects_empty_and_singleton(self):
         with pytest.raises(ValueError):

@@ -208,6 +208,39 @@ class TestSiteOperators:
         with pytest.raises(ValueError, match=rf"position {bad} outside \[0,8\)"):
             site_marginal(net, {bad: np.eye(2)}, 3)
 
+    def test_two_open_legs_match_dense_joint(self, rng):
+        # the last net's children hold interleaved positions (1, 3) and (0, 2),
+        # so its sweep meets the open legs out of position order
+        q = Quiver((0, 1, 2), (1, 2), (0,), (3, 4, 5, 6),
+                   {1: 0, 2: 0, 3: 2, 4: 1, 5: 2, 6: 1}, {0: 0, 1: 1, 2: 2})
+        dims = {0: 1, 1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2}
+        nets = [random_network(kind, 8, 2, 3, rng) for kind in ("tree", "chain", "mera")]
+        nets.append(TensorNetwork(q, dims, random_tensors(q, dims, rng)))
+        for net in nets:
+            psi = state(net)
+            for fixed in ({}, {2: np.array([[0.2, 0.1j], [-0.1j, 0.8]]), 3: np.diag([0.0, 1.0])}):
+                b = psi
+                for p, o in fixed.items():
+                    b = np.moveaxis(np.tensordot(b, o, axes=([p], [1])), -1, p)
+                for pair in ((0, 1), (0, 3), (1, 2)) if net.n_sites == 4 else ((0, 1), (1, 6), (4, 7)):
+                    if set(pair) & set(fixed):
+                        continue
+                    axes = tuple(ax for ax in range(psi.ndim) if ax not in pair)
+                    want = np.sum(psi.conj() * b, axis=axes).real
+                    np.testing.assert_allclose(site_marginal(net, fixed, pair), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("position, fixed, message", [
+        ((3, 3), {}, r"open positions \(3, 3\) are not strictly increasing"),
+        ((5, 2), {}, r"open positions \(5, 2\) are not strictly increasing"),
+        ((2, 8), {}, r"position 8 outside \[0,8\)"),
+        ((-1, 2), {}, r"position -1 outside \[0,8\)"),
+        ((2, 5), {5: np.eye(2)}, r"position 5 is both fixed and open"),
+    ], ids=["repeated", "decreasing", "above_range", "below_range", "fixed_and_open"])
+    def test_open_positions_rejected(self, rng, position, fixed, message):
+        net = random_network("tree", 8, 2, 2, rng)
+        with pytest.raises(ValueError, match=message):
+            site_marginal(net, fixed, position)
+
     def test_marginal_dense_fallback_on_mera(self, rng):
         net = random_network("mera", 4, 2, 2, rng)
         psi = state(net)
