@@ -102,10 +102,15 @@ def pairwise_mutual_information_model(net: TensorNetwork, i: int, j: int) -> flo
 
 
 def _sample_array(samples: Sequence[Sequence[int]]) -> np.ndarray:
-    """Sampled sequences as a (count, n) array of nonnegative symbols."""
-    arr = np.asarray(samples, dtype=int)
+    """Sampled sequences as a (count, n) array of nonnegative whole symbols."""
+    arr = np.asarray(samples)
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ValueError("need at least 2 samples of equal length")
+    if arr.dtype.kind not in "iu":
+        bad = arr[~(np.isfinite(arr) & (np.floor(arr) == arr))]
+        if bad.size:
+            raise ValueError(f"non-integer symbol {bad[0]} in samples")
+        arr = arr.astype(int)
     if arr.min() < 0:
         raise ValueError(f"negative symbol {int(arr.min())} in samples")
     return arr

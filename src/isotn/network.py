@@ -7,24 +7,28 @@ by edge id; every contraction and the serialization format rely on this one
 convention.
 
 Evaluation is strict layer-by-layer composition of per-layer tensor-product
-maps; that dense path is kept as the reference the fast paths are tested
-against. Sequence amplitudes on directed trees come from one batched
-kernel driven by the quiver's cached :class:`~isotn.graph.Plan`: a
-leaf-to-root sweep (:func:`tree_up`) over a (B, n) array of sequences
-gives B amplitudes at once, and the matching root-to-leaf sweep
-(:func:`tree_environments`) folds the weighted vertex environments of the
-whole batch into one tensor per vertex, which is what the likelihood
-gradient needs. Neither sweep materializes the full state or any
-per-sequence environment. General DAGs (MERA) fall back to contracting
-the running boundary state one sequence at a time, which is adequate at
-the sizes this package targets.
+maps (:func:`evaluate`, :func:`state`, the operator flow). That dense path
+is only the reference the other paths are tested against: a layer map has
+the square of its boundary's dimension as its size.
+
+Sequence amplitudes on directed trees come from one batched kernel driven
+by the quiver's cached :class:`~isotn.graph.Plan`: a leaf-to-root sweep
+(:func:`tree_up`) over a (B, n) array of sequences gives B amplitudes at
+once, and the matching root-to-leaf sweep (:func:`tree_environments`)
+folds the weighted vertex environments of the whole batch into one tensor
+per vertex, which is what the likelihood gradient needs. Neither sweep
+materializes the full state or any per-sequence environment. General DAGs
+(MERA) take every path through one boundary-state contraction
+(:func:`_frontier`): it gives a sequence's amplitude, records the tape that
+:func:`_environments_dag` runs backwards, or leaves the Out legs open.
 
 Expectations of site-operator products and site marginals, and through
 them the sampler's conditionals and the mutual-information curves, come
 from one doubled (ket-bra) contraction that leaves any set of legs open
 (one for a conditional, two for a pair's joint). On trees it is a single
 leaf-to-root sweep in which every subtree without an operator or open leg
-contracts to the identity; other DAGs contract the dense state.
+contracts to the identity; other DAGs sum over the state that
+:func:`_frontier` gives.
 """
 
 from __future__ import annotations
@@ -287,15 +291,14 @@ def amplitudes(net: TensorNetwork, sequences: Sequence[Sequence[int]]) -> np.nda
     """Amplitudes of a batch of basis sequences, as a complex (B,) array.
 
     Tree networks run one batched leaf-to-root sweep (:func:`tree_up`);
-    other DAGs contract the boundary state layer by layer per sequence,
-    fixing each observable leg to its symbol as soon as it appears.
+    other DAGs run the boundary-state contraction (:func:`_frontier`) per
+    sequence, fixing each observable leg to its symbol as soon as it appears.
     """
     _require_model(net)
     seqs = sequence_array(net, sequences)
-    plan = net.quiver.plan
-    if plan.is_tree:
+    if net.quiver.plan.is_tree:
         return tree_up(net, seqs)[net.quiver.in_edges[0]][:, 0]
-    return np.array([_amplitude_dag(net, tuple(s)) for s in seqs.tolist()], dtype=np.complex128)
+    return np.array([_frontier(net, tuple(s)) for s in seqs.tolist()], dtype=np.complex128)
 
 
 def _projector(dim: int, index: int) -> np.ndarray:
@@ -405,22 +408,69 @@ def tree_environments(
     return envs
 
 
-def _amplitude_dag(net: TensorNetwork, s: SequenceState) -> complex:
+def _frontier(
+    net: TensorNetwork, s: SequenceState | None = None, tape: list | None = None
+) -> np.ndarray:
+    """Contract a model network layer by layer through its boundary state.
+
+    The running state has one axis per frontier edge, and each vertex is
+    applied by one matrix product over its input legs. Given a sequence
+    ``s``, each Out leg is fixed to its symbol as soon as it appears and
+    the 0-d result is the amplitude. Without one the Out legs stay open and
+    the result is the state, axes in position order. A list passed as
+    ``tape`` records every step for :func:`_environments_dag`.
+    """
     q = net.quiver
     pos = q.plan.out_position
     frontier: list[int] = [q.in_edges[0]]
     t = np.ones(net.edge_dim[q.in_edges[0]], dtype=np.complex128)
     for verts in q.plan.layering.layers:
         for v in verts:
-            ins = q.vertex_in_edges(v)
-            axes = [frontier.index(e) for e in ins]
-            t = np.tensordot(t, net.vertex_tensor[v], axes=(axes, list(range(len(ins)))))
-            frontier = [e for e in frontier if e not in ins] + list(q.vertex_out_edges(v))
-            for e in list(frontier):
-                if e in pos:
-                    t = np.take(t, s[pos[e]], axis=frontier.index(e))
+            ins, outs = q.vertex_in_edges(v), q.vertex_out_edges(v)
+            con = [frontier.index(e) for e in ins]
+            keep = [ax for ax in range(t.ndim) if ax not in con]
+            u = net.vertex_tensor[v]
+            t_mat = t.transpose(keep + con).reshape(-1, math.prod(u.shape[:len(ins)]))
+            u_mat = u.reshape(t_mat.shape[1], -1)
+            if tape is not None:
+                tape.append(("vertex", v, t_mat, u_mat, keep + con, t.shape, u.shape))
+            t = (t_mat @ u_mat).reshape(tuple(t.shape[ax] for ax in keep) + u.shape[len(ins):])
+            frontier = [e for e in frontier if e not in ins] + list(outs)
+            for e in outs:
+                if s is not None and e in pos:
+                    ax = frontier.index(e)
+                    if tape is not None:
+                        tape.append(("fix", ax, s[pos[e]], t.shape))
+                    t = np.take(t, s[pos[e]], axis=ax)
                     frontier.remove(e)
-    return complex(t)
+    if s is None:
+        return t.transpose([frontier.index(e) for e in q.out_edges])
+    return t
+
+
+def _environments_dag(net: TensorNetwork, s: SequenceState) -> tuple[dict[int, np.ndarray], complex]:
+    """∂A(s)/∂t_v for every vertex, and A(s): reverse mode through :func:`_frontier`."""
+    tape: list[tuple] = []
+    amp = complex(_frontier(net, s, tape))
+    envs: dict[int, np.ndarray] = {}
+    adj = np.ones((), dtype=np.complex128)
+    for entry in reversed(tape):
+        if entry[0] == "fix":
+            _, ax, idx, shape_before = entry
+            full = np.zeros(shape_before, dtype=np.complex128)
+            sel = [slice(None)] * len(shape_before)
+            sel[ax] = idx
+            full[tuple(sel)] = adj
+            adj = full
+        else:
+            _, v, t_mat, u_mat, perm, t_shape, u_shape = entry
+            adj_mat = adj.reshape(t_mat.shape[0], u_mat.shape[1])
+            envs[v] = (t_mat.T @ adj_mat).reshape(u_shape)
+            adj_prev = (adj_mat @ u_mat.T).reshape(
+                tuple(t_shape[ax] for ax in perm)
+            )
+            adj = adj_prev.transpose(np.argsort(perm))
+    return envs, amp
 
 
 # ------------------------------------------------------------------
@@ -495,7 +545,8 @@ def site_operator_expectation(net: TensorNetwork, site_ops: Mapping[int, np.ndar
     space. On trees this runs ket-bra message passing in which any subtree
     containing no operator contributes an exact identity (isometry
     property), so the cost scales with the operator positions' depth, not
-    the system size. Other DAGs materialize the state.
+    the system size. Other DAGs sum over the state that one boundary-state
+    contraction gives (Π site dims entries), never a dense layer map.
     """
     return complex(_doubled(net, _site_ops(net, site_ops)))
 
@@ -548,11 +599,12 @@ def _doubled(
     the diagonal over them, one axis each (0-d when none is open). On trees
     one leaf-to-root sweep passes ket-bra messages and skips every subtree
     without an operator or open leg, an exact identity (isometry property).
-    Other DAGs materialize the state.
+    Other DAGs sum over the state that one boundary-state contraction
+    (:func:`_frontier`) gives; no layer map is built.
     """
     plan = net.quiver.plan
     if not plan.is_tree:
-        psi = b = state(net)
+        psi = b = _frontier(net)
         for p, o in ops.items():
             b = np.moveaxis(np.tensordot(b, o, axes=([p], [1])), -1, p)
         other = tuple(ax for ax in range(psi.ndim) if ax not in open_pos)

@@ -76,7 +76,7 @@ def sample(
                     cache[key] = cum
             u = rng.random()
             k = int(np.searchsorted(cum, u, side="right"))
-            if k >= cum.size:  # guard the u == 1.0 float edge
+            if k >= cum.size:  # u >= cum[-1]: the normalized cumsum can end at 1 - 2**-53
                 k = int(np.max(np.nonzero(np.diff(np.concatenate(([0.0], cum))) > 0.0)))
             prefix.append(k)
         draws.append(tuple(prefix))

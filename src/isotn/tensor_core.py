@@ -90,14 +90,13 @@ def is_isometry(tensor: np.ndarray, split: IndexSplit, tol: float = DEFAULT_ISOM
     Raises IsometryImpossibleError when the in-dimension exceeds the
     out-dimension, since then no isometry of that shape exists at all.
     """
-    m = as_matrix(np.asarray(tensor, dtype=np.complex128), split)
-    out_dim, in_dim = m.shape
+    split.validate(np.ndim(tensor))
+    out_dim, in_dim = matrix_dims(np.shape(tensor), split)
     if in_dim > out_dim:
         raise IsometryImpossibleError(
             f"in-dimension {in_dim} exceeds out-dimension {out_dim}"
         )
-    gram = m.conj().T @ m
-    return float(np.max(np.abs(gram - np.eye(in_dim)))) <= tol
+    return isometry_violation(tensor, split) <= tol
 
 
 def isometry_violation(tensor: np.ndarray, split: IndexSplit) -> float:

@@ -106,6 +106,17 @@ class TestDataMI:
         with pytest.raises(ValueError, match="negative symbol -1"):
             decay_curve(samples, 1)
 
+    def test_rejects_non_integer_symbols(self):
+        samples = [[0.5, 1.7], [1.2, 0.1], [0.9, 1.9], [1.0, 0.0]]
+        with pytest.raises(ValueError, match="non-integer symbol 0.5"):
+            pairwise_mutual_information_data(samples, 0, 1)
+        with pytest.raises(ValueError, match="non-integer symbol"):
+            decay_curve(samples, 1)
+        with pytest.raises(ValueError, match="non-integer symbol nan"):
+            pairwise_mutual_information_data([[0.0, 1.0], [1.0, np.nan]], 0, 1)
+        # whole numbers stored as floats are still symbols
+        assert pairwise_mutual_information_data([[0.0, 1.0], [1.0, 0.0]], 0, 1) == pytest.approx(math.log(2))
+
     def test_rejects_empty_and_singleton(self):
         with pytest.raises(ValueError):
             pairwise_mutual_information_data([], 0, 1)

@@ -22,7 +22,7 @@ from isotn.training import TrainConfig, _environments_dag, gradient, mean_gradie
 from conftest import deterministic_chain_net, enumerate_sequences, philox
 
 
-@pytest.mark.parametrize("kind", ["chain", "tree"])
+@pytest.mark.parametrize("kind", ["chain", "tree", "mera"])
 def test_batched_amplitudes_match_dense_state(kind):
     net = random_network(kind, 8, 3, 3, philox(21))
     seqs = enumerate_sequences(net.site_dims)

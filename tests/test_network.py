@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from isotn import network
+from isotn.diagnostics import pairwise_mutual_information_model
 from isotn.errors import IsometryImpossibleError, ShapeError
 from isotn.graph import Quiver, topological_layers
 from isotn.network import (
     TensorNetwork,
+    _frontier,
     amplitude,
     evaluate,
     intermediate_state,
@@ -17,6 +20,7 @@ from isotn.network import (
     site_operator_expectation,
     state,
 )
+from isotn.sampling import conditional_distribution
 from isotn.tensor_core import IndexSplit, is_isometry, random_isometry
 
 from conftest import deterministic_chain_net, enumerate_sequences, philox, single_vertex_net, two_site_net
@@ -247,6 +251,42 @@ class TestSiteOperators:
         vec = site_marginal(net, {0: np.diag([1.0, 0.0]).astype(complex)}, 2)
         brute = np.sum(np.abs(psi[0]) ** 2, axis=(0, 2))
         np.testing.assert_allclose(vec, brute, atol=1e-12)
+
+
+@pytest.fixture
+def no_layer_maps(monkeypatch):
+    """Make the dense layer-map oracle fail loudly if anything reaches it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense layer-map path reached")
+
+    for name in ("layer_map", "evaluate"):
+        monkeypatch.setattr(network, name, refuse)
+
+
+class TestBoundaryState:
+    """Non-tree networks take every path through one boundary-state contraction."""
+
+    def test_mera_open_state_matches_dense_state(self, rng):
+        net = random_network("mera", 8, 2, 3, rng)
+        np.testing.assert_allclose(_frontier(net), state(net), rtol=0, atol=1e-12)
+
+    def test_mera_marginal_paths_build_no_layer_map(self, rng, no_layer_maps):
+        net = random_network("mera", 8, 2, 2, rng)
+        with pytest.raises(AssertionError, match="layer-map"):
+            state(net)
+        z = np.diag([1.0, -1.0]).astype(complex)
+        assert abs(site_operator_expectation(net, {1: z, 6: z})) <= 1.0 + 1e-12
+        assert site_marginal(net, {0: z}, (2, 5)).shape == (2, 2)
+        assert conditional_distribution(net, (1, 0, 1)).sum() == pytest.approx(1.0)
+        assert pairwise_mutual_information_model(net, 3, 4) >= 0.0
+
+    def test_mera_sixteen_sites_marginals_consistent(self, no_layer_maps):
+        # the dense state path would build a 2**32-entry layer map here
+        net = random_network("mera", 16, 2, 2, philox(41))
+        one = site_marginal(net, {}, 6)
+        assert abs(one.sum() - 1.0) <= 1e-12
+        joint = site_marginal(net, {}, (6, 11))
+        assert np.max(np.abs(joint.sum(axis=1) - one)) <= 1e-12
 
 
 class TestExplicitBondLists:

@@ -100,6 +100,17 @@ class TestSample:
         b = sample(net, 50, philox(5))
         assert a == b
 
+    def test_draw_at_the_top_of_the_cumulative_sum(self):
+        # the normalized cumsum of ten 0.1 weights ends at 1 - 2**-53, which
+        # Generator.random() can return; the draw is then the last symbol
+        class TopGenerator:
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+        net = single_vertex_net(np.full(10, 10**-0.5))
+        assert np.cumsum(conditional_distribution(net, ()))[-1] == np.nextafter(1.0, 0.0)
+        assert sample(net, 1, TopGenerator()) == [(9,)]
+
     def test_zero_count(self, rng):
         net = random_network("tree", 4, 2, 2, rng)
         assert sample(net, 0, philox(0)) == []
