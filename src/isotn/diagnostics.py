@@ -129,7 +129,11 @@ def pairwise_mutual_information_data(
     n = arr.shape[1]
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"positions ({i},{j}) must be distinct and within [0,{n})")
-    w = int(arr.max()) + 1
+    return _data_mi(arr, int(arr.max()) + 1, i, j)
+
+
+def _data_mi(arr: np.ndarray, w: int, i: int, j: int) -> float:
+    """Plug-in MI of columns i and j of a validated sample array over w symbols."""
     joint = np.zeros((w, w), dtype=float)
     np.add.at(joint, (arr[:, i], arr[:, j]), 1.0)
     return _mi_from_joint(joint)
@@ -149,8 +153,8 @@ def decay_curve(source, l_max: int) -> DecayCurve:
     else:
         arr = _sample_array(source)
         n = arr.shape[1]
-        mi = lambda i, j: pairwise_mutual_information_data(arr, i, j)
         w = int(arr.max()) + 1
+        mi = lambda i, j: _data_mi(arr, w, i, j)
         meta = {
             "source": "samples",
             "estimator": "plug-in",

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+# symbols of a sequence or prefix that an error message shows
+_SHOWN_SYMBOLS = 16
+
+
+def _brief(symbols: tuple) -> str:
+    """The tuple as text, cut after its first 16 symbols with its length stated."""
+    if len(symbols) <= _SHOWN_SYMBOLS:
+        return str(symbols)
+    head = ", ".join(str(x) for x in symbols[:_SHOWN_SYMBOLS])
+    return f"({head}, …) of length {len(symbols)}"
+
 
 class IsotnError(Exception):
     """Base class for all errors raised by this package."""
@@ -37,16 +48,17 @@ class ZeroAmplitudeError(IsotnError, ValueError):
     """A sampled sequence has amplitude zero, so its log term is singular."""
 
     def __init__(self, sequence):
-        super().__init__(f"zero amplitude on sequence {tuple(sequence)}")
         self.sequence = tuple(sequence)
+        super().__init__(f"zero amplitude on sequence {_brief(self.sequence)}")
 
 
 class ConditioningError(IsotnError, ValueError):
     """A conditioning prefix has zero probability under the model."""
 
     def __init__(self, prefix):
-        super().__init__(f"prefix {tuple(prefix)} has zero probability; cannot condition on it")
         self.prefix = tuple(prefix)
+        super().__init__(
+            f"prefix {_brief(self.prefix)} has zero probability; cannot condition on it")
 
 
 class UnsupportedTopologyError(IsotnError, ValueError):

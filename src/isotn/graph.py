@@ -165,7 +165,8 @@ class Plan:
     """Graph-only data shared by every contraction of one quiver.
 
     ``in_edge`` maps each vertex to its single in edge and is filled only
-    when ``is_tree`` holds.
+    when ``is_tree`` holds. ``below`` maps every edge to the sorted
+    sequence positions of the Out edges reachable from it.
     """
 
     layering: Layering
@@ -173,6 +174,7 @@ class Plan:
     out_position: Mapping[int, int]
     in_edge: Mapping[int, int]
     legs: Mapping[int, VertexLegs]
+    below: Mapping[int, tuple[int, ...]]
 
 
 def _build_plan(q: Quiver) -> Plan:
@@ -191,7 +193,13 @@ def _build_plan(q: Quiver) -> Plan:
             tuple(ax for ax, _ in inner), tuple(e for _, e in inner),
         )
     in_edge = {v: q.vertex_in_edges(v)[0] for v in q.vertices} if tree else {}
-    return Plan(layering, tree, pos, in_edge, legs)
+    below = {e: (p,) for e, p in pos.items()}
+    for verts in reversed(layering.layers):
+        for v in verts:
+            reach = tuple(sorted({p for e in q.vertex_out_edges(v) for p in below[e]}))
+            for e in q.vertex_in_edges(v):
+                below[e] = reach
+    return Plan(layering, tree, pos, in_edge, legs, below)
 
 
 def _find_cycle(q: Quiver, resolved: set[int]) -> tuple[int, ...]:

@@ -23,12 +23,12 @@ materializes the full state or any per-sequence environment. General DAGs
 :func:`_environments_dag` runs backwards, or leaves the Out legs open.
 
 Expectations of site-operator products and site marginals, and through
-them the sampler's conditionals and the mutual-information curves, come
-from one doubled (ket-bra) contraction that leaves any set of legs open
-(one for a conditional, two for a pair's joint). On trees it is a single
-leaf-to-root sweep in which every subtree without an operator or open leg
-contracts to the identity; other DAGs sum over the state that
-:func:`_frontier` gives.
+them the mutual-information curves, come from one doubled (ket-bra)
+contraction that leaves any set of legs open (one for a marginal, two for
+a pair's joint). On trees it is a single leaf-to-root sweep in which
+every subtree without an operator or open leg contracts to the identity;
+other DAGs sum over the state that :func:`_frontier` gives. The sampler's
+conditionals use the same identity on paths (:mod:`isotn.sampling`).
 """
 
 from __future__ import annotations
@@ -299,12 +299,6 @@ def amplitudes(net: TensorNetwork, sequences: Sequence[Sequence[int]]) -> np.nda
     if net.quiver.plan.is_tree:
         return tree_up(net, seqs)[net.quiver.in_edges[0]][:, 0]
     return np.array([_frontier(net, tuple(s)) for s in seqs.tolist()], dtype=np.complex128)
-
-
-def _projector(dim: int, index: int) -> np.ndarray:
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    p[index, index] = 1.0
-    return p
 
 
 # Batched tree kernel. A message on edge e is a (B, dim e) array, one row per

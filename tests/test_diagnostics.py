@@ -148,6 +148,19 @@ class TestDecayCurve:
         assert curve.meta["estimator"] == "plug-in"
         assert curve.meta["positive_bias_order"] == pytest.approx(4 / 500)
 
+    def test_data_curve_validates_samples_once(self, monkeypatch):
+        import isotn.diagnostics as diagnostics
+
+        samples = philox(5).integers(0, 3, size=(400, 8)).tolist()
+        expected = [np.mean([pairwise_mutual_information_data(samples, i, i + l)
+                             for i in range(8 - l)]) for l in range(1, 6)]
+        calls = []
+        real = diagnostics._sample_array
+        monkeypatch.setattr(diagnostics, "_sample_array", lambda s: calls.append(1) or real(s))
+        curve = decay_curve(samples, 5)
+        assert len(calls) == 1
+        assert curve.values().tolist() == expected
+
     def test_lmax_validation(self, rng):
         net = random_network("tree", 4, 2, 2, rng)
         with pytest.raises(ValueError):

@@ -3,12 +3,39 @@ import itertools
 import numpy as np
 import pytest
 
+import isotn.sampling as sampling
 from isotn.errors import ConditioningError
+from isotn.graph import Quiver
 from isotn.model import born_probability
-from isotn.network import random_network, state
+from isotn.network import TensorNetwork, random_network, random_tensors, site_marginal, state
 from isotn.sampling import conditional_distribution, sample
 
 from conftest import deterministic_chain_net, enumerate_sequences, philox, single_vertex_net, two_site_net
+
+
+def reference_sample(net, count, rng):
+    """The sampler spelled out: each conditional from projector marginals of the doubled network."""
+    dims = net.site_dims
+    draws = []
+    for row in rng.random((count, len(dims))):
+        s = []
+        for k, u in enumerate(row):
+            fixed = {p: np.diag(np.eye(dims[p])[x]) for p, x in enumerate(s)}
+            w = np.clip(site_marginal(net, fixed, k), 0.0, None)
+            cum = np.cumsum(w / w.sum())
+            a = int(np.searchsorted(cum, u, side="right"))
+            s.append(a if a < len(w) else int(np.flatnonzero(w)[-1]))  # cumsum can end below 1
+        draws.append(tuple(s))
+    return draws
+
+
+def small_tree(leaf_parents, seed):
+    """Root (vertex 0) feeding vertices 1 and 2, whose leaves are listed in position order."""
+    outs = tuple(range(3, 3 + len(leaf_parents)))
+    q = Quiver((0, 1, 2), (1, 2), (0,), outs, {1: 0, 2: 0, **dict(zip(outs, leaf_parents))},
+               {0: 0, 1: 1, 2: 2})
+    dims = {0: 1, 1: 2, 2: 2, **{e: 2 for e in outs}}
+    return TensorNetwork(q, dims, random_tensors(q, dims, philox(seed)))
 
 
 class TestConditionalDistribution:
@@ -104,7 +131,9 @@ class TestSample:
         # the normalized cumsum of ten 0.1 weights ends at 1 - 2**-53, which
         # Generator.random() can return; the draw is then the last symbol
         class TopGenerator:
-            def random(self):
+            def random(self, size=None):
+                if size is not None:
+                    return np.full(size, np.nextafter(1.0, 0.0))
                 return np.nextafter(1.0, 0.0)
 
         net = single_vertex_net(np.full(10, 10**-0.5))
@@ -114,3 +143,67 @@ class TestSample:
     def test_zero_count(self, rng):
         net = random_network("tree", 4, 2, 2, rng)
         assert sample(net, 0, philox(0)) == []
+
+
+class TestExactness:
+    @pytest.mark.parametrize("make", [
+        lambda: random_network("chain", 8, 3, 3, philox(31)),
+        lambda: random_network("tree", 8, 3, 3, philox(32)),
+        lambda: small_tree((2, 1, 2, 1), 33),  # interleaved: vertex 1 holds positions 1 and 3
+        lambda: small_tree((1, 1, 1, 2, 2, 2), 0),  # criterion 7's six-leaf tree
+        lambda: random_network("mera", 8, 2, 2, philox(34)),
+    ], ids=["chain8", "tree8", "interleaved4", "six_leaf", "mera8"])
+    def test_same_draws_as_reference(self, make):
+        net = make()
+        assert sample(net, 150, philox(8)) == reference_sample(net, 150, philox(8))
+
+    def test_draws_do_not_depend_on_block_size(self, monkeypatch):
+        net = random_network("tree", 8, 3, 3, philox(35))
+        whole = sample(net, 70, philox(9))
+        monkeypatch.setattr(sampling, "_BLOCK_ROWS", 3)
+        assert sample(net, 70, philox(9)) == whole
+
+
+class TestRealisticLengths:
+    @pytest.mark.parametrize("kind,n,bond", [("chain", 256, 4), ("tree", 512, 8)])
+    def test_long_sequences_sample(self, kind, n, bond):
+        net = random_network(kind, n, 27, bond, philox(36))
+        draws = sample(net, 8, philox(10))
+        assert len(draws) == 8 and all(len(d) == n for d in draws)
+        assert sample(net, 8, philox(10)) == draws
+
+    def test_long_prefix_conditional_normalized(self):
+        net = random_network("chain", 256, 27, 4, philox(36))
+        prefix = sample(net, 1, philox(11))[0][:255]
+        dist = conditional_distribution(net, prefix)
+        assert abs(dist.sum() - 1.0) <= 1e-12
+        assert np.all(dist >= 0.0)
+
+    def test_deep_tree_conditional_without_recursion(self):
+        # a chain rooted at its last site: the subtree of the 1199-symbol
+        # prefix hangs 1199 vertices deep below the conditional's vertex
+        n = 1200
+        internal, outs = tuple(range(1, n)), tuple(range(n, 2 * n))
+        q = Quiver(tuple(range(n)), internal, (0,), outs,
+                   {**{e: e for e in internal}, **{n + j: j for j in range(n)}},
+                   {0: n - 1, **{e: e - 1 for e in internal}})
+        dims = {0: 1, **{e: 2 for e in internal + outs}}
+        net = TensorNetwork(q, dims, random_tensors(q, dims, philox(38)))
+        prefix = sample(net, 1, philox(13))[0][:-1]
+        assert abs(conditional_distribution(net, prefix).sum() - 1.0) <= 1e-12
+
+    def test_mera_state_built_once_per_call(self, monkeypatch):
+        net = random_network("mera", 16, 2, 2, philox(37))
+        calls = []
+        real = sampling._frontier
+        monkeypatch.setattr(sampling, "_frontier", lambda *args: calls.append(1) or real(*args))
+        assert len(sample(net, 5, philox(12))) == 5
+        assert len(calls) == 1
+
+    def test_long_prefix_error_is_bounded(self):
+        net = deterministic_chain_net((0,) * 257, 2)
+        prefix = (1,) + (0,) * 255
+        with pytest.raises(ConditioningError) as err:
+            conditional_distribution(net, prefix)
+        assert err.value.prefix == prefix
+        assert len(str(err.value)) <= 200 and "length 256" in str(err.value)

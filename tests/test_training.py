@@ -84,6 +84,14 @@ class TestGradient:
             gradient(net, (1, 1))
         assert err.value.sequence == (1, 1)
 
+    def test_zero_amplitude_message_is_bounded(self):
+        net = deterministic_chain_net((0,) * 256, 2)
+        bad = (1,) * 256
+        with pytest.raises(ZeroAmplitudeError) as err:
+            gradient(net, bad)
+        assert err.value.sequence == bad
+        assert len(str(err.value)) <= 200 and "length 256" in str(err.value)
+
 
 class TestSgdStep:
     def test_zero_learning_rate_keeps_parameters(self, rng):
