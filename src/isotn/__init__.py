@@ -18,6 +18,7 @@ from .diagnostics import (
     pairwise_mutual_information_data,
     pairwise_mutual_information_model,
 )
+from .dense import evaluate, intermediate_state, layer_map, operator_descend, operator_flow, state
 from .graph import Layering, Quiver, build_binary_tree, build_chain, build_mera, topological_layers
 from .manifold import (
     gauge_orbit_rank,
@@ -40,14 +41,8 @@ from .network import (
     TensorNetwork,
     amplitude,
     amplitudes,
-    evaluate,
-    intermediate_state,
-    layer_map,
-    operator_descend,
-    operator_flow,
     random_network,
     site_operator_expectation,
-    state,
 )
 from .sampling import conditional_distribution, sample
 from .tensor_core import (

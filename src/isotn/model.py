@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import _brief
 from .network import SequenceState, TensorNetwork, amplitude, amplitudes
 
 Distribution = dict[SequenceState, float]
@@ -98,7 +99,7 @@ def log_likelihood(net: TensorNetwork, sample: SampleMultiset) -> float:
     for (s, m), p in zip(items, probs.tolist()):
         if p == 0.0:
             warnings.warn(
-                f"sequence {s} has zero model probability; objective is infinite",
+                f"sequence {_brief(s)} has zero model probability; objective is infinite",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -127,20 +128,3 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
             return math.inf
         total += ps * math.log(ps / qs)
     return max(total, 0.0)
-
-
-def all_sequences(net: TensorNetwork) -> list[SequenceState]:
-    """Every basis sequence of the network's Out space, in row-major order."""
-    dims = net.site_dims
-    total = 1
-    for d in dims:
-        total *= d
-    seqs = []
-    for flat in range(total):
-        s = []
-        rem = flat
-        for d in reversed(dims):
-            s.append(rem % d)
-            rem //= d
-        seqs.append(tuple(reversed(s)))
-    return seqs

@@ -6,10 +6,10 @@ its incoming edges sorted by edge id followed by its outgoing edges sorted
 by edge id; every contraction and the serialization format rely on this one
 convention.
 
-Evaluation is strict layer-by-layer composition of per-layer tensor-product
-maps (:func:`evaluate`, :func:`state`, the operator flow). That dense path
-is only the reference the other paths are tested against: a layer map has
-the square of its boundary's dimension as its size.
+This module holds the runtime kernels only. The dense layer-map path
+(full evaluation, the state, the operator flow) is the reference they are
+tested against, and lives in :mod:`isotn.dense`, which nothing here
+imports.
 
 Sequence amplitudes on directed trees come from one batched kernel driven
 by the quiver's cached :class:`~isotn.graph.Plan`: a leaf-to-root sweep
@@ -20,7 +20,8 @@ per vertex, which is what the likelihood gradient needs. Neither sweep
 materializes the full state or any per-sequence environment. General DAGs
 (MERA) take every path through one boundary-state contraction
 (:func:`_frontier`): it gives a sequence's amplitude, records the tape that
-:func:`_environments_dag` runs backwards, or leaves the Out legs open.
+:func:`_environments_dag` runs backwards, or leaves the Out legs open and
+gives the state, which is built once per network and cached on it.
 
 Expectations of site-operator products and site marginals, and through
 them the mutual-information curves, come from one doubled (ket-bra)
@@ -35,14 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import IsometryImpossibleError, ShapeError
 from .graph import (
-    Layering,
     Quiver,
     VertexLegs,
     build_binary_tree,
@@ -141,18 +140,6 @@ class TensorNetwork:
         return self._max_violation
 
 
-def check_sequence(net: TensorNetwork, sequence: Sequence[int]) -> SequenceState:
-    """Validate symbol indices against the network's site dimensions."""
-    dims = net.site_dims
-    sequence = tuple(int(x) for x in sequence)
-    if len(sequence) != len(dims):
-        raise ValueError(f"sequence length {len(sequence)} != number of sites {len(dims)}")
-    for pos, (x, d) in enumerate(zip(sequence, dims)):
-        if not 0 <= x < d:
-            raise ValueError(f"symbol index {x} at position {pos} outside [0,{d})")
-    return sequence
-
-
 def _require_model(net: TensorNetwork) -> int:
     """A statistical model has exactly one In edge of dimension 1."""
     ins = net.quiver.in_edges
@@ -162,124 +149,44 @@ def _require_model(net: TensorNetwork) -> int:
 
 
 # ------------------------------------------------------------------
-# layer slicing and full evaluation
-# ------------------------------------------------------------------
-
-def layer_boundaries(net: TensorNetwork, layering: Layering) -> tuple[tuple[int, ...], ...]:
-    """Edge sets (sorted by id) between consecutive layers.
-
-    ``boundaries[0]`` is the In edges; ``boundaries[l+1]`` is the boundary
-    after applying layer ``l``; the last one is the Out edges.
-    """
-    q = net.quiver
-    bounds = [tuple(q.in_edges)]
-    current = set(q.in_edges)
-    for verts in layering.layers:
-        consumed = {e for v in verts for e in q.vertex_in_edges(v)}
-        missing = consumed - current
-        if missing:
-            raise ShapeError(f"layering is not causal: edges {sorted(missing)} not yet produced")
-        produced = {e for v in verts for e in q.vertex_out_edges(v)}
-        current = (current - consumed) | produced
-        bounds.append(tuple(sorted(current)))
-    if set(bounds[-1]) != set(q.out_edges):
-        raise ShapeError("layering does not terminate on the Out edges")
-    return tuple(bounds)
-
-
-def layer_map(net: TensorNetwork, layering: Layering, level: int) -> np.ndarray:
-    """Tensor-product map of layer ``l`` extended by identities.
-
-    Returns a tensor whose axes are the outgoing boundary edges (sorted by
-    id) followed by the incoming boundary edges (sorted by id); composing
-    all layer maps in order reproduces :func:`evaluate`.
-    """
-    if not 0 <= level < len(layering.layers):
-        raise ValueError(f"layer index {level} outside [0,{len(layering.layers)})")
-    q = net.quiver
-    bounds = layer_boundaries(net, layering)
-    b_in, b_out = bounds[level], bounds[level + 1]
-    consumed = {e for v in layering.layers[level] for e in q.vertex_in_edges(v)}
-
-    parts: list[np.ndarray] = []
-    labels: list[tuple[str, int]] = []
-    for v in layering.layers[level]:
-        parts.append(net.vertex_tensor[v])
-        labels += [("in", e) for e in q.vertex_in_edges(v)]
-        labels += [("out", e) for e in q.vertex_out_edges(v)]
-    for e in b_in:
-        if e not in consumed:
-            d = net.edge_dim[e]
-            parts.append(np.eye(d, dtype=np.complex128))
-            labels += [("in", e), ("out", e)]
-
-    big = reduce(lambda a, b: np.tensordot(a, b, axes=0), parts)
-    perm = [labels.index(("out", e)) for e in b_out] + [labels.index(("in", e)) for e in b_in]
-    return astensor(big.transpose(perm))
-
-
-def _layer_matrices(net: TensorNetwork, layering: Layering) -> list[np.ndarray]:
-    """Each layer map grouped as a (prod out dims, prod in dims) matrix."""
-    bounds = layer_boundaries(net, layering)
-    mats = []
-    for level in range(len(layering.layers)):
-        t = layer_map(net, layering, level)
-        d_out = int(np.prod([net.edge_dim[e] for e in bounds[level + 1]], dtype=np.int64))
-        d_in = int(np.prod([net.edge_dim[e] for e in bounds[level]], dtype=np.int64))
-        mats.append(t.reshape(d_out, d_in))
-    return mats
-
-
-def evaluate(net: TensorNetwork) -> np.ndarray:
-    """Full evaluation map of the network.
-
-    Axes are the Out edges in canonical order followed by the In edges;
-    for a closed network the result is a scalar. Computed as the ordered
-    composition of the layer maps.
-    """
-    layering = net.quiver.plan.layering
-    bounds = layer_boundaries(net, layering)
-    in_dims = [net.edge_dim[e] for e in bounds[0]]
-    d_in = int(np.prod(in_dims, dtype=np.int64))
-    mat = np.eye(d_in, dtype=np.complex128)
-    for m in _layer_matrices(net, layering):
-        mat = m @ mat
-    out_dims = [net.edge_dim[e] for e in net.quiver.out_edges]
-    return astensor(mat.reshape(out_dims + in_dims))
-
-
-def state(net: TensorNetwork) -> np.ndarray:
-    """The normalized state: the evaluation map applied to 1.
-
-    Requires a single In edge of dimension 1; returns a rank-n tensor over
-    the Out spaces.
-    """
-    _require_model(net)
-    ev = evaluate(net)
-    return astensor(ev[..., 0])
-
-
-# ------------------------------------------------------------------
 # sequence amplitudes
 # ------------------------------------------------------------------
 
-def sequence_array(net: TensorNetwork, sequences: Sequence[Sequence[int]]) -> np.ndarray:
-    """Validate a batch of sequences at once and return it as a (B, n) int array.
+def sequence_array(
+    net: TensorNetwork, rows: Sequence[Sequence[int]], length: int | None = None
+) -> np.ndarray:
+    """Validate rows of symbols at once and return them as a (B, k) int64 array.
 
-    The first invalid sequence raises the same ValueError as
-    :func:`check_sequence`.
+    A row is a whole sequence or, given ``length``, a prefix of that length.
+    Each symbol must be a whole number (``2.0`` passes, ``0.5`` and NaN do
+    not) within its site's dimension; the first bad one raises a ValueError
+    naming its position.
     """
     dims = np.asarray(net.site_dims)
+    k = dims.size if length is None else length
     try:
-        arr = np.asarray(sequences, dtype=np.int64)
-    except (ValueError, TypeError, OverflowError):
+        arr = np.asarray(rows)
+    except ValueError:  # ragged rows
         arr = None
-    if (arr is None or arr.ndim != 2 or arr.shape[1] != dims.size
-            or not np.all((arr >= 0) & (arr < dims))):
-        for s in sequences:
-            check_sequence(net, s)
+    if (arr is not None and arr.dtype.kind in "iu" and arr.ndim == 2 and arr.shape[1] == k
+            and len(arr) and np.all((arr >= 0) & (arr < dims[:k]))):
+        return arr.astype(np.int64, copy=False)
+    noun = "symbol index" if length is None else "prefix symbol"
+    for row in rows:
+        if len(row) != k:
+            raise ValueError(f"sequence length {len(row)} != number of sites {k}")
+        for pos, (x, d) in enumerate(zip(row, dims)):
+            try:
+                whole = x == int(x)
+            except (TypeError, ValueError, OverflowError):
+                whole = False
+            if not whole:
+                raise ValueError(f"{noun} {x} at position {pos} is not a finite whole number")
+            if not 0 <= x < d:
+                raise ValueError(f"{noun} {int(x)} at position {pos} outside [0,{d})")
+    if arr is None or arr.ndim != 2 or not len(arr):
         raise ValueError("sequences must form a nonempty (count, sites) table")
-    return arr
+    return arr.astype(np.int64)
 
 
 def amplitude(net: TensorNetwork, sequence: Sequence[int]) -> complex:
@@ -411,9 +318,13 @@ def _frontier(
     applied by one matrix product over its input legs. Given a sequence
     ``s``, each Out leg is fixed to its symbol as soon as it appears and
     the 0-d result is the amplitude. Without one the Out legs stay open and
-    the result is the state, axes in position order. A list passed as
+    the result is the state, axes in position order: it does not depend on
+    anything but the network, so it is built once and cached on it,
+    read-only, the way the quiver caches its plan. A list passed as
     ``tape`` records every step for :func:`_environments_dag`.
     """
+    if s is None and tape is None and "_state" in net.__dict__:
+        return net.__dict__["_state"]
     q = net.quiver
     pos = q.plan.out_position
     frontier: list[int] = [q.in_edges[0]]
@@ -438,7 +349,10 @@ def _frontier(
                     t = np.take(t, s[pos[e]], axis=ax)
                     frontier.remove(e)
     if s is None:
-        return t.transpose([frontier.index(e) for e in q.out_edges])
+        t = t.transpose([frontier.index(e) for e in q.out_edges])
+        if tape is None:
+            t.setflags(write=False)
+            object.__setattr__(net, "_state", t)
     return t
 
 
@@ -465,67 +379,6 @@ def _environments_dag(net: TensorNetwork, s: SequenceState) -> tuple[dict[int, n
             )
             adj = adj_prev.transpose(np.argsort(perm))
     return envs, amp
-
-
-# ------------------------------------------------------------------
-# coarse-graining flow of base-layer operators
-# ------------------------------------------------------------------
-
-def intermediate_state(net: TensorNetwork, layering: Layering, level: int) -> np.ndarray:
-    """State vector on boundary ``l`` (0 = In side, len(layers) = Out side)."""
-    _require_model(net)
-    if not 0 <= level <= len(layering.layers):
-        raise ValueError(f"boundary index {level} outside [0,{len(layering.layers)}]")
-    psi = np.ones(1, dtype=np.complex128)
-    for m in _layer_matrices(net, layering)[:level]:
-        psi = m @ psi
-    return astensor(psi)
-
-
-def operator_flow(net: TensorNetwork, layering: Layering, op: np.ndarray, level: int) -> np.ndarray:
-    """Pull a base-layer operator back to boundary ``l``.
-
-    ``op`` is a square matrix on the full Out space. The result is
-    c† op c with c the composition of the layer maps from boundary
-    ``level`` down to the base, a square matrix on that boundary's space.
-    Its expectation in the intermediate state there equals the expectation
-    of ``op`` in the full state.
-    """
-    if not 0 <= level <= len(layering.layers):
-        raise ValueError(f"boundary index {level} outside [0,{len(layering.layers)}]")
-    op = np.asarray(op, dtype=np.complex128)
-    d_base = int(np.prod(net.site_dims, dtype=np.int64))
-    if op.shape != (d_base, d_base):
-        raise ShapeError(f"operator shape {op.shape} != ({d_base},{d_base})")
-    mats = _layer_matrices(net, layering)
-    c = None
-    for m in mats[level:]:
-        c = m if c is None else m @ c
-    if c is None:
-        return astensor(op)
-    return astensor(c.conj().T @ op @ c)
-
-
-def operator_descend(net: TensorNetwork, layering: Layering, op: np.ndarray, level: int) -> np.ndarray:
-    """Push a boundary-``level`` operator down to the base layer: c op c†.
-
-    The inverse direction of :func:`operator_flow` up to the projector onto
-    the image of c; expectations in the network state are preserved, since
-    the state lies in that image.
-    """
-    if not 0 <= level <= len(layering.layers):
-        raise ValueError(f"boundary index {level} outside [0,{len(layering.layers)}]")
-    op = np.asarray(op, dtype=np.complex128)
-    bounds = layer_boundaries(net, layering)
-    d_level = int(np.prod([net.edge_dim[e] for e in bounds[level]], dtype=np.int64))
-    if op.shape != (d_level, d_level):
-        raise ShapeError(f"operator shape {op.shape} != ({d_level},{d_level})")
-    c = None
-    for m in _layer_matrices(net, layering)[level:]:
-        c = m if c is None else m @ c
-    if c is None:
-        return astensor(op)
-    return astensor(c @ op @ c.conj().T)
 
 
 # ------------------------------------------------------------------
@@ -750,7 +603,6 @@ def random_network(
     phys_dim: int,
     bond: int | Sequence[int],
     rng: np.random.Generator,
-    isometry_tol: float = DEFAULT_ISOMETRY_TOL,
 ) -> TensorNetwork:
     """Haar-random isometric network of the given topology.
 
@@ -773,4 +625,4 @@ def random_network(
         dims = _mera_dims(q, n, phys_dim, bond)
     else:
         raise ValueError(f"unknown network kind {kind!r}")
-    return TensorNetwork(q, dims, random_tensors(q, dims, rng), isometry_tol)
+    return TensorNetwork(q, dims, random_tensors(q, dims, rng))

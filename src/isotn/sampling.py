@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConditioningError
-from .network import SequenceState, TensorNetwork, _frontier, _require_model
+from .network import SequenceState, TensorNetwork, _frontier, _require_model, sequence_array
 
 # conditionals smaller than this total mass are treated as exactly zero
 _MASS_FLOOR = 1e-300
@@ -45,15 +45,11 @@ def conditional_distribution(net: TensorNetwork, prefix: Sequence[int]) -> np.nd
     probability. On trees one root-to-leaf path and the up-messages of the
     prefix's subtrees are contracted; other DAGs marginalize the state.
     """
-    dims = net.site_dims
-    prefix = tuple(int(x) for x in prefix)
-    if len(prefix) >= len(dims):
-        raise ValueError(f"prefix length {len(prefix)} must be < {len(dims)}")
-    for p, x in enumerate(prefix):
-        if not 0 <= x < dims[p]:
-            raise ValueError(f"prefix symbol {x} at position {p} outside [0,{dims[p]})")
-    seqs = np.array(prefix, dtype=np.int64).reshape(1, len(prefix))
-    return _normalize(_kernel(net)(seqs)(len(prefix)), seqs)[0]
+    k = len(prefix)
+    if k >= net.n_sites:
+        raise ValueError(f"prefix length {k} must be < {net.n_sites}")
+    seqs = sequence_array(net, [prefix], k)
+    return _normalize(_kernel(net)(seqs)(k), seqs)[0]
 
 
 def sample(

@@ -18,16 +18,8 @@ from isotn.graph import Quiver, topological_layers
 from isotn.manifold import gauge_orbit_rank, moduli_dimension, real_stiefel_dim, retract, tangent_project
 from isotn.model import SampleMultiset, SymbolSet, born_probability, empirical_distribution, kl_divergence
 from isotn.model_io import ModelBundle, load_model, save_model
-from isotn.network import (
-    TensorNetwork,
-    amplitude,
-    evaluate,
-    intermediate_state,
-    operator_flow,
-    random_network,
-    random_tensors,
-    state,
-)
+from isotn.dense import evaluate, intermediate_state, operator_flow, state
+from isotn.network import TensorNetwork, amplitude, random_network, random_tensors
 from isotn.sampling import conditional_distribution, sample
 from isotn.tensor_core import IndexSplit, is_isometry
 from isotn.training import TrainConfig, gradient, train

@@ -15,7 +15,8 @@ from isotn.diagnostics import (
     render_decay_report,
 )
 from isotn.errors import FitError
-from isotn.network import random_network, state
+from isotn.dense import state
+from isotn.network import random_network
 
 from conftest import philox, two_site_net
 

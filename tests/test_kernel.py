@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from isotn import graph
+from isotn.dense import state
 from isotn.errors import ZeroAmplitudeError
 from isotn.model import SampleMultiset, log_likelihood
-from isotn.network import amplitudes, random_network, state
+from isotn.network import amplitudes, random_network
+from isotn.sampling import conditional_distribution
 from isotn.tensor_core import isometry_violation
 from isotn.training import TrainConfig, _environments_dag, gradient, mean_gradient, train
 
@@ -87,6 +89,26 @@ def test_train_rejects_first_bad_sequence_in_sorted_order():
     sample = SampleMultiset(4, {(1, 0, 0, 5): 1, (0, 1, 3, 0): 2, (0, 0, 0, 0): 1})
     with pytest.raises(ValueError, match=r"^symbol index 3 at position 2 outside \[0,2\)$"):
         train(net, sample, TrainConfig(learning_rate=0.05, steps=1))
+
+
+SYMBOL_CALLS = {
+    "amplitudes": lambda net, s: amplitudes(net, [s]),
+    "mean_gradient": lambda net, s: mean_gradient(net, [(s, 1)])[1],
+    "conditional_distribution": lambda net, s: conditional_distribution(net, s[:3]),
+}
+
+
+@pytest.mark.parametrize("symbol", [0.5, math.nan, 2.0])
+@pytest.mark.parametrize("name", sorted(SYMBOL_CALLS))
+def test_symbols_must_be_whole_numbers(name, symbol):
+    net = random_network("tree", 4, 3, 2, philox(30))
+    call = SYMBOL_CALLS[name]
+    if symbol == 2.0:
+        np.testing.assert_array_equal(call(net, (0, symbol, 1, 0)), call(net, (0, 2, 1, 0)))
+        return
+    with pytest.raises(ValueError, match=rf"^(symbol index|prefix symbol) {symbol} at position 1 "
+                                         r"is not a finite whole number$"):
+        call(net, (0, symbol, 1, 0))
 
 
 def test_recorded_isometry_violation_is_the_per_vertex_maximum():

@@ -7,7 +7,6 @@ from isotn.manifold import gauge_transform
 from isotn.model import (
     SampleMultiset,
     SymbolSet,
-    all_sequences,
     born_probability,
     empirical_distribution,
     entropy,
@@ -93,6 +92,13 @@ class TestLogLikelihood:
         with pytest.warns(RuntimeWarning, match=r"\(1, 1\)"):
             assert log_likelihood(net, sample) == math.inf
 
+    def test_zero_probability_warning_is_bounded(self):
+        net = deterministic_chain_net((0,) * 256, 2)
+        with pytest.warns(RuntimeWarning) as record:
+            assert log_likelihood(net, SampleMultiset(256, {(1,) * 256: 1})) == math.inf
+        message = str(record[0].message)
+        assert len(message) <= 200 and "length 256" in message
+
 
 class TestKLDivergence:
     def test_equal_distributions(self):
@@ -129,11 +135,3 @@ def test_gauge_invariance_of_born_probabilities(rng):
     gauged = gauge_transform(net, unitaries)
     for s in [tuple(gen.integers(0, 2, 8)) for _ in range(20)]:
         assert abs(born_probability(net, s) - born_probability(gauged, s)) < 1e-10
-
-
-def test_all_sequences_row_major(rng):
-    net = random_network("chain", 3, 2, 2, rng)
-    seqs = all_sequences(net)
-    assert seqs[0] == (0, 0, 0)
-    assert seqs[1] == (0, 0, 1)
-    assert len(seqs) == 8

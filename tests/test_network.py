@@ -1,24 +1,23 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from isotn import network
-from isotn.diagnostics import pairwise_mutual_information_model
+from isotn import dense, network
+from isotn.dense import evaluate, intermediate_state, layer_map, operator_descend, operator_flow, state
+from isotn.diagnostics import decay_curve, pairwise_mutual_information_model
 from isotn.errors import IsometryImpossibleError, ShapeError
 from isotn.graph import Quiver, topological_layers
 from isotn.network import (
     TensorNetwork,
     _frontier,
     amplitude,
-    evaluate,
-    intermediate_state,
-    layer_map,
-    operator_descend,
-    operator_flow,
+    amplitudes,
     random_network,
     random_tensors,
     site_marginal,
     site_operator_expectation,
-    state,
 )
 from isotn.sampling import conditional_distribution
 from isotn.tensor_core import IndexSplit, is_isometry, random_isometry
@@ -138,7 +137,7 @@ class TestLayerMap:
 
 
 def _bounds(net, layering):
-    from isotn.network import layer_boundaries
+    from isotn.dense import layer_boundaries
 
     return layer_boundaries(net, layering)
 
@@ -260,7 +259,7 @@ def no_layer_maps(monkeypatch):
         raise AssertionError("dense layer-map path reached")
 
     for name in ("layer_map", "evaluate"):
-        monkeypatch.setattr(network, name, refuse)
+        monkeypatch.setattr(dense, name, refuse)
 
 
 class TestBoundaryState:
@@ -287,6 +286,37 @@ class TestBoundaryState:
         assert abs(one.sum() - 1.0) <= 1e-12
         joint = site_marginal(net, {}, (6, 11))
         assert np.max(np.abs(joint.sum(axis=1) - one)) <= 1e-12
+
+    def test_mera_state_is_built_once_per_network(self, monkeypatch):
+        net = random_network("mera", 16, 2, 2, philox(42))
+        amplitudes(net, [(0,) * 16, (1,) * 16])
+        assert "_state" not in vars(net)  # a sequence's contraction is never cached
+        states = []
+        real = network._frontier
+        monkeypatch.setattr(network, "_frontier", lambda *args: states.append(real(*args)) or states[-1])
+        decay_curve(net, 4)
+        assert len(states) == 54 and all(s is states[0] for s in states)
+        assert not states[0].flags.writeable
+
+
+def _imported_modules(path: Path):
+    """Dotted names of the modules an import statement in ``path`` may bind."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (f"{node.module or ''}.{alias.name}" for alias in node.names)
+
+
+def test_runtime_modules_never_import_the_dense_oracle():
+    # parsed, not imported: importing any module runs isotn/__init__.py, which imports dense
+    runtime = [p for p in Path(dense.__file__).parent.glob("*.py")
+               if p.name not in ("__init__.py", "dense.py")]
+    assert len(runtime) >= 10
+    for path in runtime:
+        for name in _imported_modules(path):
+            assert name.lstrip(".").removeprefix("isotn.").split(".")[0] != "dense", path.name
 
 
 class TestExplicitBondLists:
@@ -373,7 +403,7 @@ def test_operator_descend_preserves_expectation(rng):
     layering = topological_layers(net.quiver)
     psi = state(net).ravel()
     gen = philox(33)
-    from isotn.network import layer_boundaries
+    from isotn.dense import layer_boundaries
 
     bounds = layer_boundaries(net, layering)
     for l in range(len(layering.layers) + 1):

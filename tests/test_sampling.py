@@ -7,7 +7,8 @@ import isotn.sampling as sampling
 from isotn.errors import ConditioningError
 from isotn.graph import Quiver
 from isotn.model import born_probability
-from isotn.network import TensorNetwork, random_network, random_tensors, site_marginal, state
+from isotn.dense import state
+from isotn.network import TensorNetwork, random_network, random_tensors, site_marginal
 from isotn.sampling import conditional_distribution, sample
 
 from conftest import deterministic_chain_net, enumerate_sequences, philox, single_vertex_net, two_site_net
