@@ -243,6 +243,11 @@ def main(argv=None) -> int:
     except (IsotnError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split())[:160]
+        print(f"error: {args.command} ran out of memory" + (f" ({detail})" if detail else ""),
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

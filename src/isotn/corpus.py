@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .model import SampleMultiset, SymbolSet
+from .network import whole_number
 
 SCHEMES = ("bytes", "chars", "words")
 
@@ -110,11 +111,12 @@ def windows(tokens, n: int, stride: int = 1) -> SampleMultiset:
     """All length-n windows at offsets 0, stride, 2·stride, ...
 
     Identical windows accumulate multiplicity; a tail shorter than ``n``
-    is dropped. Raises when the stream is shorter than one window.
+    is dropped. Raises when the stream is shorter than one window or holds
+    a token that is not a finite whole number.
     """
     if n < 1 or stride < 1:
         raise ValueError("window length and stride must be >= 1")
-    tokens = [int(t) for t in tokens]
+    tokens = [whole_number(t, "token") for t in tokens]
     if len(tokens) < n:
         raise ValueError(f"token stream of length {len(tokens)} is shorter than n={n}")
     entries: Counter = Counter()

@@ -15,7 +15,6 @@ from typing import Mapping
 import numpy as np
 
 from .errors import UnsupportedTopologyError
-from .graph import is_tree
 from .network import TensorNetwork
 from .tensor_core import as_matrix, from_matrix, project_to_isometry
 
@@ -76,7 +75,7 @@ def moduli_dimension(net: TensorNetwork) -> int:
     raise UnsupportedTopologyError.
     """
     q = net.quiver
-    if len(q.in_edges) != 1 or not is_tree(q):
+    if len(q.in_edges) != 1 or not q.plan.is_tree:
         raise UnsupportedTopologyError(
             "moduli dimension formula applies to directed trees with one In edge"
         )

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import _brief
-from .network import SequenceState, TensorNetwork, amplitude, amplitudes
+from .network import SequenceState, TensorNetwork, amplitude, amplitudes, whole_number
 
 Distribution = dict[SequenceState, float]
 
@@ -47,13 +47,14 @@ class SymbolSet:
 
 @dataclass(frozen=True)
 class SampleMultiset:
-    """Fixed-length training sequences with positive multiplicities."""
+    """Fixed-length sequences of whole symbols with positive whole multiplicities."""
 
     n: int
     entries: Mapping[SequenceState, int]
 
     def __post_init__(self):
-        entries = {tuple(int(x) for x in s): int(m) for s, m in dict(self.entries).items()}
+        entries = {tuple(whole_number(x, "symbol") for x in s): whole_number(m, "multiplicity")
+                   for s, m in dict(self.entries).items()}
         object.__setattr__(self, "entries", entries)
         if self.n < 1:
             raise ValueError("sequence length must be positive")

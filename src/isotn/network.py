@@ -27,9 +27,10 @@ Expectations of site-operator products and site marginals, and through
 them the mutual-information curves, come from one doubled (ket-bra)
 contraction that leaves any set of legs open (one for a marginal, two for
 a pair's joint). On trees it is a single leaf-to-root sweep in which
-every subtree without an operator or open leg contracts to the identity;
-other DAGs sum over the state that :func:`_frontier` gives. The sampler's
-conditionals use the same identity on paths (:mod:`isotn.sampling`).
+every subtree without an operator or open leg contracts to the identity
+and the open legs are row axes; its vertex step (:func:`_ket`,
+:func:`_ket_bra`) is also the step of the sampler's conditionals. Other
+DAGs sum over the state that :func:`_frontier` gives.
 """
 
 from __future__ import annotations
@@ -152,6 +153,19 @@ def _require_model(net: TensorNetwork) -> int:
 # sequence amplitudes
 # ------------------------------------------------------------------
 
+def whole_number(x, what: str, where: str = "") -> int:
+    """``x`` as an int if it is a finite whole number (``2.0`` passes), else a
+    ValueError "<what> <x><where> is not a finite whole number"."""
+    if type(x) is int:
+        return x
+    try:
+        if x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} {x}{where} is not a finite whole number")
+
+
 def sequence_array(
     net: TensorNetwork, rows: Sequence[Sequence[int]], length: int | None = None
 ) -> np.ndarray:
@@ -176,14 +190,9 @@ def sequence_array(
         if len(row) != k:
             raise ValueError(f"sequence length {len(row)} != number of sites {k}")
         for pos, (x, d) in enumerate(zip(row, dims)):
-            try:
-                whole = x == int(x)
-            except (TypeError, ValueError, OverflowError):
-                whole = False
-            if not whole:
-                raise ValueError(f"{noun} {x} at position {pos} is not a finite whole number")
+            x = whole_number(x, noun, f" at position {pos}")
             if not 0 <= x < d:
-                raise ValueError(f"{noun} {int(x)} at position {pos} outside [0,{d})")
+                raise ValueError(f"{noun} {x} at position {pos} outside [0,{d})")
     if arr is None or arr.ndim != 2 or not len(arr):
         raise ValueError("sequences must form a nonempty (count, sites) table")
     return arr.astype(np.int64)
@@ -444,8 +453,12 @@ def _doubled(
 
     The legs at the sorted positions ``open_pos`` stay open: the result is
     the diagonal over them, one axis each (0-d when none is open). On trees
-    one leaf-to-root sweep passes ket-bra messages and skips every subtree
-    without an operator or open leg, an exact identity (isometry property).
+    one leaf-to-root sweep of ket-bra vertex steps (:func:`_ket`) runs one
+    row per joint symbol of the open legs, with one row axis per open
+    position, so the root's (*R, 1, 1) message reshapes to the result. A
+    message has length 1 on the axis of an open leg outside its subtree,
+    and shared operators serve every row. Every subtree without an operator
+    or open leg is skipped, an exact identity (isometry property).
     Other DAGs sum over the state that one boundary-state contraction
     (:func:`_frontier`) gives; no layer map is built.
     """
@@ -457,49 +470,67 @@ def _doubled(
         other = tuple(ax for ax in range(psi.ndim) if ax not in open_pos)
         return np.asarray(np.sum(psi.conj() * b, axis=other))
 
-    dims, root_edge = net.site_dims, net.quiver.in_edges[0]
-    ops = dict(ops)
-    for p in open_pos:
-        ops[p] = np.zeros((dims[p],) * 3, dtype=np.complex128)
-        ops[p][(np.arange(dims[p]),) * 3] = 1.0
-    pos, in_edge, out_edges = plan.out_position, plan.in_edge, net.quiver.vertex_out_edges
-    tensors, msgs = net.vertex_tensor, {}
-    # positions of the open axes an edge's message carries, in _sandwich's order
-    opened = {net.quiver.out_edges[p]: (p,) for p in open_pos}
+    q, pos = net.quiver, plan.out_position
+    shape = tuple(net.site_dims[p] for p in open_pos)
+    # one row axis per open position, along which only its own column varies
+    cols = {p: np.arange(d).reshape([d if i == j else 1 for i in range(len(shape))])
+            for j, (p, d) in enumerate(zip(open_pos, shape))}
+    # ket-side matrices by edge: the operators on leaves, then the messages
+    mats = {q.out_edges[p]: o for p, o in ops.items()}
     for verts in reversed(plan.layering.layers):
         for v in verts:
-            outs = out_edges(v)
-            out_msgs = [ops.get(pos[e]) if e in pos else msgs.pop(e) for e in outs]
-            below = [opened.pop(e) for e in outs if e in opened]
-            if below:
-                opened[in_edge[v]] = sum(below, ())
-            if all(m is None for m in out_msgs):
-                msgs[in_edge[v]] = None
-            else:
-                msgs[in_edge[v]] = _sandwich(tensors[v], out_msgs)
-    root = msgs[root_edge]
-    if root is None:
-        return np.array(1.0 + 0.0j)
-    order = opened.get(root_edge, ())
-    return root[0, 0, ...].transpose(sorted(range(len(order)), key=order.__getitem__))
+            if any(e in mats or pos.get(e, -1) in cols for e in q.vertex_out_edges(v)):
+                x, y, _ = _ket(net, v, cols, mats)
+                mats[plan.in_edge[v]] = _ket_bra(x, y, max(len(shape), 1))
+    root = mats.get(q.in_edges[0])
+    return np.array(1.0 + 0.0j) if root is None else root.reshape(shape)
 
 
-def _sandwich(t: np.ndarray, out_msgs: list[np.ndarray | None]) -> np.ndarray:
-    """Ket-bra message through a one-input vertex: Σ conj(t)[ī,ō] Π M_k[ō_k,o_k,...] t[i,o].
+# The ket-bra step through one vertex of a tree, shared by the doubled sweep
+# above and the sampler's conditionals. Rows are the leading axes (one for the
+# sampler's block, one per open leg in the doubled sweep); an axis of length 1
+# serves every row.
 
-    A message is None (identity) or a (bra, ket, *open) array whose
-    trailing axes are open diagonal indices. Plain matrices are applied
-    first, so no product carries an open axis it does not need; the open
-    axes follow ī, i in the result, in out-edge order.
+def _ket(
+    net: TensorNetwork, v: int, cols: Mapping[int, np.ndarray], mats: Mapping[int, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
+    """Vertex ``v``'s tensor with leaves gathered per row and matrices applied.
+
+    ``cols`` maps positions to symbol columns over the row axes R: those
+    leaves of ``v`` are gathered per row. ``mats`` maps edge ids to (d, d)
+    or (*R, d, d) matrices, applied on the ket side of the legs left open
+    (identity where none). Returns x (*R, d_in, *open legs), y (x with the
+    matrices applied) and the axis of each open leg in both, by edge.
     """
-    b = t
-    for opening in (False, True):
-        for k, m in enumerate(out_msgs):
-            if m is not None and (m.ndim > 2) == opening:
-                # b'[..., ō_k, ..., open] = Σ M[ō_k, o_k, open] b[..., o_k, ...]
-                b = np.moveaxis(np.tensordot(b, m, axes=([1 + k], [1])), 1 - m.ndim, 1 + k)
-    out_axes = list(range(1, t.ndim))
-    return np.tensordot(t.conj(), b, axes=(out_axes, out_axes))
+    lead = next(iter(cols.values())).ndim if cols else 1
+    pos = net.quiver.plan.out_position
+    legs = list(enumerate(net.quiver.vertex_out_edges(v), start=1))
+    fixed = [(ax, pos[e]) for ax, e in legs if pos.get(e, -1) in cols]
+    kept = [(ax, e) for ax, e in legs if pos.get(e, -1) not in cols]
+    moved = net.vertex_tensor[v].transpose([ax for ax, _ in fixed] + [0] + [ax for ax, _ in kept])
+    x = moved[tuple(cols[p] for _, p in fixed)] if fixed else moved[(None,) * lead]
+    axis = {e: i for i, (_, e) in enumerate(kept, start=lead + 1)}
+    y = x
+    for e, i in axis.items():
+        if mats.get(e) is not None:
+            y = _apply(y, i, mats[e], lead)
+    return x, y, axis
+
+
+def _apply(y: np.ndarray, axis: int, m: np.ndarray, lead: int) -> np.ndarray:
+    """y'[b, .., ō, ..] = Σ_o m[b, ō, o] y[b, .., o, ..] on ``axis``; b is
+    the ``lead`` row axes."""
+    y = np.swapaxes(y, axis, -1)
+    out = y.reshape(y.shape[:lead] + (-1, y.shape[-1])) @ np.swapaxes(m, -1, -2)
+    return np.swapaxes(out.reshape(out.shape[:lead] + y.shape[lead:]), -1, axis)
+
+
+def _ket_bra(x: np.ndarray, y: np.ndarray, lead: int = 1) -> np.ndarray:
+    """The (*R, d_in, d_in) message Σ_r conj(x[b, ī, r]) y[b, i, r] on the in
+    leg (b: the ``lead`` row axes), every leg :func:`_ket` left open traced."""
+    d = x.shape[lead]
+    return (x.reshape(x.shape[:lead] + (d, -1)).conj()
+            @ np.swapaxes(y.reshape(y.shape[:lead] + (d, -1)), -1, -2))
 
 
 # ------------------------------------------------------------------
@@ -515,68 +546,33 @@ def _capped_power(base: int, exponent: int, cap: int) -> int:
     return p
 
 
-def _chain_dims(q: Quiver, n: int, w: int, bond: int | Sequence[int]) -> dict[int, int]:
-    dims = {q.in_edges[0]: 1}
-    for e in q.out_edges:
-        dims[e] = w
-    bonds = sorted(q.internal_edges)
-    if isinstance(bond, int):
-        wanted = [bond] * (n - 1)
-    else:
-        wanted = [int(b) for b in bond]
-        if len(wanted) != n - 1:
-            raise ValueError(f"need {n - 1} bond dims for a chain of {n}, got {len(wanted)}")
-    for k, e in enumerate(bonds):
-        # tail capacity keeps every vertex a valid isometry
-        dims[e] = min(wanted[k], _capped_power(w, n - 1 - k, wanted[k]))
-    return dims
+def _bond_dims(q: Quiver, kind: str, n: int, w: int, bond: int | Sequence[int]) -> dict[int, int]:
+    """Edge dimensions of a chain, tree or MERA by one rule.
 
-
-def _tree_level(vertex: int) -> int:
-    return (vertex + 1).bit_length() - 1
-
-
-def _tree_dims(q: Quiver, n: int, w: int, bond: int | Sequence[int]) -> dict[int, int]:
-    depth = n.bit_length() - 1
-    dims = {q.in_edges[0]: 1}
-    for e in q.out_edges:
-        dims[e] = w
-    if isinstance(bond, int):
-        per_level = None
-    else:
-        per_level = [int(b) for b in bond]
-        if len(per_level) != max(depth - 1, 0):
-            raise ValueError(f"need {depth - 1} per-level bond dims, got {len(per_level)}")
-    for e in q.internal_edges:
-        level = _tree_level(q.target[e])  # 1..depth-1
-        leaves_below = n >> level
-        cap = bond if per_level is None else per_level[level - 1]
-        dims[e] = _capped_power(w, leaves_below, cap)
-    return dims
-
-
-def _mera_dims(q: Quiver, n: int, w: int, bond: int | Sequence[int]) -> dict[int, int]:
-    depth = n.bit_length() - 1
-    # row of an edge = number of single-input (tree) vertices above it
-    row: dict[int, int] = {q.in_edges[0]: 0}
+    An internal edge in row r (the number of single-input vertices above
+    it) gets w ** (n − r) on a chain or w ** (n >> r) otherwise, so every
+    vertex can be an isometry, capped by ``bond``: an integer caps every
+    row, a sequence rows 1…R in order (R = n − 1 on a chain, depth − 1
+    otherwise), and w any deeper row.
+    """
+    rows = n - 1 if kind == "chain" else n.bit_length() - 2
+    caps = None if isinstance(bond, int) else [int(b) for b in bond]
+    if caps is not None and len(caps) != rows:
+        what = {"chain": f"bond dims for a chain of {n}", "tree": "per-level bond dims",
+                "mera": "per-row bond dims"}[kind]
+        raise ValueError(f"need {rows} {what}, got {len(caps)}")
+    row, dims = {q.in_edges[0]: 0}, {q.in_edges[0]: 1}
     for verts in q.plan.layering.layers:
         for v in verts:
             ins = q.vertex_in_edges(v)
-            r = row[ins[0]]
-            r_out = r + 1 if len(ins) == 1 else r
+            r = row[ins[0]] + (len(ins) == 1)
             for e in q.vertex_out_edges(v):
-                row[e] = r_out
-    if isinstance(bond, int):
-        per_row = [_capped_power(w, n >> r, bond) for r in range(depth + 1)]
-    else:
-        wanted = [int(b) for b in bond]
-        if len(wanted) != max(depth - 1, 0):
-            raise ValueError(f"need {depth - 1} per-row bond dims, got {len(wanted)}")
-        per_row = [1] + wanted + [w]
-        per_row = [min(d, _capped_power(w, n >> r, d)) for r, d in enumerate(per_row)]
-    dims = {q.in_edges[0]: 1}
-    for e in list(q.internal_edges) + list(q.out_edges):
-        dims[e] = w if e in q.out_edges else per_row[row[e]]
+                row[e] = r
+                if e in q.plan.out_position:
+                    dims[e] = w
+                else:
+                    cap = bond if caps is None else caps[r - 1] if r <= rows else w
+                    dims[e] = _capped_power(w, n - r if kind == "chain" else n >> r, cap)
     return dims
 
 
@@ -614,15 +610,9 @@ def random_network(
     """
     if phys_dim < 1:
         raise ValueError(f"symbol dimension must be positive, got {phys_dim}")
-    if kind == "chain":
-        q = build_chain(n)
-        dims = _chain_dims(q, n, phys_dim, bond)
-    elif kind == "tree":
-        q = build_binary_tree(n)
-        dims = _tree_dims(q, n, phys_dim, bond)
-    elif kind == "mera":
-        q = build_mera(n)
-        dims = _mera_dims(q, n, phys_dim, bond)
-    else:
+    builders = {"chain": build_chain, "tree": build_binary_tree, "mera": build_mera}
+    if kind not in builders:
         raise ValueError(f"unknown network kind {kind!r}")
+    q = builders[kind](n)
+    dims = _bond_dims(q, kind, n, phys_dim, bond)
     return TensorNetwork(q, dims, random_tensors(q, dims, rng))

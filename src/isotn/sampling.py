@@ -15,8 +15,9 @@ the doubled up-message of every edge with a fixed leaf below it and the
 top-down reduced density along the current root-to-leaf path, both as
 (B, d, d) arrays rescaled to unit trace, so the step from position k-1 to
 k recontracts only the edges between those two leaves and their lowest
-common ancestor. Other DAGs (MERA) contract the state once per call and
-read every conditional from its |ψ|² marginal tables.
+common ancestor, each vertex by the doubled sweep's ket-bra step. Other
+DAGs (MERA) contract the state once per call and read every conditional
+from its |ψ|² marginal tables.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import ConditioningError
 from .network import SequenceState, TensorNetwork, _frontier, _require_model, sequence_array
+from .network import _ket, _ket_bra
 
 # conditionals smaller than this total mass are treated as exactly zero
 _MASS_FLOOR = 1e-300
@@ -136,6 +138,8 @@ class _TreePaths:
         q = net.quiver
         self.net, self.plan, self.seqs = net, q.plan, seqs
         self.source, self.target, self.out_edges = q.source, q.target, q.out_edges
+        # the fixed positions' symbol columns, views that see later draws
+        self.cols: dict[int, np.ndarray] = {}
         self.up: dict[int, tuple[int, np.ndarray]] = {}
         root = q.in_edges[0]
         self.rho = {root: np.ones((seqs.shape[0], 1, 1), dtype=np.complex128)}
@@ -143,6 +147,8 @@ class _TreePaths:
 
     def weights(self, k: int) -> np.ndarray:
         """The (B, w_k) diagonal of ρ at position k, positions < k fixed."""
+        for p in range(len(self.cols), k):
+            self.cols[p] = self.seqs[:, p]
         v = self.source[self.out_edges[k]]
         edge, path = self.plan.in_edge[v], []
         while edge not in self.rho:
@@ -158,10 +164,11 @@ class _TreePaths:
     def _descend(self, v: int, k: int, edge: int | None = None) -> np.ndarray:
         """ρ on the out edge ``edge`` of ``v`` as (B, d, d), or without one
         the (B, w) diagonal of ρ on the leaf leg at position k."""
-        x, y, axis = self._vertex(v, k, edge)
-        b, d_in = x.shape[:2]
+        x, y, axis = _ket(self.net, v, self.cols, self._messages(v, k, edge))
+        d_in = x.shape[1]
         rho = self.rho[self.plan.in_edge[v]]
-        open_axis = axis[k if edge is None else ("edge", edge)]
+        b = len(rho)
+        open_axis = axis[self.out_edges[k] if edge is None else edge]
         if y is x and all(p >= k for p in self.plan.legs[v].leaf_positions):
             # no row data at v: fold the vertex with its conjugate once, then
             # apply that superoperator to every row's ρ
@@ -174,12 +181,17 @@ class _TreePaths:
             t = t.reshape(d_in * d, -1)  # g[ī, ō, i, o] = Σ_r conj(t[ī, ō, r]) t[i, o, r]
             g = (t.conj() @ t.T).reshape(d_in, d, d_in, d).transpose(0, 2, 1, 3)
             return (rho.reshape(b, -1) @ g.reshape(d_in * d_in, d * d)).reshape(b, d, d)
-        z = (rho @ y.reshape(b, d_in, -1)).reshape(y.shape)
-        xc = np.swapaxes(x, open_axis, 1).reshape(b, x.shape[open_axis], -1).conj()
-        zc = np.swapaxes(z, open_axis, 1).reshape(xc.shape)
+        z = (rho @ y.reshape(len(y), d_in, -1)).reshape((b,) + y.shape[1:])
+        d = x.shape[open_axis]
+        xc = np.swapaxes(x, open_axis, 1).reshape(len(x), d, -1).conj()
+        zc = np.swapaxes(z, open_axis, 1).reshape(b, d, -1)
         if edge is None:
             return np.sum(xc * zc, axis=2)
         return xc @ zc.transpose(0, 2, 1)
+
+    def _messages(self, v: int, k: int, skip: int | None = None) -> dict[int, np.ndarray | None]:
+        """The up-message of every internal leg of ``v`` but ``skip``."""
+        return {e: self._message(e, k) for e in self.plan.legs[v].inner_edges if e != skip}
 
     def _message(self, edge: int, k: int) -> np.ndarray | None:
         """The up-message on ``edge``, or None (the identity) below no fixed leaf."""
@@ -199,50 +211,14 @@ class _TreePaths:
                 if n_c and self.up.get(c, (0,))[0] != n_c:
                     todo.append(c)
         for e in reversed(order):
-            legs = self.plan.legs[self.target[e]]
-            x, y, _ = self._vertex(self.target[e], k, None)
-            b, d_in = x.shape[:2]
-            m = x.reshape(b, d_in, -1).conj() @ y.reshape(b, d_in, -1).transpose(0, 2, 1)
+            v = self.target[e]
+            x, y, _ = _ket(self.net, v, self.cols, self._messages(v, k))
             n_e = bisect_left(self.plan.below[e], k)
-            self.up[e] = (n_e, _unit_trace(m))
+            self.up[e] = (n_e, _unit_trace(_ket_bra(x, y)))
             if n_e == len(self.plan.below[e]):  # final: no later step reads the children
-                for c in legs.inner_edges:
+                for c in self.plan.legs[v].inner_edges:
                     self.up.pop(c, None)
         return self.up[edge][1]
-
-    def _vertex(self, v: int, k: int, skip: int | None):
-        """Vertex ``v`` with its leaves at positions < k gathered per row.
-
-        Returns x (B, d_in, *open legs), y (x with the up-message of every
-        internal leg but ``skip`` applied on the ket side) and the axis of
-        each open leg in both: leaf legs by sequence position, internal legs
-        as ("edge", id).
-        """
-        t, legs = self.net.vertex_tensor[v], self.plan.legs[v]
-        leaves = list(zip(legs.leaf_axes, legs.leaf_positions))
-        fixed = [(ax, p) for ax, p in leaves if p < k]
-        inner = [(ax, ("edge", e)) for ax, e in zip(legs.inner_axes, legs.inner_edges)]
-        open_axes = sorted([(ax, p) for ax, p in leaves if p >= k] + inner)
-        moved = t.transpose([ax for ax, _ in fixed] + [0] + [ax for ax, _ in open_axes])
-        if fixed:
-            x = moved[tuple(self.seqs[:, p] for _, p in fixed)]
-        else:
-            x = np.broadcast_to(moved, (self.seqs.shape[0],) + moved.shape)
-        axis = {name: 2 + i for i, (_, name) in enumerate(open_axes)}
-        y = x
-        for e in legs.inner_edges:
-            m = None if e == skip else self._message(e, k)
-            if m is not None:
-                y = _apply(y, axis["edge", e], m)
-        return x, y, axis
-
-
-def _apply(y: np.ndarray, axis: int, m: np.ndarray) -> np.ndarray:
-    """y'[b, .., ō, ..] = Σ_o m[b, ō, o] y[b, .., o, ..] on ``axis``."""
-    y = np.swapaxes(y, axis, -1)
-    b, d = m.shape[:2]
-    out = (y.reshape(b, -1, d) @ m.transpose(0, 2, 1)).reshape(y.shape)
-    return np.swapaxes(out, -1, axis)
 
 
 def _unit_trace(m: np.ndarray) -> np.ndarray:

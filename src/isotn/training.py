@@ -144,7 +144,9 @@ def train(
     Every recorded loss is the multiplicity-weighted mean per-sequence
     objective of that step's batch, evaluated before the update. The data
     order stream is derived from the seed independently of any
-    initialization randomness.
+    initialization randomness. An error raised inside a step (a zero
+    amplitude, a singular polar factor, a non-isometric retraction) keeps
+    its type and attributes, and its message starts with ``step N: ``.
     """
     if sample.n != net.n_sites:
         raise ValueError(f"sample length {sample.n} != network sites {net.n_sites}")
@@ -169,9 +171,13 @@ def train(
             order.extend(epoch)
         take, order = order[: cfg.batch_size], order[cfg.batch_size:]
         batch = sorted(Counter(expanded[i] for i in take).items())
-        g, batch_loss = mean_gradient(current, batch)
-        xi = tangent_project(current, {v: -a for v, a in g.items()})
-        current = retract(current, xi, cfg.learning_rate)
+        try:
+            g, batch_loss = mean_gradient(current, batch)
+            xi = tangent_project(current, {v: -a for v, a in g.items()})
+            current = retract(current, xi, cfg.learning_rate)
+        except ValueError as exc:  # keeps the type and attributes, names the step
+            exc.args = (f"step {step}: {exc}",)
+            raise
         records.append(LossRecord(step, batch_loss, time.perf_counter() - t0,
                                   current.max_isometry_violation()))
         if cfg.checkpoint_every and on_checkpoint and (step + 1) % cfg.checkpoint_every == 0:

@@ -4,7 +4,9 @@ import struct
 import numpy as np
 import pytest
 
+from isotn import cli, training
 from isotn.cli import main
+from isotn.errors import ZeroAmplitudeError
 from isotn.model import SymbolSet
 from isotn.model_io import MAGIC, ModelBundle, load_model, save_model
 from isotn.network import random_network
@@ -64,6 +66,21 @@ class TestTrainCommand:
         code = main(train_args(missing, vocab_file, tmp_path / "m.isotn"))
         assert code != 0
         assert "no-such-file.txt" in capsys.readouterr().err
+
+    def test_failing_step_is_named(self, tmp_path, corpus_file, vocab_file, capsys, monkeypatch):
+        calls = []
+        real = training.mean_gradient
+
+        def third_call_fails(net, batch):
+            calls.append(batch)
+            if len(calls) == 3:
+                raise ZeroAmplitudeError((1, 0, 1, 1))
+            return real(net, batch)
+
+        monkeypatch.setattr(training, "mean_gradient", third_call_fails)
+        assert main(train_args(corpus_file, vocab_file, tmp_path / "m.isotn", steps=5)) == 1
+        assert capsys.readouterr().err == (
+            "error: step 2: zero amplitude on sequence (1, 0, 1, 1)\n")
 
     def test_same_seed_runs_byte_identical(self, tmp_path, corpus_file, vocab_file):
         out_a, out_b = tmp_path / "a.isotn", tmp_path / "b.isotn"
@@ -217,3 +234,15 @@ class TestModelFile:
         path.write_bytes(b"not a model file at all------------------")
         with pytest.raises(ModelFileError):
             load_model(path)
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 38.2 GiB for an array with shape "
+                          + "(15, " * 200 + "15) and data type complex128")
+
+    monkeypatch.setattr(cli, "cmd_inspect", exhausted)
+    assert main(["inspect", "--model", str(tmp_path / "m.isotn")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: inspect ran out of memory (Unable to allocate 38.2 GiB")
+    assert err.count("\n") == 1 and len(err) <= 250

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from isotn.corpus import (
@@ -91,6 +93,14 @@ class TestWindows:
     def test_stride_one_overlapping(self):
         sample = windows([0, 1, 0], 2, 1)
         assert dict(sample.items()) == {(0, 1): 1, (1, 0): 1}
+
+    @pytest.mark.parametrize("tokens, value", [([0.5, 1.7, 1.2, 0.9], "0.5"), ([0, 1, math.nan], "nan")])
+    def test_non_whole_tokens_rejected(self, tokens, value):
+        with pytest.raises(ValueError, match=rf"^token {value} is not a finite whole number$"):
+            windows(tokens, 2)
+
+    def test_whole_float_tokens_kept(self):
+        assert dict(windows([1.0, 0, 1.0], 2).items()) == {(1, 0): 1, (0, 1): 1}
 
     def test_window_count_formula(self):
         gen = philox(1)

@@ -15,6 +15,7 @@ import pytest
 from isotn import graph
 from isotn.dense import state
 from isotn.errors import ZeroAmplitudeError
+from isotn.manifold import moduli_dimension, real_stiefel_dim
 from isotn.model import SampleMultiset, log_likelihood
 from isotn.network import amplitudes, random_network
 from isotn.sampling import conditional_distribution
@@ -146,6 +147,14 @@ def test_training_builds_plan_once_per_quiver(plan_builds):
     q = id(net.quiver)
     assert calls["topological_layers", q] == 1 and calls["is_tree", q] == 1
     assert max(calls.values()) == 1
+
+
+def test_moduli_counts_read_the_compiled_plan(plan_builds):
+    net = random_network("tree", 8, 2, 2, philox(31))
+    amplitudes(net, [(0,) * 8])
+    built = dict(plan_builds)
+    assert moduli_dimension(net) > 0 and real_stiefel_dim(net) > 0
+    assert plan_builds == built and plan_builds["is_tree", id(net.quiver)] == 1
 
 
 def test_dag_paths_build_plan_once_per_quiver(plan_builds):

@@ -35,6 +35,22 @@ def test_sample_multiset_validation():
     assert s.cardinality == 4
 
 
+@pytest.mark.parametrize("entries, value", [
+    ({(0.5, 1.7): 1, (0, 1): 2}, "symbol 0.5"),
+    ({(0, math.nan): 1}, "symbol nan"),
+    ({(0, 1): 1.5}, "multiplicity 1.5"),
+])
+def test_sample_multiset_rejects_non_whole_numbers(entries, value):
+    # truncating would merge (0.5, 1.7) into (0, 1) or count 1.5 as 1
+    with pytest.raises(ValueError, match=rf"^{value} is not a finite whole number$"):
+        SampleMultiset(2, entries)
+
+
+def test_sample_multiset_keeps_whole_floats_as_ints():
+    s = SampleMultiset(2, {(2.0, 1): 2.0})
+    assert s.entries == {(2, 1): 2} and all(type(x) is int for x in (*next(iter(s.entries)), s.cardinality))
+
+
 class TestBornProbability:
     def test_uniform_single_vertex(self):
         net = single_vertex_net([1 / np.sqrt(2), 1 / np.sqrt(2)])

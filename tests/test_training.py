@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from isotn.errors import ZeroAmplitudeError
+from isotn import training
+from isotn.errors import SingularMatrixError, ZeroAmplitudeError
 from isotn.manifold import gauge_transform, retract, tangent_project
 from isotn.model import SampleMultiset, log_likelihood
 from isotn.network import TensorNetwork, amplitude, random_network
@@ -161,6 +162,29 @@ class TestTrain:
         net = random_network("tree", 8, 2, 2, rng)
         with pytest.raises(ValueError):
             train(net, self._sample(), TrainConfig(learning_rate=0.1, steps=5))
+
+    @pytest.mark.parametrize("error", [
+        ZeroAmplitudeError((1,) * 256),
+        SingularMatrixError("matrix is rank-deficient; polar factor undefined", 1e-17),
+        ValueError("vertex 0 tensor is not isometric (violation 1.000e-03 > tol 1e-10)"),
+    ], ids=["zero_amplitude", "singular", "not_isometric"])
+    def test_failing_step_is_named(self, rng, monkeypatch, error):
+        calls = []
+
+        def third_call_fails(net, batch):
+            calls.append(batch)
+            if len(calls) == 3:
+                raise error
+            return mean_gradient(net, batch)
+
+        monkeypatch.setattr(training, "mean_gradient", third_call_fails)
+        net = random_network("tree", 4, 2, 2, rng)
+        with pytest.raises(type(error)) as err:
+            train(net, self._sample(), TrainConfig(learning_rate=0.05, steps=5))
+        assert err.value is error and str(err.value).startswith("step 2: ")
+        assert len(str(err.value)) <= 200
+        assert getattr(err.value, "sequence", (1,) * 256) == (1,) * 256
+        assert getattr(err.value, "smallest_singular_value", 1e-17) == 1e-17
 
     def test_checkpoint_callback_invoked(self, rng):
         net = random_network("tree", 4, 2, 2, rng)
