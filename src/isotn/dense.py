@@ -11,6 +11,7 @@ small networks: the tests check the runtime kernels of
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -76,7 +77,7 @@ def layer_map(net: TensorNetwork, layering: Layering, level: int) -> np.ndarray:
 
 def _dim(net: TensorNetwork, edges) -> int:
     """Dimension of the tensor product of the spaces on ``edges``."""
-    return int(np.prod([net.edge_dim[e] for e in edges], dtype=np.int64))
+    return math.prod(net.edge_dim[e] for e in edges)
 
 
 def _compose(net: TensorNetwork, layering: Layering, start: int, stop: int, x=None):

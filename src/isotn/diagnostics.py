@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import FitError
-from .network import TensorNetwork, random_tensors, site_marginal
+from .network import TensorNetwork, random_tensors, site_marginal, whole_number
 
 _NEG_TOL = -1e-12
 _I_FLOOR = 1e-12
@@ -95,10 +95,14 @@ def pairwise_mutual_information_model(net: TensorNetwork, i: int, j: int) -> flo
     open (one sweep on trees; full-state marginalization otherwise). MI is
     symmetric, so (i, j) and (j, i) make the same call.
     """
-    n = net.n_sites
+    _check_pair(net.n_sites, i, j)
+    return _mi_from_joint(site_marginal(net, {}, (min(i, j), max(i, j))))
+
+
+def _check_pair(n: int, i: int, j: int) -> None:
+    """Raise ValueError unless i and j are distinct positions in [0, n)."""
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"positions ({i},{j}) must be distinct and within [0,{n})")
-    return _mi_from_joint(site_marginal(net, {}, (min(i, j), max(i, j))))
 
 
 def _sample_array(samples: Sequence[Sequence[int]]) -> np.ndarray:
@@ -109,7 +113,7 @@ def _sample_array(samples: Sequence[Sequence[int]]) -> np.ndarray:
     if arr.dtype.kind not in "iu":
         bad = arr[~(np.isfinite(arr) & (np.floor(arr) == arr))]
         if bad.size:
-            raise ValueError(f"non-integer symbol {bad[0]} in samples")
+            whole_number(bad[0], "symbol", " in samples")  # raises
         arr = arr.astype(int)
     if arr.min() < 0:
         raise ValueError(f"negative symbol {int(arr.min())} in samples")
@@ -126,9 +130,7 @@ def pairwise_mutual_information_data(
     N samples (no debiasing is applied).
     """
     arr = _sample_array(samples)
-    n = arr.shape[1]
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"positions ({i},{j}) must be distinct and within [0,{n})")
+    _check_pair(arr.shape[1], i, j)
     return _data_mi(arr, int(arr.max()) + 1, i, j)
 
 

@@ -58,6 +58,10 @@ class Quiver:
         for e in self.internal_edges + self.in_edges:
             if e not in self.target or self.target[e] not in vs:
                 raise ValueError(f"edge {e} lacks a valid target vertex")
+        # the vertex adjacency below is read off these maps
+        stray = (set(self.source) - internal - outs) | (set(self.target) - internal - ins)
+        if stray:
+            raise ValueError(f"edges {sorted(stray)} have an endpoint their role does not allow")
         incident = set(self.source.values()) | set(self.target.values())
         if vs - incident:
             raise ValueError(f"vertices {sorted(vs - incident)} have no incident edge")
@@ -204,16 +208,13 @@ def _build_plan(q: Quiver) -> Plan:
 
 def _find_cycle(q: Quiver, resolved: set[int]) -> tuple[int, ...]:
     """Walk unresolved vertices along internal edges until one repeats."""
-    out_by_vertex: dict[int, list[int]] = {v: [] for v in q.vertices}
-    for e in sorted(q.internal_edges):
-        out_by_vertex[q.source[e]].append(e)
-    start = next(v for v in q.vertices if v not in resolved)
     seen: dict[int, int] = {}
     path: list[int] = []
-    v = start
+    v = next(v for v in q.vertices if v not in resolved)
     while v not in seen:
         seen[v] = len(path)
-        e = next(e for e in out_by_vertex[v] if q.target[e] not in resolved)
+        # Out edges have no target
+        e = next(e for e in q.vertex_out_edges(v) if e in q.target and q.target[e] not in resolved)
         path.append(e)
         v = q.target[e]
     return tuple(path[seen[v]:])
@@ -293,53 +294,36 @@ def build_mera(n: int) -> Quiver:
     result equals ``build_binary_tree(2)``.
     """
     depth = _require_power_of_two(n, 2)
-
-    class _Wire:
-        __slots__ = ("src", "edge")
-
-        def __init__(self, src: int):
-            self.src = src
-            self.edge: int | None = None
-
-    next_vertex = 0
-    next_edge = 1  # 0 is the In edge
+    # a wire is the vertex it leaves; edge ids follow the running count of
+    # edges placed, 0 being the In edge
     source: dict[int, int] = {}
     target: dict[int, int] = {0: 0}
-    internal: list[int] = []
+    n_vertices = 0
 
-    def new_vertex(inputs: Iterable[_Wire]) -> int:
-        nonlocal next_vertex, next_edge
-        v = next_vertex
-        next_vertex += 1
-        for w in inputs:
-            w.edge = next_edge
-            internal.append(next_edge)
-            source[next_edge] = w.src
-            target[next_edge] = v
-            next_edge += 1
+    def new_vertex(inputs: Iterable[int]) -> int:
+        nonlocal n_vertices
+        v, n_vertices = n_vertices, n_vertices + 1
+        for src in inputs:
+            e = len(source) + 1
+            source[e], target[e] = src, v
         return v
 
     root = new_vertex(())
-    row = [_Wire(root), _Wire(root)]
+    row = [root, root]
     for _ in range(depth - 1):
-        new_row: list[_Wire] = []
+        new_row: list[int] = []
         for w in row:
             v = new_vertex((w,))
-            new_row += [_Wire(v), _Wire(v)]
+            new_row += [v, v]
         row = new_row
         for j in range(len(row) // 4):
             a, b = 4 * j + 1, 4 * j + 2
-            d = new_vertex((row[a], row[b]))
-            row[a] = _Wire(d)
-            row[b] = _Wire(d)
+            row[a] = row[b] = new_vertex((row[a], row[b]))
 
-    outs = []
-    for w in row:
-        w.edge = next_edge
-        outs.append(next_edge)
-        source[next_edge] = w.src
-        next_edge += 1
-    return Quiver(tuple(range(next_vertex)), tuple(internal), (0,), tuple(outs), source, target)
+    internal = tuple(source)
+    outs = tuple(range(len(internal) + 1, len(internal) + 1 + len(row)))
+    source.update(zip(outs, row))
+    return Quiver(tuple(range(n_vertices)), internal, (0,), outs, source, target)
 
 
 def is_tree(q: Quiver) -> bool:
@@ -348,7 +332,4 @@ def is_tree(q: Quiver) -> bool:
     Together with acyclicity this makes the quiver a forest rooted at the
     In-edge targets; with a single In edge, a directed tree.
     """
-    indeg = {v: 0 for v in q.vertices}
-    for e in list(q.internal_edges) + list(q.in_edges):
-        indeg[q.target[e]] += 1
-    return all(d == 1 for d in indeg.values())
+    return all(len(q.vertex_in_edges(v)) == 1 for v in q.vertices)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import UnsupportedTopologyError
 from .network import TensorNetwork
-from .tensor_core import as_matrix, from_matrix, project_to_isometry
+from .tensor_core import as_matrix, from_matrix, matrix_dims, project_to_isometry
 
 TangentVector = dict[int, np.ndarray]
 
@@ -96,10 +96,7 @@ def real_stiefel_dim(net: TensorNetwork) -> int:
     """
     total = 0
     for v in net.quiver.vertices:
-        split = net.vertex_split(v)
-        shape = net.vertex_tensor[v].shape
-        d_in = int(np.prod([shape[a] for a in split.in_axes], dtype=np.int64))
-        d_out = int(np.prod([shape[a] for a in split.out_axes], dtype=np.int64))
+        d_out, d_in = matrix_dims(net.vertex_tensor[v].shape, net.vertex_split(v))
         total += 2 * d_out * d_in - d_in * d_in
     return total
 

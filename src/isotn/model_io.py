@@ -5,13 +5,17 @@ UTF-8 text header (format version, graph kind and parameters, vertex and
 edge tables, symbol list, PRNG name, seed), then the binary section - for
 each vertex in ascending id its tensor as row-major complex values, each
 component a little-endian IEEE-754 double (real then imaginary) - and a
-trailing 8-byte checksum of the binary section. Round-trips are bit-exact.
+trailing 8-byte BLAKE2b checksum of the header length, header and binary
+section, so any corrupted byte is rejected. Format version 1 files, whose
+checksum covers the binary section only, still load. Round-trips are
+bit-exact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -23,7 +27,7 @@ from .model import SymbolSet
 from .network import TensorNetwork
 
 MAGIC = b"ISOTN-MODEL-v01\n"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 PRNG_NAME = "philox"
 
 
@@ -72,13 +76,13 @@ def save_model(bundle: ModelBundle, path) -> None:
         for v in bundle.net.quiver.vertices
     ]
     binary = b"".join(blobs)
-    digest = hashlib.blake2b(binary, digest_size=8).digest()
+    length = struct.pack("<Q", len(header))
+    digest = hashlib.blake2b(digest_size=8)
+    for part in (length, header, binary):
+        digest.update(part)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        fh.write(binary)
-        fh.write(digest)
+        for part in (MAGIC, length, header, binary, digest.digest()):
+            fh.write(part)
 
 
 def _parse_header(text: str):
@@ -122,12 +126,14 @@ def _parse_header(text: str):
                 source[e] = src
             else:
                 raise ValueError(f"unknown edge role {role!r}")
+            if d < 1:
+                raise ValueError(f"edge {e} has dimension {d}")
             edge_dim[e] = d
         else:
             meta[key] = rest
     if not saw_end:
         raise ValueError("header missing 'end' marker")
-    if int(meta.get("format_version", "-1")) != FORMAT_VERSION:
+    if int(meta.get("format_version", "-1")) not in (1, FORMAT_VERSION):
         raise ValueError(f"unsupported format version {meta.get('format_version')}")
     quiver = Quiver(
         tuple(vertices), tuple(internal_edges), tuple(in_edges), tuple(out_edges), source, target
@@ -148,18 +154,21 @@ def load_model(path) -> ModelBundle:
         header = raw[header_start: header_start + header_len].decode("utf-8")
         meta, symbols, quiver, edge_dim = _parse_header(header)
         tol, seed = float(meta.get("isometry_tol", "1e-08")), int(meta.get("seed", "0"))
+        version = int(meta["format_version"])
     except ValueError as exc:
         raise ModelFileError(f"{path}: bad header: {str(exc)[:200]}") from exc
+    # a copy: tensors read from a view of ``raw`` would be misaligned
     binary = raw[header_start + header_len: -8]
-    digest = raw[-8:]
-    if hashlib.blake2b(binary, digest_size=8).digest() != digest:
+    # version 1 checksums the binary section only
+    covered = binary if version == 1 else memoryview(raw)[len(MAGIC): -8]
+    if hashlib.blake2b(covered, digest_size=8).digest() != raw[-8:]:
         raise ModelFileError(f"{path}: checksum mismatch (file corrupted or truncated)")
 
     tensors: dict[int, np.ndarray] = {}
     offset = 0
     for v in quiver.vertices:
         shape = tuple(edge_dim[e] for e in quiver.vertex_in_edges(v) + quiver.vertex_out_edges(v))
-        count = int(np.prod(shape, dtype=object))  # exact: a corrupted dim may exceed int64
+        count = math.prod(shape)  # exact: a corrupted dim may exceed int64
         nbytes = count * 16
         if offset + nbytes > len(binary):
             raise ModelFileError(f"{path}: binary section too short at vertex {v}")

@@ -55,6 +55,7 @@ from .tensor_core import (
     astensor,
     from_matrix,
     isometry_violation,
+    matrix_dims,
     random_isometry,
 )
 
@@ -98,8 +99,7 @@ class TensorNetwork:
                     f"edge dims {expected}"
                 )
             split = self.vertex_split(v)
-            in_dim = int(np.prod([t.shape[a] for a in split.in_axes], dtype=np.int64))
-            out_dim = int(np.prod([t.shape[a] for a in split.out_axes], dtype=np.int64))
+            out_dim, in_dim = matrix_dims(t.shape, split)
             if in_dim > out_dim:
                 raise IsometryImpossibleError(
                     f"vertex {v}: incoming dimension {in_dim} exceeds outgoing {out_dim}"
@@ -582,14 +582,11 @@ def random_tensors(
     """Independent Haar-random isometric tensors for every vertex."""
     tensors = {}
     for v in q.vertices:
-        in_dims = [edge_dim[e] for e in q.vertex_in_edges(v)]
-        out_dims = [edge_dim[e] for e in q.vertex_out_edges(v)]
-        d_in = int(np.prod(in_dims, dtype=np.int64))
-        d_out = int(np.prod(out_dims, dtype=np.int64))
-        m = random_isometry(d_in, d_out, rng)
-        shape = tuple(in_dims) + tuple(out_dims)
-        split = IndexSplit(tuple(range(len(in_dims))), tuple(range(len(in_dims), len(shape))))
-        tensors[v] = from_matrix(m, shape, split)
+        n_in = len(q.vertex_in_edges(v))
+        shape = tuple(edge_dim[e] for e in q.vertex_in_edges(v) + q.vertex_out_edges(v))
+        split = IndexSplit(tuple(range(n_in)), tuple(range(n_in, len(shape))))
+        d_out, d_in = matrix_dims(shape, split)
+        tensors[v] = from_matrix(random_isometry(d_in, d_out, rng), shape, split)
     return tensors
 
 

@@ -131,7 +131,7 @@ class _TreePaths:
     the number of fixed positions below e is unchanged. The reduced density
     ρ on edge e contracts everything outside that subtree. Positions are
     fixed in increasing order, so every ρ on the previous leaf's path stays
-    valid; the ones on the stack are exactly that path.
+    valid; the ones in ``rho``, in insertion order, are exactly that path.
     """
 
     def __init__(self, net: TensorNetwork, seqs: np.ndarray):
@@ -143,7 +143,6 @@ class _TreePaths:
         self.up: dict[int, tuple[int, np.ndarray]] = {}
         root = q.in_edges[0]
         self.rho = {root: np.ones((seqs.shape[0], 1, 1), dtype=np.complex128)}
-        self.stack = [root]
 
     def weights(self, k: int) -> np.ndarray:
         """The (B, w_k) diagonal of ρ at position k, positions < k fixed."""
@@ -154,11 +153,10 @@ class _TreePaths:
         while edge not in self.rho:
             path.append(edge)
             edge = self.plan.in_edge[self.source[edge]]
-        while self.stack[-1] != edge:
-            del self.rho[self.stack.pop()]
+        while next(reversed(self.rho)) != edge:
+            self.rho.popitem()
         for edge in reversed(path):
             self.rho[edge] = _unit_trace(self._descend(self.source[edge], k, edge))
-            self.stack.append(edge)
         return self._descend(v, k).real
 
     def _descend(self, v: int, k: int, edge: int | None = None) -> np.ndarray:
@@ -179,15 +177,14 @@ class _TreePaths:
                 g = (t.conj() @ t.transpose(0, 2, 1)).transpose(1, 2, 0)
                 return rho.reshape(b, -1) @ g.reshape(d_in * d_in, d)
             t = t.reshape(d_in * d, -1)  # g[ī, ō, i, o] = Σ_r conj(t[ī, ō, r]) t[i, o, r]
-            g = (t.conj() @ t.T).reshape(d_in, d, d_in, d).transpose(0, 2, 1, 3)
+            g = _ket_bra(t, t, 0).reshape(d_in, d, d_in, d).transpose(0, 2, 1, 3)
             return (rho.reshape(b, -1) @ g.reshape(d_in * d_in, d * d)).reshape(b, d, d)
         z = (rho @ y.reshape(len(y), d_in, -1)).reshape((b,) + y.shape[1:])
-        d = x.shape[open_axis]
-        xc = np.swapaxes(x, open_axis, 1).reshape(len(x), d, -1).conj()
-        zc = np.swapaxes(z, open_axis, 1).reshape(b, d, -1)
+        x, z = np.swapaxes(x, open_axis, 1), np.swapaxes(z, open_axis, 1)
         if edge is None:
-            return np.sum(xc * zc, axis=2)
-        return xc @ zc.transpose(0, 2, 1)
+            d = x.shape[1]
+            return np.sum(x.reshape(len(x), d, -1).conj() * z.reshape(b, d, -1), axis=2)
+        return _ket_bra(x, z)
 
     def _messages(self, v: int, k: int, skip: int | None = None) -> dict[int, np.ndarray | None]:
         """The up-message of every internal leg of ``v`` but ``skip``."""

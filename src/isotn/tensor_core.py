@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,9 +65,8 @@ class IndexSplit:
 
 def matrix_dims(shape: Sequence[int], split: IndexSplit) -> tuple[int, int]:
     """(out_dim, in_dim) of the grouped matrix for a tensor of ``shape``."""
-    out_dim = int(np.prod([shape[a] for a in split.out_axes], dtype=np.int64))
-    in_dim = int(np.prod([shape[a] for a in split.in_axes], dtype=np.int64))
-    return out_dim, in_dim
+    return (math.prod(shape[a] for a in split.out_axes),
+            math.prod(shape[a] for a in split.in_axes))
 
 
 def as_matrix(tensor: np.ndarray, split: IndexSplit) -> np.ndarray:

@@ -9,10 +9,11 @@ mean is computed without a per-sequence loop: the batched kernel of
 then sends the multiplicity-over-amplitude weights back down and folds
 Σ_b m_b E_v(s_b)/A(s_b) into one tensor per vertex. General DAGs (MERA)
 run the boundary-state contraction's tape backwards once per sequence. A
-step projects the mean descent direction to the Stiefel tangent space and
-retracts by the polar factor, so every iterate is exactly isometric; the
-retracted network's construction rejects any violation above its
-tolerance, and the step records the violation measured there.
+step projects the mean gradient to the Stiefel tangent space, moves one
+learning rate against it and retracts by the polar factor, so every
+iterate is exactly isometric; the retracted network's construction
+rejects any violation above its tolerance, and the step records the
+violation measured there.
 """
 
 from __future__ import annotations
@@ -128,9 +129,15 @@ def sgd_step(
     net: TensorNetwork, batch: Sequence[tuple[SequenceState, int]], learning_rate: float
 ) -> TensorNetwork:
     """One descent step: retract along the projected negative mean gradient."""
-    g, _ = mean_gradient(net, batch)
-    xi = tangent_project(net, {v: -a for v, a in g.items()})
-    return retract(net, xi, learning_rate)
+    return _step(net, batch, learning_rate)[0]
+
+
+def _step(
+    net: TensorNetwork, batch: Sequence[tuple[SequenceState, int]], learning_rate: float
+) -> tuple[TensorNetwork, float]:
+    """The step of :func:`sgd_step` and the batch loss before it."""
+    g, loss = mean_gradient(net, batch)
+    return retract(net, tangent_project(net, g), -learning_rate), loss
 
 
 def train(
@@ -172,9 +179,7 @@ def train(
         take, order = order[: cfg.batch_size], order[cfg.batch_size:]
         batch = sorted(Counter(expanded[i] for i in take).items())
         try:
-            g, batch_loss = mean_gradient(current, batch)
-            xi = tangent_project(current, {v: -a for v, a in g.items()})
-            current = retract(current, xi, cfg.learning_rate)
+            current, batch_loss = _step(current, batch, cfg.learning_rate)
         except ValueError as exc:  # keeps the type and attributes, names the step
             exc.args = (f"step {step}: {exc}",)
             raise

@@ -1,12 +1,15 @@
+import hashlib
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from isotn import cli, training
 from isotn.cli import main
-from isotn.errors import ZeroAmplitudeError
+from isotn.errors import ModelFileError, ZeroAmplitudeError
 from isotn.model import SymbolSet
 from isotn.model_io import MAGIC, ModelBundle, load_model, save_model
 from isotn.network import random_network
@@ -194,6 +197,11 @@ class TestModelFile:
             np.testing.assert_array_equal(loaded.vertex_tensor[v], net.vertex_tensor[v])
         assert loaded.edge_dim == net.edge_dim
 
+    def test_loaded_tensors_are_aligned(self, tmp_path, rng):
+        path = tmp_path / "m.isotn"
+        save_model(ModelBundle(random_network("chain", 4, 3, 2, rng), None, "chain", 0), path)
+        assert all(t.flags.aligned for t in load_model(path).net.vertex_tensor.values())
+
     def test_corruption_detected(self, tmp_path, rng):
         from isotn.errors import ModelFileError
 
@@ -226,6 +234,77 @@ class TestModelFile:
         with pytest.raises(ModelFileError, match=re.escape(str(path))) as info:
             load_model(path)
         assert len(str(info.value)) < len(str(path)) + 250
+
+    def test_every_header_byte_is_checked(self, tmp_path, rng):
+        path = tmp_path / "m.isotn"
+        save_model(ModelBundle(random_network("tree", 4, 3, 2, rng),
+                               SymbolSet(("a", "b", "c"), "chars"), "tree", 5), path)
+        raw = path.read_bytes()
+        (size,) = struct.unpack("<Q", raw[len(MAGIC):len(MAGIC) + 8])
+        for i in range(len(MAGIC) + 8 + size):  # symbols, seed, kind, dims, ...
+            blob = bytearray(raw)
+            blob[i] ^= 0x01
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ModelFileError):
+                load_model(path)
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edit=st.one_of(
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=4),
+        st.integers(0, 10**6),
+    ))
+    def test_flips_and_truncations_raise_model_file_errors(self, tmp_path, edit):
+        path = tmp_path / "m.isotn"
+        save_model(ModelBundle(random_network("mera", 4, 2, 2, philox(3)),
+                               SymbolSet(("a", "b"), "chars"), "mera", 17), path)
+        raw = path.read_bytes()
+        if isinstance(edit, int):
+            blob = raw[:edit % len(raw)]
+        else:
+            blob = bytearray(raw)
+            for i, mask in edit:
+                blob[i % len(raw)] ^= mask
+            if blob == raw:  # two flips cancelled
+                return
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFileError):
+            load_model(path)
+
+    def test_version_1_file_loads(self, tmp_path, rng):
+        net = random_network("tree", 8, 2, 3, rng)
+        bundle = ModelBundle(net, SymbolSet(("a", "b"), "chars"), "tree", 4)
+        p1, p2, p3 = tmp_path / "v1.isotn", tmp_path / "v2.isotn", tmp_path / "again.isotn"
+        save_model(bundle, p2)
+        raw = p2.read_bytes()
+        assert b"format_version 2\n" in raw
+        start = len(MAGIC) + 8
+        (size,) = struct.unpack("<Q", raw[len(MAGIC):start])
+        header = raw[start:start + size].replace(b"format_version 2\n", b"format_version 1\n")
+        binary = raw[start + size:-8]
+        # version 1 checksums the binary section only
+        p1.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + binary
+                       + hashlib.blake2b(binary, digest_size=8).digest())
+        loaded = load_model(p1)
+        for v in net.quiver.vertices:
+            np.testing.assert_array_equal(loaded.net.vertex_tensor[v], net.vertex_tensor[v])
+        assert loaded.net.edge_dim == net.edge_dim
+        assert (loaded.symbols, loaded.kind, loaded.seed) == (bundle.symbols, "tree", 4)
+        save_model(loaded, p1)
+        save_model(load_model(p1), p3)
+        assert p1.read_bytes() == p3.read_bytes() == raw
+
+    def test_nonpositive_dimension_is_a_bad_header(self, tmp_path, rng):
+        path = tmp_path / "m.isotn"
+        save_model(ModelBundle(random_network("tree", 4, 2, 2, rng), None, "tree", 0), path)
+        raw = path.read_bytes()
+        start = len(MAGIC) + 8
+        (size,) = struct.unpack("<Q", raw[len(MAGIC):start])
+        header = re.sub(rb"edge in (\d+) (\d+) \d+", rb"edge in \1 \2 -1", raw[start:start + size])
+        body = struct.pack("<Q", len(header)) + header + raw[start + size:-8]
+        # a valid checksum, so only the header check can reject it
+        path.write_bytes(MAGIC + body + hashlib.blake2b(body, digest_size=8).digest())
+        with pytest.raises(ModelFileError, match="bad header: edge 0 has dimension -1"):
+            load_model(path)
 
     def test_bad_magic_detected(self, tmp_path):
         from isotn.errors import ModelFileError

@@ -109,11 +109,11 @@ class TestDataMI:
 
     def test_rejects_non_integer_symbols(self):
         samples = [[0.5, 1.7], [1.2, 0.1], [0.9, 1.9], [1.0, 0.0]]
-        with pytest.raises(ValueError, match="non-integer symbol 0.5"):
+        with pytest.raises(ValueError, match="symbol 0.5 in samples is not a finite whole number"):
             pairwise_mutual_information_data(samples, 0, 1)
-        with pytest.raises(ValueError, match="non-integer symbol"):
+        with pytest.raises(ValueError, match="is not a finite whole number"):
             decay_curve(samples, 1)
-        with pytest.raises(ValueError, match="non-integer symbol nan"):
+        with pytest.raises(ValueError, match="symbol nan in samples is not a finite whole number"):
             pairwise_mutual_information_data([[0.0, 1.0], [1.0, np.nan]], 0, 1)
         # whole numbers stored as floats are still symbols
         assert pairwise_mutual_information_data([[0.0, 1.0], [1.0, 0.0]], 0, 1) == pytest.approx(math.log(2))

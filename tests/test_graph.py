@@ -122,6 +122,25 @@ def test_two_cycle_detected():
             q.plan
 
 
+def test_cycle_walk_skips_out_edges():
+    # Out edges 1 and 2 come before the cycle's internal edges 3 and 4 in
+    # each vertex's out-edge list, and have no target to walk to
+    q = Quiver((0, 1), (3, 4), (0,), (1, 2),
+               {1: 0, 2: 1, 3: 0, 4: 1}, {0: 0, 3: 1, 4: 0})
+    assert q.vertex_out_edges(0) == (1, 3)
+    with pytest.raises(CycleError) as err:
+        topological_layers(q)
+    assert err.value.cycle_edges == (3, 4)
+
+
+def test_stray_endpoint_rejected():
+    # a target on Out edge 2 would list it among vertex 1's in edges
+    with pytest.raises(ValueError, match=r"edges \[2\] have an endpoint"):
+        Quiver((0, 1), (1,), (0,), (2, 3), {1: 0, 2: 0, 3: 1}, {0: 0, 1: 1, 2: 1})
+    with pytest.raises(ValueError, match=r"edges \[0\] have an endpoint"):
+        Quiver((0,), (), (0,), (1,), {0: 0, 1: 0}, {0: 0})
+
+
 def test_constructor_boundary_maps_are_total():
     for q in (build_chain(5), build_binary_tree(8), build_mera(8)):
         for e in q.out_edges:
