@@ -155,7 +155,12 @@ def save_vocab(vocab: SymbolSet, path) -> None:
 
 
 def load_vocab(path, scheme: str) -> SymbolSet:
-    """Read a vocabulary file written by :func:`save_vocab`."""
+    """Read a vocabulary file written by :func:`save_vocab`.
+
+    Every token but a trailing reserved OOV symbol must be one that
+    ``scheme`` produces, so a file read under the wrong scheme is rejected
+    instead of mapping all text to OOV.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
@@ -166,4 +171,10 @@ def load_vocab(path, scheme: str) -> SymbolSet:
         symbols = tuple(int(line) for line in lines)
     else:
         symbols = tuple(_unescape(line) for line in lines)
-    return SymbolSet(symbols, scheme)
+    vocab = SymbolSet(symbols, scheme)
+    oov = oov_index(vocab)
+    for i, tok in enumerate(symbols):
+        producible = 0 <= tok <= 255 if scheme == "bytes" else _split(tok, scheme) == [tok]
+        if i != oov and not producible:
+            raise ValueError(f"vocabulary token {tok!r:.40} cannot come from scheme {scheme!r}")
+    return vocab

@@ -14,7 +14,7 @@ cached on the immutable quiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import CycleError
@@ -151,16 +151,10 @@ def topological_layers(q: Quiver) -> Layering:
 
 @dataclass(frozen=True)
 class VertexLegs:
-    """The out legs of one vertex, split into leaf legs and internal legs.
+    """The out legs of one vertex: leaf legs carry Out edges and are named
+    by sequence position, internal legs are named by edge id."""
 
-    Axes index the vertex tensor in canonical order (in legs first). Leaf
-    legs carry Out edges and are named by sequence position; internal legs
-    are named by edge id.
-    """
-
-    leaf_axes: tuple[int, ...]
     leaf_positions: tuple[int, ...]
-    inner_axes: tuple[int, ...]
     inner_edges: tuple[int, ...]
 
 
@@ -170,7 +164,9 @@ class Plan:
 
     ``in_edge`` maps each vertex to its single in edge and is filled only
     when ``is_tree`` holds. ``below`` maps every edge to the sorted
-    sequence positions of the Out edges reachable from it.
+    sequence positions of the Out edges reachable from it. ``paths``
+    caches the contraction paths :mod:`isotn.network` compiles for this
+    quiver, keyed by edge dimensions and leg roles.
     """
 
     layering: Layering
@@ -179,6 +175,7 @@ class Plan:
     in_edge: Mapping[int, int]
     legs: Mapping[int, VertexLegs]
     below: Mapping[int, tuple[int, ...]]
+    paths: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _build_plan(q: Quiver) -> Plan:
@@ -186,16 +183,9 @@ def _build_plan(q: Quiver) -> Plan:
     layering = topological_layers(q)
     tree = is_tree(q)
     pos = {e: p for p, e in enumerate(q.out_edges)}
-    legs = {}
-    for v in q.vertices:
-        n_in = len(q.vertex_in_edges(v))
-        axes = list(enumerate(q.vertex_out_edges(v), start=n_in))
-        leaf = [(ax, pos[e]) for ax, e in axes if e in pos]
-        inner = [(ax, e) for ax, e in axes if e not in pos]
-        legs[v] = VertexLegs(
-            tuple(ax for ax, _ in leaf), tuple(p for _, p in leaf),
-            tuple(ax for ax, _ in inner), tuple(e for _, e in inner),
-        )
+    legs = {v: VertexLegs(tuple(pos[e] for e in q.vertex_out_edges(v) if e in pos),
+                          tuple(e for e in q.vertex_out_edges(v) if e not in pos))
+            for v in q.vertices}
     in_edge = {v: q.vertex_in_edges(v)[0] for v in q.vertices} if tree else {}
     below = {e: (p,) for e, p in pos.items()}
     for verts in reversed(layering.layers):
@@ -258,30 +248,7 @@ def build_binary_tree(n: int) -> Quiver:
     Vertices are numbered in breadth-first order from the root; there are
     n-1 of them and n-2 internal edges.
     """
-    depth = _require_power_of_two(n, 2)
-    vertices = tuple(range(n - 1))
-    source: dict[int, int] = {}
-    target: dict[int, int] = {0: 0}
-    internal = []
-    counter = 1
-    # children of vertex v at BFS index v are 2v+1 and 2v+2
-    n_nonleaf = (n - 1) - n // 2
-    for v in range(n_nonleaf):
-        for child in (2 * v + 1, 2 * v + 2):
-            internal.append(counter)
-            source[counter] = v
-            target[counter] = child
-            counter += 1
-    outs = []
-    for j in range(n // 2):
-        leaf = n_nonleaf + j
-        for _ in range(2):
-            outs.append(counter)
-            source[counter] = leaf
-            counter += 1
-    q = Quiver(vertices, tuple(internal), (0,), tuple(outs), source, target)
-    assert len(q.internal_edges) == n - 2
-    return q
+    return _binary_rows(n, disentangle=False)
 
 
 def build_mera(n: int) -> Quiver:
@@ -293,6 +260,12 @@ def build_mera(n: int) -> Quiver:
     open boundary. For n = 2 there is no room for disentanglers and the
     result equals ``build_binary_tree(2)``.
     """
+    return _binary_rows(n, disentangle=True)
+
+
+def _binary_rows(n: int, disentangle: bool) -> Quiver:
+    """Grow a binary tree from the root one row of wires at a time, each
+    row followed by its disentanglers when ``disentangle`` is set."""
     depth = _require_power_of_two(n, 2)
     # a wire is the vertex it leaves; edge ids follow the running count of
     # edges placed, 0 being the In edge
@@ -316,7 +289,7 @@ def build_mera(n: int) -> Quiver:
             v = new_vertex((w,))
             new_row += [v, v]
         row = new_row
-        for j in range(len(row) // 4):
+        for j in range(len(row) // 4 if disentangle else 0):
             a, b = 4 * j + 1, 4 * j + 2
             row[a] = row[b] = new_vertex((row[a], row[b]))
 

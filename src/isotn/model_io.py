@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -142,40 +143,43 @@ def _parse_header(text: str):
 
 
 def load_model(path) -> ModelBundle:
+    """Read a model file. The binary section's length is checked against
+    the header before its one aligned buffer is allocated, so a corrupted
+    dimension raises ModelFileError, not MemoryError."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(MAGIC) + 8 or raw[: len(MAGIC)] != MAGIC:
-        raise ModelFileError(f"{path}: not a model file (bad magic)")
-    (header_len,) = struct.unpack("<Q", raw[len(MAGIC): len(MAGIC) + 8])
-    header_start = len(MAGIC) + 8
-    if len(raw) < header_start + header_len + 8:
-        raise ModelFileError(f"{path}: truncated header")
-    try:  # UnicodeDecodeError is a ValueError
-        header = raw[header_start: header_start + header_len].decode("utf-8")
-        meta, symbols, quiver, edge_dim = _parse_header(header)
-        tol, seed = float(meta.get("isometry_tol", "1e-08")), int(meta.get("seed", "0"))
-        version = int(meta["format_version"])
-    except ValueError as exc:
-        raise ModelFileError(f"{path}: bad header: {str(exc)[:200]}") from exc
-    # a copy: tensors read from a view of ``raw`` would be misaligned
-    binary = raw[header_start + header_len: -8]
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(len(MAGIC) + 8)
+        if len(prefix) < len(MAGIC) + 8 or prefix[: len(MAGIC)] != MAGIC:
+            raise ModelFileError(f"{path}: not a model file (bad magic)")
+        (header_len,) = struct.unpack("<Q", prefix[len(MAGIC):])
+        binary_len = size - len(prefix) - header_len - 8
+        if binary_len < 0:
+            raise ModelFileError(f"{path}: truncated header")
+        raw_header = fh.read(header_len)
+        try:  # UnicodeDecodeError is a ValueError
+            meta, symbols, quiver, edge_dim = _parse_header(raw_header.decode("utf-8"))
+            tol, seed = float(meta.get("isometry_tol", "1e-08")), int(meta.get("seed", "0"))
+            version = int(meta["format_version"])
+        except ValueError as exc:
+            raise ModelFileError(f"{path}: bad header: {str(exc)[:200]}") from exc
+        shapes = {v: tuple(edge_dim[e] for e in quiver.vertex_in_edges(v) + quiver.vertex_out_edges(v))
+                  for v in quiver.vertices}
+        counts = [math.prod(shape) for shape in shapes.values()]  # exact: a dim may exceed int64
+        if 16 * sum(counts) != binary_len:
+            raise ModelFileError(f"{path}: binary section of {binary_len} bytes does not hold "
+                                 f"the header's {sum(counts)} complex entries")
+        binary = np.empty(sum(counts), dtype="<c16")
+        if fh.readinto(binary) != binary_len or len(checksum := fh.read(8)) != 8:
+            raise ModelFileError(f"{path}: file truncated while reading")
+    digest = hashlib.blake2b(digest_size=8)
     # version 1 checksums the binary section only
-    covered = binary if version == 1 else memoryview(raw)[len(MAGIC): -8]
-    if hashlib.blake2b(covered, digest_size=8).digest() != raw[-8:]:
+    for part in (binary,) if version == 1 else (prefix[len(MAGIC):], raw_header, binary):
+        digest.update(part)
+    if digest.digest() != checksum:
         raise ModelFileError(f"{path}: checksum mismatch (file corrupted or truncated)")
 
-    tensors: dict[int, np.ndarray] = {}
-    offset = 0
-    for v in quiver.vertices:
-        shape = tuple(edge_dim[e] for e in quiver.vertex_in_edges(v) + quiver.vertex_out_edges(v))
-        count = math.prod(shape)  # exact: a corrupted dim may exceed int64
-        nbytes = count * 16
-        if offset + nbytes > len(binary):
-            raise ModelFileError(f"{path}: binary section too short at vertex {v}")
-        tensors[v] = np.frombuffer(binary, dtype="<c16", count=count, offset=offset).reshape(shape)
-        offset += nbytes
-    if offset != len(binary):
-        raise ModelFileError(f"{path}: {len(binary) - offset} trailing bytes in binary section")
+    parts = np.split(binary, np.cumsum(counts)[:-1])
+    tensors = {v: part.reshape(shape) for (v, shape), part in zip(shapes.items(), parts)}
 
     try:
         net = TensorNetwork(quiver, edge_dim, tensors, tol)

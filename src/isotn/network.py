@@ -11,17 +11,17 @@ This module holds the runtime kernels only. The dense layer-map path
 tested against, and lives in :mod:`isotn.dense`, which nothing here
 imports.
 
-Sequence amplitudes on directed trees come from one batched kernel driven
-by the quiver's cached :class:`~isotn.graph.Plan`: a leaf-to-root sweep
-(:func:`tree_up`) over a (B, n) array of sequences gives B amplitudes at
-once, and the matching root-to-leaf sweep (:func:`tree_environments`)
-folds the weighted vertex environments of the whole batch into one tensor
-per vertex, which is what the likelihood gradient needs. Neither sweep
-materializes the full state or any per-sequence environment. General DAGs
-(MERA) take every path through one boundary-state contraction
-(:func:`_frontier`): it gives a sequence's amplitude, records the tape that
-:func:`_environments_dag` runs backwards, or leaves the Out legs open and
-gives the state, which is built once per network and cached on it.
+Sequence amplitudes, the likelihood and its gradient come from one
+compiled contraction path on every topology (chain, tree, MERA): a greedy
+pairwise order over the vertices (:func:`_compile`), built once per quiver,
+edge dims and leg roles and cached on the quiver's
+:class:`~isotn.graph.Plan`. :func:`contract` runs it over a (B, n) array of
+sequences, gathering each Out leg at every row's symbol, and gives B
+amplitudes at once; :func:`environments` runs it backwards and folds the
+weighted vertex environments of the whole batch into one tensor per
+vertex, which is what the likelihood gradient needs. With the Out legs
+left open the same path gives the state, built once per network and
+cached on it.
 
 Expectations of site-operator products and site marginals, and through
 them the mutual-information curves, come from one doubled (ket-bra)
@@ -30,12 +30,14 @@ a pair's joint). On trees it is a single leaf-to-root sweep in which
 every subtree without an operator or open leg contracts to the identity
 and the open legs are row axes; its vertex step (:func:`_ket`,
 :func:`_ket_bra`) is also the step of the sampler's conditionals. Other
-DAGs sum over the state that :func:`_frontier` gives.
+DAGs sum over the state (:func:`_open_state`).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -44,7 +46,6 @@ import numpy as np
 from .errors import IsometryImpossibleError, ShapeError
 from .graph import (
     Quiver,
-    VertexLegs,
     build_binary_tree,
     build_chain,
     build_mera,
@@ -204,48 +205,177 @@ def amplitude(net: TensorNetwork, sequence: Sequence[int]) -> complex:
 
 
 def amplitudes(net: TensorNetwork, sequences: Sequence[Sequence[int]]) -> np.ndarray:
-    """Amplitudes of a batch of basis sequences, as a complex (B,) array.
-
-    Tree networks run one batched leaf-to-root sweep (:func:`tree_up`);
-    other DAGs run the boundary-state contraction (:func:`_frontier`) per
-    sequence, fixing each observable leg to its symbol as soon as it appears.
-    """
+    """Amplitudes of a batch of basis sequences, as a complex (B,) array,
+    from one batched run of the network's compiled path (:func:`contract`)."""
     _require_model(net)
-    seqs = sequence_array(net, sequences)
-    if net.quiver.plan.is_tree:
-        return tree_up(net, seqs)[net.quiver.in_edges[0]][:, 0]
-    return np.array([_frontier(net, tuple(s)) for s in seqs.tolist()], dtype=np.complex128)
+    return contract(net, sequence_array(net, sequences))
 
 
-# Batched tree kernel. A message on edge e is a (B, dim e) array, one row per
-# sequence. Leaf legs are fixed by gathering the tensor at the symbols, never
-# by contracting one-hot vectors; internal legs are contracted by batched
-# matrix-vector products, and sums over the batch by a segment sum or a GEMM.
+def _path(net: TensorNetwork, gather: bool) -> tuple:
+    """The compiled path of ``net``, cached on its quiver's plan: a path
+    depends on the quiver, the edge dims and whether Out legs are gathered."""
+    key = (gather, tuple(sorted(net.edge_dim.items())))
+    paths = net.quiver.plan.paths
+    if key not in paths:
+        paths[key] = _compile(net, gather)
+    return paths[key]
 
-def _fix_leaves(t: np.ndarray, legs: VertexLegs, seqs: np.ndarray) -> np.ndarray:
-    """t with every leaf leg set to its symbol, as (B, d_in, *inner dims).
 
-    A vertex without leaf legs gives a broadcast view, not B copies.
+def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(np.argsort(perm).tolist())
+
+
+def _compile(net: TensorNetwork, gather: bool) -> tuple:
+    """The greedy pairwise contraction path over the vertices of ``net``.
+
+    An item is a vertex tensor or the product of two items: one axis per
+    leg it still carries, after a leading row axis if it holds an Out leg
+    gathered at each row's symbol (with ``gather``; else Out legs stay
+    open). Each step contracts the two items that share an edge and give
+    the smallest result, in entries per row whether or not they have rows,
+    ties going to the smaller item ids, so trees and chains contract from
+    their leaves; items sharing no edge are then multiplied out in id order.
+    Two items that both have rows, or neither, go in the order that
+    transposes fewer entries.
+
+    Returns (leaves, steps, final item, its axes in output order). Leaf v,
+    (perm, inverse, positions, shape), transposes v's tensor (gathered
+    legs, In leg, kept legs), gathers it and reshapes it (-1: the rows),
+    which drops the In leg. Step (a, b, c, lperm, lshape, rperm, rshape,
+    shape, linv, rinv) makes item c by one matmul of a and b, transposed
+    (rows first; a: kept then shared legs, b: shared then kept legs) and
+    reshaped to matrices, one per row when both have rows; when one has,
+    it is a, and its rows join the matrix rows.
     """
-    if not legs.leaf_axes:
-        return np.broadcast_to(t, (seqs.shape[0],) + t.shape)
-    moved = t.transpose(legs.leaf_axes + (0,) + legs.inner_axes)
-    return moved[tuple(seqs[:, p] for p in legs.leaf_positions)]
+    q, dim = net.quiver, net.edge_dim
+    pos = q.plan.out_position
+    legs, rows, leaves, steps = {}, {}, {}, []
+    for v in q.vertices:
+        edges = q.vertex_in_edges(v) + q.vertex_out_edges(v)
+        fixed = [ax for ax, e in enumerate(edges) if gather and e in pos]
+        root = [ax for ax, e in enumerate(edges) if e in q.in_edges]
+        kept = [ax for ax in range(len(edges)) if ax not in fixed + root]
+        legs[v], rows[v] = [edges[ax] for ax in kept], len(fixed[:1])
+        perm = tuple(fixed + root + kept)
+        leaves[v] = (perm, _inverse(perm), tuple(pos[edges[ax]] for ax in fixed),
+                     (-1,) * rows[v] + tuple(dim[edges[ax]] for ax in kept))
+
+    def size(a: int, b: int | None = None) -> int:
+        """Entries per row of item a, or of the product of items a and b."""
+        return math.prod(dim[e] for e in set(legs[a]) ^ set(legs.get(b, ())))
+
+    def copied(a: int, b: int) -> int:
+        """Entries per row that the order (a, b) transposes."""
+        shared = [e for e in legs[a] if e in legs[b]]
+        return (size(a) * (legs[a][len(legs[a]) - len(shared):] != shared)
+                + size(b) * (legs[b][:len(shared)] != shared))
+
+    def merge(a: int, b: int) -> int:
+        if rows[a] == rows[b]:
+            a, b = min((a, b), (b, a), key=lambda o: copied(*o))
+        elif rows[b]:
+            a, b = b, a
+        (la, ra), (lb, rb) = (legs.pop(a), rows.pop(a)), (legs.pop(b), rows.pop(b))
+        shared = [e for e in la if e in lb]
+        ka, kb = [e for e in la if e not in shared], [e for e in lb if e not in shared]
+        s, na, nb = (math.prod(dim[e] for e in es) for es in (shared, ka, kb))
+        c = max(q.vertices) + 1 + len(steps)
+        legs[c], rows[c] = ka + kb, ra
+        lperm = (0,) * ra + tuple(ra + la.index(e) for e in ka + shared)
+        rperm = (0,) * rb + tuple(rb + lb.index(e) for e in shared + kb)
+        steps.append((a, b, c, lperm, (-1,) * ra + (na,) * (rb or not ra) + (s,),
+                      rperm, (-1,) * rb + (s, nb), (-1,) * ra + tuple(dim[e] for e in ka + kb),
+                      _inverse(lperm), _inverse(rperm)))
+        return c
+
+    heap = sorted({(size(*p), *p) for p in {tuple(sorted((q.source[e], q.target[e])))
+                                            for e in q.internal_edges}})
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        if a in legs and b in legs:
+            c = merge(a, b)
+            for x in legs:
+                if x != c and set(legs[x]) & set(legs[c]):
+                    heapq.heappush(heap, (size(x, c), x, c))
+    while len(legs) > 1:
+        merge(*sorted(legs)[:2])
+    (c, out), = legs.items()
+    axes = (0,) * rows[c] + tuple(rows[c] + out.index(e) for e in q.out_edges if e in out)
+    return leaves, steps, c, axes
 
 
-def _absorb(x: np.ndarray, axis: int, m: np.ndarray) -> np.ndarray:
-    """Contract ``axis`` of the batched ``x`` with the per-row vectors ``m``."""
-    x = np.moveaxis(x, axis, -1)
-    b, d = m.shape
-    return (x.reshape(b, -1, d) @ m[:, :, None]).reshape(x.shape[:-1])
+def contract(net: TensorNetwork, seqs: np.ndarray | None = None, saved: dict | None = None) -> np.ndarray:
+    """Run the compiled path of a model network.
+
+    Given a validated (B, n) array ``seqs`` the Out legs are gathered at
+    each row's symbols and the result is the (B,) amplitudes; a dict passed
+    as ``saved`` keeps every item the steps make, for :func:`environments`.
+    Without ``seqs`` the Out legs stay open and the result is the state,
+    one axis per position. Vertices are gathered as their step needs them.
+    """
+    leaves, steps, final, axes = _path(net, seqs is not None)
+    items = {} if saved is None else saved
+    for a, b, c, lperm, lshape, rperm, rshape, shape, *_ in steps:
+        x = _item(net, leaves, items, seqs, a).transpose(lperm).reshape(lshape)
+        y = _item(net, leaves, items, seqs, b).transpose(rperm).reshape(rshape)
+        items[c] = (x @ y).reshape(shape)
+        if saved is None:
+            items.pop(a, None)
+            items.pop(b, None)
+    out = _item(net, leaves, items, seqs, final).transpose(axes)
+    if seqs is None or out.ndim:
+        return out
+    return np.full(len(seqs), out)  # no Out leg: one amplitude serves every row
 
 
-def _row_outer(first: np.ndarray, rest: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-row outer product of (B, d_k) arrays, flattened to (B, Π d_k)."""
-    out = first
-    for m in rest:
-        out = (out[:, :, None] * m[:, None, :]).reshape(len(out), -1)
-    return out
+def _item(net: TensorNetwork, leaves: dict, items: dict, seqs: np.ndarray | None, i: int) -> np.ndarray:
+    """Item ``i``: made by an earlier step, or vertex ``i`` gathered now."""
+    if i not in leaves:
+        return items[i]
+    perm, _, positions, shape = leaves[i]
+    t = net.vertex_tensor[i].transpose(perm)
+    return (t[tuple(seqs[:, p] for p in positions)] if positions else t).reshape(shape)
+
+
+def environments(
+    net: TensorNetwork, seqs: np.ndarray, saved: dict, weights: np.ndarray
+) -> dict[int, np.ndarray]:
+    """Σ_b weights[b]·∂A(s_b)/∂t_v for every vertex v: the compiled path run
+    backwards over the items :func:`contract` saved for ``seqs``.
+
+    An operand without rows gets its adjoint summed over the batch by one
+    matmul; a vertex folds its rows into its tensor as soon as its adjoint
+    is known, by a segment sum over the joint code of its symbols.
+    """
+    leaves, steps, final, axes = _path(net, True)
+    adj, envs = {}, {}
+
+    def put(i: int, g: np.ndarray) -> None:
+        if i not in leaves:
+            adj[i] = g
+            return
+        perm, inverse, positions, _ = leaves[i]
+        shape = net.vertex_tensor[i].transpose(perm).shape
+        if positions:
+            dims = shape[:len(positions)]
+            code = np.ravel_multi_index(tuple(seqs[:, p] for p in positions), dims)
+            g = _sum_by_code(g.reshape(len(g), -1), code, math.prod(dims))
+        envs[i] = g.reshape(shape).transpose(inverse)
+
+    put(final, weights if axes else weights.sum())
+    for a, b, c, lperm, lshape, rperm, rshape, _, linv, rinv in reversed(steps):
+        x = _item(net, leaves, saved, seqs, a).transpose(lperm)
+        y = _item(net, leaves, saved, seqs, b).transpose(rperm)
+        xm, ym, g = x.reshape(lshape), y.reshape(rshape), adj.pop(c)
+        if xm.ndim == 3:
+            g = g.reshape(len(xm), xm.shape[1], ym.shape[2])
+            gx, gy = g @ np.swapaxes(ym, 1, 2), np.swapaxes(xm, 1, 2) @ g
+        else:
+            g = g.reshape(len(xm), ym.shape[1])
+            gx, gy = g @ ym.T, xm.T @ g
+        put(a, gx.reshape(x.shape).transpose(linv))
+        put(b, gy.reshape(y.shape).transpose(rinv))
+    return envs
 
 
 def _sum_by_code(rows: np.ndarray, code: np.ndarray, size: int) -> np.ndarray:
@@ -258,136 +388,22 @@ def _sum_by_code(rows: np.ndarray, code: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def tree_up(net: TensorNetwork, seqs: np.ndarray) -> dict[int, np.ndarray]:
-    """Leaf-to-root messages of a directed tree for a validated (B, n) batch.
-
-    Returns the message on every internal and In edge; the In edge's
-    column 0 holds the amplitudes.
-    """
-    plan = net.quiver.plan
-    up: dict[int, np.ndarray] = {}
-    for verts in reversed(plan.layering.layers):
-        for v in verts:
-            legs = plan.legs[v]
-            x = _fix_leaves(net.vertex_tensor[v], legs, seqs)
-            for e in reversed(legs.inner_edges):
-                x = _absorb(x, -1, up[e])
-            up[plan.in_edge[v]] = x
-    return up
-
-
-def tree_environments(
-    net: TensorNetwork, seqs: np.ndarray, up: Mapping[int, np.ndarray], weights: np.ndarray
-) -> dict[int, np.ndarray]:
-    """Σ_b weights[b]·∂A(s_b)/∂t_v for every vertex v, by one root-to-leaf sweep.
-
-    ``up`` is :func:`tree_up` of the same batch. Each vertex's sum is
-    folded into one tensor of its own shape: rows are summed per joint
-    code of the vertex's leaf symbols (a segment sum over the sorted
-    batch), or by one GEMM over the batch at a vertex without leaf legs,
-    so no per-sequence environment is ever formed.
-    """
-    plan = net.quiver.plan
-    b = seqs.shape[0]
-    down = {net.quiver.in_edges[0]: np.asarray(weights, dtype=np.complex128)[:, None]}
-    envs: dict[int, np.ndarray] = {}
-    for verts in plan.layering.layers:
-        for v in verts:
-            t = net.vertex_tensor[v]
-            legs = plan.legs[v]
-            dn = down.pop(plan.in_edge[v])
-            msgs = [up[e] for e in legs.inner_edges]
-            x = _fix_leaves(t, legs, seqs)
-            y = (dn[:, None, :] @ x.reshape(b, x.shape[1], -1)).reshape((b,) + x.shape[2:])
-            for j, e in enumerate(legs.inner_edges):
-                z = y
-                for i in range(len(msgs) - 1, -1, -1):
-                    if i != j:
-                        z = _absorb(z, 1 + i, msgs[i])
-                down[e] = z
-            if legs.leaf_axes:
-                leaf_dims = tuple(t.shape[a] for a in legs.leaf_axes)
-                code = np.ravel_multi_index(
-                    tuple(seqs[:, p] for p in legs.leaf_positions), leaf_dims)
-                grouped = _sum_by_code(_row_outer(dn, msgs), code, math.prod(leaf_dims))
-            else:
-                last = msgs.pop() if msgs else np.ones((b, 1))
-                grouped = _row_outer(dn, msgs).T @ last
-            layout = legs.leaf_axes + (0,) + legs.inner_axes
-            envs[v] = grouped.reshape([t.shape[a] for a in layout]).transpose(np.argsort(layout))
-    return envs
-
-
-def _frontier(
-    net: TensorNetwork, s: SequenceState | None = None, tape: list | None = None
-) -> np.ndarray:
-    """Contract a model network layer by layer through its boundary state.
-
-    The running state has one axis per frontier edge, and each vertex is
-    applied by one matrix product over its input legs. Given a sequence
-    ``s``, each Out leg is fixed to its symbol as soon as it appears and
-    the 0-d result is the amplitude. Without one the Out legs stay open and
-    the result is the state, axes in position order: it does not depend on
-    anything but the network, so it is built once and cached on it,
-    read-only, the way the quiver caches its plan. A list passed as
-    ``tape`` records every step for :func:`_environments_dag`.
-    """
-    if s is None and tape is None and "_state" in net.__dict__:
-        return net.__dict__["_state"]
-    q = net.quiver
-    pos = q.plan.out_position
-    frontier: list[int] = [q.in_edges[0]]
-    t = np.ones(net.edge_dim[q.in_edges[0]], dtype=np.complex128)
-    for verts in q.plan.layering.layers:
-        for v in verts:
-            ins, outs = q.vertex_in_edges(v), q.vertex_out_edges(v)
-            con = [frontier.index(e) for e in ins]
-            keep = [ax for ax in range(t.ndim) if ax not in con]
-            u = net.vertex_tensor[v]
-            t_mat = t.transpose(keep + con).reshape(-1, math.prod(u.shape[:len(ins)]))
-            u_mat = u.reshape(t_mat.shape[1], -1)
-            if tape is not None:
-                tape.append(("vertex", v, t_mat, u_mat, keep + con, t.shape, u.shape))
-            t = (t_mat @ u_mat).reshape(tuple(t.shape[ax] for ax in keep) + u.shape[len(ins):])
-            frontier = [e for e in frontier if e not in ins] + list(outs)
-            for e in outs:
-                if s is not None and e in pos:
-                    ax = frontier.index(e)
-                    if tape is not None:
-                        tape.append(("fix", ax, s[pos[e]], t.shape))
-                    t = np.take(t, s[pos[e]], axis=ax)
-                    frontier.remove(e)
-    if s is None:
-        t = t.transpose([frontier.index(e) for e in q.out_edges])
-        if tape is None:
-            t.setflags(write=False)
-            object.__setattr__(net, "_state", t)
-    return t
-
-
-def _environments_dag(net: TensorNetwork, s: SequenceState) -> tuple[dict[int, np.ndarray], complex]:
-    """∂A(s)/∂t_v for every vertex, and A(s): reverse mode through :func:`_frontier`."""
-    tape: list[tuple] = []
-    amp = complex(_frontier(net, s, tape))
-    envs: dict[int, np.ndarray] = {}
-    adj = np.ones((), dtype=np.complex128)
-    for entry in reversed(tape):
-        if entry[0] == "fix":
-            _, ax, idx, shape_before = entry
-            full = np.zeros(shape_before, dtype=np.complex128)
-            sel = [slice(None)] * len(shape_before)
-            sel[ax] = idx
-            full[tuple(sel)] = adj
-            adj = full
-        else:
-            _, v, t_mat, u_mat, perm, t_shape, u_shape = entry
-            adj_mat = adj.reshape(t_mat.shape[0], u_mat.shape[1])
-            envs[v] = (t_mat.T @ adj_mat).reshape(u_shape)
-            adj_prev = (adj_mat @ u_mat.T).reshape(
-                tuple(t_shape[ax] for ax in perm)
-            )
-            adj = adj_prev.transpose(np.argsort(perm))
-    return envs, amp
+def _open_state(net: TensorNetwork) -> np.ndarray:
+    """The state of a model network, one axis per position: the compiled
+    path with every Out leg open. It depends on nothing but the network,
+    so it is built once and cached on it, read-only, the way the quiver
+    caches its plan. The path grows items a vertex at a time and its last
+    steps hold about two state-sized ones, so a state twice the size of
+    the machine's memory raises MemoryError before any of them exists."""
+    psi = net.__dict__.get("_state")
+    if psi is None:
+        need = 32 * math.prod(net.site_dims)
+        if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+            raise MemoryError(f"the state needs ~{need / 2**30:.3g} GiB, more than this machine's memory")
+        psi = contract(net)
+        psi.setflags(write=False)
+        object.__setattr__(net, "_state", psi)
+    return psi
 
 
 # ------------------------------------------------------------------
@@ -401,8 +417,9 @@ def site_operator_expectation(net: TensorNetwork, site_ops: Mapping[int, np.ndar
     space. On trees this runs ket-bra message passing in which any subtree
     containing no operator contributes an exact identity (isometry
     property), so the cost scales with the operator positions' depth, not
-    the system size. Other DAGs sum over the state that one boundary-state
-    contraction gives (Π site dims entries), never a dense layer map.
+    the system size. Other DAGs sum over the state that the compiled path
+    gives with its Out legs open (Π site dims entries), never a dense
+    layer map.
     """
     return complex(_doubled(net, _site_ops(net, site_ops)))
 
@@ -459,12 +476,12 @@ def _doubled(
     message has length 1 on the axis of an open leg outside its subtree,
     and shared operators serve every row. Every subtree without an operator
     or open leg is skipped, an exact identity (isometry property).
-    Other DAGs sum over the state that one boundary-state contraction
-    (:func:`_frontier`) gives; no layer map is built.
+    Other DAGs sum over the state (:func:`_open_state`); no layer map is
+    built.
     """
     plan = net.quiver.plan
     if not plan.is_tree:
-        psi = b = _frontier(net)
+        psi = b = _open_state(net)
         for p, o in ops.items():
             b = np.moveaxis(np.tensordot(b, o, axes=([p], [1])), -1, p)
         other = tuple(ax for ax in range(psi.ndim) if ax not in open_pos)

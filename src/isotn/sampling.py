@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConditioningError
-from .network import SequenceState, TensorNetwork, _frontier, _require_model, sequence_array
+from .network import SequenceState, TensorNetwork, _open_state, _require_model, sequence_array
 from .network import _ket, _ket_bra
 
 # conditionals smaller than this total mass are treated as exactly zero
@@ -115,7 +115,7 @@ def _kernel(net: TensorNetwork) -> Callable[[np.ndarray], Callable[[int], np.nda
     if net.quiver.plan.is_tree:
         return lambda seqs: _TreePaths(net, seqs).weights
     # tables[j]: |ψ|² summed over positions j..n-1, one axis per position < j
-    tables = [np.abs(_frontier(net)) ** 2]
+    tables = [np.abs(_open_state(net)) ** 2]
     for _ in range(net.n_sites):
         tables.insert(0, tables[0].sum(axis=-1))
     dims = net.site_dims

@@ -3,17 +3,16 @@
 The per-sequence objective is F(u|s) = −2 Re log⟨s|Ψ⟩ = −log μ(s). Its
 gradient with respect to the conjugate parameters (the ascent direction
 for the real objective) is −conj(E_v / A) per vertex, where A is the
-amplitude and E_v = ∂A/∂u_v the vertex environment. On trees the batch
-mean is computed without a per-sequence loop: the batched kernel of
-:mod:`isotn.network` sweeps all batch sequences up to the root at once,
-then sends the multiplicity-over-amplitude weights back down and folds
-Σ_b m_b E_v(s_b)/A(s_b) into one tensor per vertex. General DAGs (MERA)
-run the boundary-state contraction's tape backwards once per sequence. A
-step projects the mean gradient to the Stiefel tangent space, moves one
-learning rate against it and retracts by the polar factor, so every
-iterate is exactly isometric; the retracted network's construction
-rejects any violation above its tolerance, and the step records the
-violation measured there.
+amplitude and E_v = ∂A/∂u_v the vertex environment. The batch mean is
+computed without a per-sequence loop on every topology: the compiled
+contraction path of :mod:`isotn.network` runs all batch sequences forward
+at once for the amplitudes, then runs backwards from the
+multiplicity-over-amplitude weights and folds Σ_b m_b E_v(s_b)/A(s_b) into
+one tensor per vertex. A step projects the mean gradient to the Stiefel
+tangent space, moves one learning rate against it and retracts by the
+polar factor, so every iterate is exactly isometric; the retracted
+network's construction rejects any violation above its tolerance, and the
+step records the violation measured there.
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ from .model import SampleMultiset
 from .network import (
     SequenceState,
     TensorNetwork,
-    _environments_dag,
     _require_model,
+    contract,
+    environments,
     sequence_array,
-    tree_environments,
-    tree_up,
 )
 
 Gradient = dict[int, np.ndarray]
@@ -94,8 +92,8 @@ def mean_gradient(
 ) -> tuple[Gradient, float]:
     """Multiplicity-weighted mean gradient and mean per-sequence objective.
 
-    On trees the whole batch goes through one batched up/down sweep; other
-    DAGs run the recorded-operation tape once per batch entry.
+    The whole batch runs the network's compiled path forward for the
+    amplitudes and backward for the summed environments.
     """
     if not batch:
         raise ValueError("batch must be nonempty")
@@ -103,17 +101,10 @@ def mean_gradient(
     seqs = sequence_array(net, [s for s, _ in batch])
     mult = np.array([m for _, m in batch], dtype=np.float64)
     total = float(mult.sum())
-    if net.quiver.plan.is_tree:
-        up = tree_up(net, seqs)
-        amps = up[net.quiver.in_edges[0]][:, 0]
-        _require_nonzero(seqs, amps)
-        envs = tree_environments(net, seqs, up, mult / amps)
-    else:
-        tapes = [_environments_dag(net, tuple(s)) for s in seqs.tolist()]
-        amps = np.array([amp for _, amp in tapes])
-        _require_nonzero(seqs, amps)
-        envs = {v: sum((m / amp) * env[v] for (env, amp), m in zip(tapes, mult))
-                for v in net.quiver.vertices}
+    saved: dict = {}
+    amps = contract(net, seqs, saved)
+    _require_nonzero(seqs, amps)
+    envs = environments(net, seqs, saved, mult / amps)
     loss = -2.0 * float(mult @ np.log(np.abs(amps))) / total
     return {v: np.conj(e) * (-1.0 / total) for v, e in envs.items()}, loss
 

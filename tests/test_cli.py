@@ -1,6 +1,7 @@
 import hashlib
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ class TestTrainCommand:
         first = float(trace[1].split(",")[1])
         last = float(trace[-1].split(",")[1])
         assert last < first
+
+    def test_vocab_of_another_scheme_is_rejected(self, tmp_path, capsys):
+        data, vocab = tmp_path / "words.txt", tmp_path / "v.txt"
+        data.write_text("the cat sat on the mat the cat sat on the hat\n", encoding="utf-8")
+        assert main(["vocab", "--data", str(data), "--scheme", "words", "--max-size", "4",
+                     "--out", str(vocab)]) == 0
+        assert vocab.read_text().split() == ["the", "cat", "on", "sat", "<oov>"]
+        capsys.readouterr()
+        out = tmp_path / "model.isotn"
+        assert main(["train", "--graph", "chain", "--n", "4", "--vocab", str(vocab), "--data",
+                     str(data), "--steps", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: vocabulary token 'the' cannot come from scheme 'chars'\n"
+        assert not out.exists()
 
     def test_zero_steps_keeps_initial_network(self, tmp_path, corpus_file, vocab_file):
         out = tmp_path / "model.isotn"
@@ -201,6 +216,22 @@ class TestModelFile:
         path = tmp_path / "m.isotn"
         save_model(ModelBundle(random_network("chain", 4, 3, 2, rng), None, "chain", 0), path)
         assert all(t.flags.aligned for t in load_model(path).net.vertex_tensor.values())
+
+    def test_load_peaks_near_the_tensor_bytes(self, tmp_path):
+        net = random_network("chain", 36, 32, 32, philox(6))
+        tensor_bytes = sum(t.nbytes for t in net.vertex_tensor.values())
+        assert tensor_bytes >= 16 * 2**20
+        path = tmp_path / "big.isotn"
+        save_model(ModelBundle(net, None, "chain", 0), path)
+        del net
+        tracemalloc.start()
+        try:
+            loaded = load_model(path).net
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * tensor_bytes
+        assert all(t.ctypes.data % 16 == 0 for t in loaded.vertex_tensor.values())
 
     def test_corruption_detected(self, tmp_path, rng):
         from isotn.errors import ModelFileError

@@ -161,6 +161,25 @@ class TestVocabFile:
         assert "\n" in loaded.symbols
 
 
+@pytest.mark.parametrize("scheme, lines", [
+    ("chars", ["ab"]), ("chars", ["a", ""]), ("words", ["a b"]), ("words", [""]),
+    ("words", ["a\\tb"]), ("bytes", ["256", "1"]), ("bytes", ["-1"]),
+])
+def test_vocab_tokens_the_scheme_cannot_produce_are_rejected(tmp_path, scheme, lines):
+    path = tmp_path / "vocab.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"cannot come from scheme '{scheme}'"):
+        load_vocab(path, scheme)
+
+
+def test_trailing_oov_symbol_is_exempt(tmp_path):
+    for scheme, text in (("chars", "abcab"), ("words", "x y z y z"), ("bytes", "abcab")):
+        vocab = build_vocab(text, scheme, max_size=2)
+        path = tmp_path / f"{scheme}.txt"
+        save_vocab(vocab, path)
+        assert load_vocab(path, scheme) == vocab
+
+
 def test_symbol_set_index():
     s = SymbolSet(("x", "y"))
     assert s.index() == {"x": 0, "y": 1}

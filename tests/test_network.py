@@ -11,7 +11,7 @@ from isotn.errors import IsometryImpossibleError, ShapeError
 from isotn.graph import Quiver, topological_layers
 from isotn.network import (
     TensorNetwork,
-    _frontier,
+    _open_state,
     amplitude,
     amplitudes,
     random_network,
@@ -267,7 +267,7 @@ class TestBoundaryState:
 
     def test_mera_open_state_matches_dense_state(self, rng):
         net = random_network("mera", 8, 2, 3, rng)
-        np.testing.assert_allclose(_frontier(net), state(net), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_open_state(net), state(net), rtol=0, atol=1e-12)
 
     def test_mera_marginal_paths_build_no_layer_map(self, rng, no_layer_maps):
         net = random_network("mera", 8, 2, 2, rng)
@@ -287,13 +287,20 @@ class TestBoundaryState:
         joint = site_marginal(net, {}, (6, 11))
         assert np.max(np.abs(joint.sum(axis=1) - one)) <= 1e-12
 
+    def test_state_beyond_memory_fails_before_contracting(self, monkeypatch):
+        monkeypatch.setattr(network, "contract", lambda *args: pytest.fail("contracted"))
+        monkeypatch.setattr(network.os, "sysconf", lambda name: 1024)  # 1 MiB of memory
+        net = random_network("mera", 16, 2, 2, philox(43))  # 2**16 entries, twice 1 MiB
+        with pytest.raises(MemoryError, match=r"^the state needs ~0.00195 GiB"):
+            conditional_distribution(net, (0, 1))
+
     def test_mera_state_is_built_once_per_network(self, monkeypatch):
         net = random_network("mera", 16, 2, 2, philox(42))
         amplitudes(net, [(0,) * 16, (1,) * 16])
         assert "_state" not in vars(net)  # a sequence's contraction is never cached
         states = []
-        real = network._frontier
-        monkeypatch.setattr(network, "_frontier", lambda *args: states.append(real(*args)) or states[-1])
+        real = network._open_state
+        monkeypatch.setattr(network, "_open_state", lambda *args: states.append(real(*args)) or states[-1])
         decay_curve(net, 4)
         assert len(states) == 54 and all(s is states[0] for s in states)
         assert not states[0].flags.writeable

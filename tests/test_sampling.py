@@ -196,8 +196,8 @@ class TestRealisticLengths:
     def test_mera_state_built_once_per_call(self, monkeypatch):
         net = random_network("mera", 16, 2, 2, philox(37))
         calls = []
-        real = sampling._frontier
-        monkeypatch.setattr(sampling, "_frontier", lambda *args: calls.append(1) or real(*args))
+        real = sampling._open_state
+        monkeypatch.setattr(sampling, "_open_state", lambda *args: calls.append(1) or real(*args))
         assert len(sample(net, 5, philox(12))) == 5
         assert len(calls) == 1
 
