@@ -81,12 +81,9 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     bundle = load_model(args.model)
-    draws = sampling.sample(bundle.net, args.count, _rng(args.seed, _STREAM_SAMPLE))
-    for s in draws:
-        if bundle.symbols is not None:
-            print(corpus.detokenize(s, bundle.symbols))
-        else:
-            print(" ".join(str(x) for x in s))
+    for block in sampling.sample_blocks(bundle.net, args.count, _rng(args.seed, _STREAM_SAMPLE)):
+        print("\n".join(" ".join(str(x) for x in s) if bundle.symbols is None
+                        else corpus.detokenize(s, bundle.symbols) for s in block), flush=True)
     return 0
 
 

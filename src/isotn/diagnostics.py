@@ -92,8 +92,8 @@ def pairwise_mutual_information_model(net: TensorNetwork, i: int, j: int) -> flo
     """Exact mutual information between positions i and j of the model.
 
     The two-site joint is one doubled-network contraction with both legs
-    open (one sweep on trees; full-state marginalization otherwise). MI is
-    symmetric, so (i, j) and (j, i) make the same call.
+    open, over their causal cone only, on every topology. MI is symmetric,
+    so (i, j) and (j, i) make the same call.
     """
     _check_pair(net.n_sites, i, j)
     return _mi_from_joint(site_marginal(net, {}, (min(i, j), max(i, j))))

@@ -81,10 +81,7 @@ def moduli_dimension(net: TensorNetwork) -> int:
         )
     total = 0
     for v in q.vertices:
-        d_in = net.edge_dim[q.vertex_in_edges(v)[0]]
-        d_out = 1
-        for e in q.vertex_out_edges(v):
-            d_out *= net.edge_dim[e]
+        d_out, d_in = matrix_dims(net.vertex_tensor[v].shape, net.vertex_split(v))
         total += d_in * d_out - d_in * d_in
     return total
 

@@ -10,6 +10,7 @@ All logarithms are natural (nats).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,6 +22,9 @@ from .errors import _brief
 from .network import SequenceState, TensorNetwork, amplitude, amplitudes, whole_number
 
 Distribution = dict[SequenceState, float]
+
+# sequences per batch of amplitudes in log_likelihood; bounds its memory
+_EVAL_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -88,24 +92,24 @@ def empirical_distribution(sample: SampleMultiset) -> Distribution:
 def log_likelihood(net: TensorNetwork, sample: SampleMultiset) -> float:
     """Free energy F(u|S) = −Σ_s m(s) log μ(s). Lower is better.
 
-    A zero-amplitude sample sequence makes the objective infinite; this is
-    reported as ``inf`` together with a warning naming the sequence rather
-    than being epsilon-smoothed away.
+    Sequences are scored :data:`_EVAL_ROWS` at a time, so memory stays flat
+    in the sample's size. A zero-amplitude sample sequence makes the
+    objective infinite; this is reported as ``inf`` together with a warning
+    naming the sequence rather than being epsilon-smoothed away.
     """
-    items = list(sample.items())
-    if not items:
-        return 0.0
-    probs = np.abs(amplitudes(net, [s for s, _ in items])) ** 2
     total = 0.0
-    for (s, m), p in zip(items, probs.tolist()):
-        if p == 0.0:
-            warnings.warn(
-                f"sequence {_brief(s)} has zero model probability; objective is infinite",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return math.inf
-        total -= m * math.log(p)
+    items = iter(sample.items())
+    while chunk := list(itertools.islice(items, _EVAL_ROWS)):
+        probs = np.abs(amplitudes(net, [s for s, _ in chunk])) ** 2
+        for (s, m), p in zip(chunk, probs.tolist()):
+            if p == 0.0:
+                warnings.warn(
+                    f"sequence {_brief(s)} has zero model probability; objective is infinite",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                return math.inf
+            total -= m * math.log(p)
     return total
 
 

@@ -11,35 +11,28 @@ This module holds the runtime kernels only. The dense layer-map path
 tested against, and lives in :mod:`isotn.dense`, which nothing here
 imports.
 
-Sequence amplitudes, the likelihood and its gradient come from one
-compiled contraction path on every topology (chain, tree, MERA): a greedy
-pairwise order over the vertices (:func:`_compile`), built once per quiver,
-edge dims and leg roles and cached on the quiver's
-:class:`~isotn.graph.Plan`. :func:`contract` runs it over a (B, n) array of
-sequences, gathering each Out leg at every row's symbol, and gives B
-amplitudes at once; :func:`environments` runs it backwards and folds the
-weighted vertex environments of the whole batch into one tensor per
-vertex, which is what the likelihood gradient needs. With the Out legs
-left open the same path gives the state, built once per network and
-cached on it.
-
-Expectations of site-operator products and site marginals, and through
-them the mutual-information curves, come from one doubled (ket-bra)
-contraction that leaves any set of legs open (one for a marginal, two for
-a pair's joint). On trees it is a single leaf-to-root sweep in which
-every subtree without an operator or open leg contracts to the identity
-and the open legs are row axes; its vertex step (:func:`_ket`,
-:func:`_ket_bra`) is also the step of the sampler's conditionals. Other
-DAGs sum over the state (:func:`_open_state`).
+Every contraction runs one compiled path: a greedy pairwise order over
+items (:func:`_compile`), built once per quiver, edge dims and leg roles
+and cached on the quiver's :class:`~isotn.graph.Plan`. On the ket network
+(:func:`contract`) it gathers each Out leg at every row's symbol of a
+(B, n) array and gives B amplitudes at once; :func:`environments` runs it
+backwards and folds the batch's weighted vertex environments into one
+tensor per vertex, which is what the likelihood gradient needs. On the
+doubled (ket-bra) network (:func:`_doubled`) it gives expectations of
+site-operator products, site marginals with any legs open (one for a
+marginal, two for a pair's joint) and, with a prefix gathered, the
+sampler's conditionals on DAGs that are not trees. Vertices outside the
+causal cone of the operators, open and gathered legs drop out before
+compiling, so the cost follows the cone, not the state.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 import numpy as np
 
@@ -211,130 +204,197 @@ def amplitudes(net: TensorNetwork, sequences: Sequence[Sequence[int]]) -> np.nda
     return contract(net, sequence_array(net, sequences))
 
 
-def _path(net: TensorNetwork, gather: bool) -> tuple:
-    """The compiled path of ``net``, cached on its quiver's plan: a path
-    depends on the quiver, the edge dims and whether Out legs are gathered."""
-    key = (gather, tuple(sorted(net.edge_dim.items())))
-    paths = net.quiver.plan.paths
-    if key not in paths:
-        paths[key] = _compile(net, gather)
-    return paths[key]
+def _path(net: TensorNetwork, roles: str | None = None) -> tuple:
+    """The compiled path of ``net``, cached on its quiver's plan by edge dims
+    and leg roles (None: the ket network, else :func:`_doubled_path`'s),
+    with equal parts stored once for all the paths of those dims."""
+    by_roles, parts = net.quiver.plan.paths.setdefault(tuple(sorted(net.edge_dim.items())), ({}, {}))
+    if roles not in by_roles:
+        if roles is None:  # the ket network, every Out leg gathered: one amplitude per row
+            leaves = {v: _leaf(net, v, range(net.n_sites)) for v in net.quiver.vertices}
+            steps, final, axes = _compile(leaves, {**net.edge_dim, _ROWS: 1}, (_ROWS,), max(leaves) + 1)
+        else:
+            steps, final, axes = _doubled_path(net, roles)
+        share = lambda t: parts.setdefault(t, t) if type(t) is tuple else t
+        by_roles[roles] = (tuple(share((share(a), share(b), c, share(s))) for a, b, c, s in steps),
+                           share(final), axes)
+    return by_roles[roles]
 
 
 def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(np.argsort(perm).tolist())
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
-def _compile(net: TensorNetwork, gather: bool) -> tuple:
-    """The greedy pairwise contraction path over the vertices of ``net``.
+# The leg of the row axis: a gathered Out leg is read at each row's symbol,
+# one row per sequence or prefix, whose count is known only when a path runs.
+_ROWS = -1
 
-    An item is a vertex tensor or the product of two items: one axis per
-    leg it still carries, after a leading row axis if it holds an Out leg
-    gathered at each row's symbol (with ``gather``; else Out legs stay
-    open). Each step contracts the two items that share an edge and give
-    the smallest result, in entries per row whether or not they have rows,
-    ties going to the smaller item ids, so trees and chains contract from
-    their leaves; items sharing no edge are then multiplied out in id order.
-    Two items that both have rows, or neither, go in the order that
-    transposes fewer entries.
 
-    Returns (leaves, steps, final item, its axes in output order). Leaf v,
-    (perm, inverse, positions, shape), transposes v's tensor (gathered
-    legs, In leg, kept legs), gathers it and reshapes it (-1: the rows),
-    which drops the In leg. Step (a, b, c, lperm, lshape, rperm, rshape,
-    shape, linv, rinv) makes item c by one matmul of a and b, transposed
-    (rows first; a: kept then shared legs, b: shared then kept legs) and
-    reshaped to matrices, one per row when both have rows; when one has,
-    it is a, and its rows join the matrix rows.
+def _leaf(
+    net: TensorNetwork, v: int, gathered: Container[int], shift: int = 0, shared: Container[int] = ()
+) -> tuple[list[int], tuple]:
+    """Vertex ``v`` as a leaf: its legs (:data:`_ROWS` if any is gathered,
+    then the kept edges) and its spec (v, conj, perm, inverse, positions,
+    shape), which puts its axes in the order (``gathered`` positions, In,
+    kept), gathers it at each row's symbols and reshapes it (-1: the rows).
+    With a ``shift`` it is the bra copy: conjugated, the edges outside
+    ``shared`` shifted by it."""
+    q, pos = net.quiver, net.quiver.plan.out_position
+    edges = q.vertex_in_edges(v) + q.vertex_out_edges(v)
+    fixed = [ax for ax, e in enumerate(edges) if pos.get(e, -1) in gathered]
+    root = [ax for ax, e in enumerate(edges) if e in q.in_edges]
+    kept = [ax for ax in range(len(edges)) if ax not in fixed + root]
+    perm = tuple(fixed + root + kept)
+    spec = (v, shift > 0, perm, _inverse(perm), tuple(pos[edges[ax]] for ax in fixed),
+            (-1,) * bool(fixed) + tuple(net.edge_dim[edges[ax]] for ax in kept))
+    names = [edges[ax] if edges[ax] in shared else edges[ax] + shift for ax in kept]
+    return [_ROWS] * bool(fixed) + names, spec
+
+
+def _doubled_path(net: TensorNetwork, roles: str) -> tuple:
+    """The path of the doubled network ⟨Ψ|…|Ψ⟩.
+
+    ``roles[p]`` is position p's role: ``g`` gathered at each row's symbol
+    on both copies, ``o`` open (one edge id on ket, bra and the result,
+    which keeps its diagonal), ``x`` an operator (item -1 − p, legs bra
+    then ket, supplied by the caller) or ``t`` traced (one edge id on ket
+    and bra). A vertex whose out legs are all traced drops out with its
+    bra, exactly, as it is an isometry, and its in legs become traced, so
+    only the causal cone of the other legs is left. Vertex v is ket item v
+    and bra item V + v; steps make items 2V on, whatever drops out, so
+    that paths of one network share equal steps.
     """
-    q, dim = net.quiver, net.edge_dim
-    pos = q.plan.out_position
-    legs, rows, leaves, steps = {}, {}, {}, []
-    for v in q.vertices:
-        edges = q.vertex_in_edges(v) + q.vertex_out_edges(v)
-        fixed = [ax for ax, e in enumerate(edges) if gather and e in pos]
-        root = [ax for ax, e in enumerate(edges) if e in q.in_edges]
-        kept = [ax for ax in range(len(edges)) if ax not in fixed + root]
-        legs[v], rows[v] = [edges[ax] for ax in kept], len(fixed[:1])
-        perm = tuple(fixed + root + kept)
-        leaves[v] = (perm, _inverse(perm), tuple(pos[edges[ax]] for ax in fixed),
-                     (-1,) * rows[v] + tuple(dim[edges[ax]] for ax in kept))
+    q = net.quiver
+    traced = {e for e, r in zip(q.out_edges, roles) if r == "t"}
+    kept = []
+    for verts in reversed(q.plan.layering.layers):
+        for v in verts:
+            if traced.issuperset(q.vertex_out_edges(v)):
+                traced.update(q.vertex_in_edges(v))
+            else:
+                kept.append(v)
+    opened = [e for e, r in zip(q.out_edges, roles) if r == "o"]
+    shift, one = max(net.edge_dim) + 1, traced.union(opened)
+    gathered = {p for p, r in enumerate(roles) if r == "g"}
+    bra = max(q.vertices) + 1
+    leaves = {v: _leaf(net, v, gathered) for v in kept}
+    leaves.update({bra + v: _leaf(net, v, gathered, shift, one) for v in kept})
+    leaves.update({-1 - p: ([e + shift, e], None) for p, e in enumerate(q.out_edges) if roles[p] == "x"})
+    dim = {**net.edge_dim, **{e + shift: d for e, d in net.edge_dim.items()}, _ROWS: 1}
+    return _compile(leaves, dim, [_ROWS] * bool(gathered) + opened, 2 * bra)
 
-    def size(a: int, b: int | None = None) -> int:
-        """Entries per row of item a, or of the product of items a and b."""
-        return math.prod(dim[e] for e in set(legs[a]) ^ set(legs.get(b, ())))
+
+def _compile(leaves: Mapping[int, tuple[list[int], tuple | None]], dim: Mapping[int, int],
+             out: Sequence[int], base: int) -> tuple:
+    """The greedy pairwise contraction path over the items in ``leaves``.
+
+    ``leaves`` maps each leaf's id to its legs in axis order and its spec
+    (None: the caller supplies the item), ``dim`` gives leg dimensions (the
+    rows count 1), ``out`` the legs the result keeps, and steps make items
+    ``base`` on. A leg two items share is summed if no other item and not
+    the result holds it; else it is a batch axis of their matmul. Each step
+    joins the two items that share a summed leg and give the smallest
+    result, in entries per row, ties going to the smaller ids, so trees and
+    chains contract from their leaves; items sharing none are then
+    multiplied out in id order. An item that alone has rows goes first and
+    its rows join the matrix rows; else the order that transposes fewer
+    entries goes.
+
+    Returns (steps, final item, its axes in ``out`` order); a leaf is named
+    by its spec. Step (a, b, c, (lperm, lshape, rperm, rshape, shape, linv,
+    rinv)) makes item c by one matmul of a and b, transposed (a: batch,
+    kept, summed legs; b: batch, summed, kept legs) and reshaped.
+    """
+    legs = {i: list(ls) for i, (ls, _) in leaves.items()}
+    holders, steps = defaultdict(set), []  # the items holding each leg
+    for i, ls in legs.items():
+        for e in ls:
+            holders[e].add(i)
+    is_summed = lambda e: len(holders[e]) == 2 and e not in out  # by the two that hold it
+    name = lambda i: (leaves[i][1] or i) if i in leaves else i
+    entries = lambda es: math.prod(dim[e] for e in es)
+    group = lambda es: -1 if _ROWS in es else entries(es)
+
+    def split(a: int, b: int) -> tuple[list[int], ...]:
+        """The batch, a's kept, summed and b's kept legs of joining a and b."""
+        shared = [e for e in legs[a] if e in legs[b]]
+        return ([e for e in shared if not is_summed(e)], [e for e in legs[a] if e not in shared],
+                [e for e in shared if is_summed(e)], [e for e in legs[b] if e not in shared])
+
+    def size(a: int, b: int) -> int:
+        """Entries per row of the product of items a and b."""
+        batch, ka, _, kb = split(a, b)
+        return entries(batch + ka + kb)
 
     def copied(a: int, b: int) -> int:
         """Entries per row that the order (a, b) transposes."""
-        shared = [e for e in legs[a] if e in legs[b]]
-        return (size(a) * (legs[a][len(legs[a]) - len(shared):] != shared)
-                + size(b) * (legs[b][:len(shared)] != shared))
+        batch, ka, summed, kb = split(a, b)
+        return (entries(legs[a]) * (batch + ka + summed != legs[a])
+                + entries(legs[b]) * (batch + summed + kb != legs[b]))
 
     def merge(a: int, b: int) -> int:
-        if rows[a] == rows[b]:
+        if (_ROWS in legs[a]) == (_ROWS in legs[b]):
             a, b = min((a, b), (b, a), key=lambda o: copied(*o))
-        elif rows[b]:
+        elif _ROWS in legs[b]:
             a, b = b, a
-        (la, ra), (lb, rb) = (legs.pop(a), rows.pop(a)), (legs.pop(b), rows.pop(b))
-        shared = [e for e in la if e in lb]
-        ka, kb = [e for e in la if e not in shared], [e for e in lb if e not in shared]
-        s, na, nb = (math.prod(dim[e] for e in es) for es in (shared, ka, kb))
-        c = max(q.vertices) + 1 + len(steps)
-        legs[c], rows[c] = ka + kb, ra
-        lperm = (0,) * ra + tuple(ra + la.index(e) for e in ka + shared)
-        rperm = (0,) * rb + tuple(rb + lb.index(e) for e in shared + kb)
-        steps.append((a, b, c, lperm, (-1,) * ra + (na,) * (rb or not ra) + (s,),
-                      rperm, (-1,) * rb + (s, nb), (-1,) * ra + tuple(dim[e] for e in ka + kb),
-                      _inverse(lperm), _inverse(rperm)))
+        batch, ka, summed, kb = split(a, b)
+        la, lb, c = legs.pop(a), legs.pop(b), base + len(steps)
+        legs[c] = batch + ka + kb
+        for e in la + lb:
+            holders[e] -= {a, b}
+        for e in legs[c]:
+            holders[e].add(c)
+        lperm = tuple(la.index(e) for e in batch + ka + summed)
+        rperm = tuple(lb.index(e) for e in batch + summed + kb)
+        lead = (group(batch),) * bool(batch)
+        steps.append((name(a), name(b), c, (
+            lperm, lead + (group(ka), group(summed)), rperm, lead + (group(summed), group(kb)),
+            tuple(-1 if e == _ROWS else dim[e] for e in legs[c]), _inverse(lperm), _inverse(rperm))))
         return c
 
-    heap = sorted({(size(*p), *p) for p in {tuple(sorted((q.source[e], q.target[e])))
-                                            for e in q.internal_edges}})
+    heap = sorted({(size(*p), *p) for p in {tuple(sorted(h)) for e, h in holders.items() if is_summed(e)}})
     while heap:
         _, a, b = heapq.heappop(heap)
         if a in legs and b in legs:
             c = merge(a, b)
-            for x in legs:
-                if x != c and set(legs[x]) & set(legs[c]):
-                    heapq.heappush(heap, (size(x, c), x, c))
+            for x in {x for e in legs[c] if is_summed(e) for x in holders[e]} - {c}:
+                heapq.heappush(heap, (size(x, c), x, c))
     while len(legs) > 1:
         merge(*sorted(legs)[:2])
-    (c, out), = legs.items()
-    axes = (0,) * rows[c] + tuple(rows[c] + out.index(e) for e in q.out_edges if e in out)
-    return leaves, steps, c, axes
+    (c, ls), = legs.items()
+    return steps, name(c), tuple(ls.index(e) for e in out if e in ls)
 
 
-def contract(net: TensorNetwork, seqs: np.ndarray | None = None, saved: dict | None = None) -> np.ndarray:
-    """Run the compiled path of a model network.
+def contract(net: TensorNetwork, seqs: np.ndarray, saved: dict | None = None) -> np.ndarray:
+    """The (B,) amplitudes of a validated (B, n) array ``seqs`` by the ket
+    path; a dict passed as ``saved`` keeps every item, for
+    :func:`environments`."""
+    out = _execute(net, _path(net), seqs, {} if saved is None else saved, saved is not None)
+    return out if out.ndim else np.full(len(seqs), out)  # no Out leg: one amplitude serves every row
 
-    Given a validated (B, n) array ``seqs`` the Out legs are gathered at
-    each row's symbols and the result is the (B,) amplitudes; a dict passed
-    as ``saved`` keeps every item the steps make, for :func:`environments`.
-    Without ``seqs`` the Out legs stay open and the result is the state,
-    one axis per position. Vertices are gathered as their step needs them.
-    """
-    leaves, steps, final, axes = _path(net, seqs is not None)
-    items = {} if saved is None else saved
-    for a, b, c, lperm, lshape, rperm, rshape, shape, *_ in steps:
-        x = _item(net, leaves, items, seqs, a).transpose(lperm).reshape(lshape)
-        y = _item(net, leaves, items, seqs, b).transpose(rperm).reshape(rshape)
+
+def _execute(net: TensorNetwork, path: tuple, seqs: np.ndarray | None, items: dict,
+             keep: bool = False) -> np.ndarray:
+    """Run a compiled ``path`` on ``net``, gathering leaves at ``seqs`` as
+    their step needs them. ``items`` holds the items made so far and those
+    the caller supplies, all of them kept with ``keep``."""
+    steps, final, axes = path
+    for a, b, c, (lperm, lshape, rperm, rshape, shape, _, _) in steps:
+        x = _item(net, items, seqs, a, keep).transpose(lperm).reshape(lshape)
+        y = _item(net, items, seqs, b, keep).transpose(rperm).reshape(rshape)
         items[c] = (x @ y).reshape(shape)
-        if saved is None:
-            items.pop(a, None)
-            items.pop(b, None)
-    out = _item(net, leaves, items, seqs, final).transpose(axes)
-    if seqs is None or out.ndim:
-        return out
-    return np.full(len(seqs), out)  # no Out leg: one amplitude serves every row
+    return _item(net, items, seqs, final, keep).transpose(axes)
 
 
-def _item(net: TensorNetwork, leaves: dict, items: dict, seqs: np.ndarray | None, i: int) -> np.ndarray:
-    """Item ``i``: made by an earlier step, or vertex ``i`` gathered now."""
-    if i not in leaves:
-        return items[i]
-    perm, _, positions, shape = leaves[i]
-    t = net.vertex_tensor[i].transpose(perm)
-    return (t[tuple(seqs[:, p] for p in positions)] if positions else t).reshape(shape)
+def _item(net: TensorNetwork, items: dict, seqs: np.ndarray | None, i: tuple | int,
+          keep: bool = True) -> np.ndarray:
+    """Item ``i``: a leaf made now from its spec, or one from ``items``."""
+    if type(i) is int:
+        return items[i] if keep else items.pop(i)
+    v, conj, perm, _, positions, shape = i
+    t = net.vertex_tensor[v].transpose(perm)
+    t = (t[tuple(seqs[:, p] for p in positions)] if positions else t).reshape(shape)
+    return t.conj() if conj else t
 
 
 def environments(
@@ -347,25 +407,25 @@ def environments(
     matmul; a vertex folds its rows into its tensor as soon as its adjoint
     is known, by a segment sum over the joint code of its symbols.
     """
-    leaves, steps, final, axes = _path(net, True)
+    steps, final, axes = _path(net)
     adj, envs = {}, {}
 
-    def put(i: int, g: np.ndarray) -> None:
-        if i not in leaves:
+    def put(i: tuple | int, g: np.ndarray) -> None:
+        if type(i) is int:
             adj[i] = g
             return
-        perm, inverse, positions, _ = leaves[i]
-        shape = net.vertex_tensor[i].transpose(perm).shape
+        v, _, perm, inverse, positions, _ = i
+        shape = net.vertex_tensor[v].transpose(perm).shape
         if positions:
             dims = shape[:len(positions)]
             code = np.ravel_multi_index(tuple(seqs[:, p] for p in positions), dims)
             g = _sum_by_code(g.reshape(len(g), -1), code, math.prod(dims))
-        envs[i] = g.reshape(shape).transpose(inverse)
+        envs[v] = g.reshape(shape).transpose(inverse)
 
     put(final, weights if axes else weights.sum())
-    for a, b, c, lperm, lshape, rperm, rshape, _, linv, rinv in reversed(steps):
-        x = _item(net, leaves, saved, seqs, a).transpose(lperm)
-        y = _item(net, leaves, saved, seqs, b).transpose(rperm)
+    for a, b, c, (lperm, lshape, rperm, rshape, _, linv, rinv) in reversed(steps):
+        x = _item(net, saved, seqs, a).transpose(lperm)
+        y = _item(net, saved, seqs, b).transpose(rperm)
         xm, ym, g = x.reshape(lshape), y.reshape(rshape), adj.pop(c)
         if xm.ndim == 3:
             g = g.reshape(len(xm), xm.shape[1], ym.shape[2])
@@ -388,24 +448,6 @@ def _sum_by_code(rows: np.ndarray, code: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _open_state(net: TensorNetwork) -> np.ndarray:
-    """The state of a model network, one axis per position: the compiled
-    path with every Out leg open. It depends on nothing but the network,
-    so it is built once and cached on it, read-only, the way the quiver
-    caches its plan. The path grows items a vertex at a time and its last
-    steps hold about two state-sized ones, so a state twice the size of
-    the machine's memory raises MemoryError before any of them exists."""
-    psi = net.__dict__.get("_state")
-    if psi is None:
-        need = 32 * math.prod(net.site_dims)
-        if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-            raise MemoryError(f"the state needs ~{need / 2**30:.3g} GiB, more than this machine's memory")
-        psi = contract(net)
-        psi.setflags(write=False)
-        object.__setattr__(net, "_state", psi)
-    return psi
-
-
 # ------------------------------------------------------------------
 # expectations of single-site operator products (doubled network)
 # ------------------------------------------------------------------
@@ -414,12 +456,8 @@ def site_operator_expectation(net: TensorNetwork, site_ops: Mapping[int, np.ndar
     """⟨Ψ| O_{p1} ⊗ O_{p2} ⊗ ... |Ψ⟩ with identities at unlisted positions.
 
     ``site_ops`` maps sequence positions to square matrices on the local
-    space. On trees this runs ket-bra message passing in which any subtree
-    containing no operator contributes an exact identity (isometry
-    property), so the cost scales with the operator positions' depth, not
-    the system size. Other DAGs sum over the state that the compiled path
-    gives with its Out legs open (Π site dims entries), never a dense
-    layer map.
+    space. Only the operators' causal cone of the doubled network is
+    contracted (:func:`_doubled`), never the state or a layer map.
     """
     return complex(_doubled(net, _site_ops(net, site_ops)))
 
@@ -430,16 +468,15 @@ def site_marginal(
     """All diagonal values ⟨Ψ| (⊗ fixed ops) ⊗ |a⟩⟨a|_position |Ψ⟩ at once.
 
     Equivalent to one :func:`site_operator_expectation` call per basis
-    projector at ``position``, but computed in a single doubled-network
-    pass with an open leg there. Returns a real vector of length
+    projector at ``position``, but one doubled-network contraction whose
+    leg there is open. Returns a real vector of length
     ``site_dims[position]``; a strictly increasing tuple of positions gives
     the real joint diagonal, one axis per position.
     """
-    n = net.n_sites
     opened = position if isinstance(position, tuple) else (position,)
     for p in opened:
-        if not 0 <= p < n:
-            raise ValueError(f"position {p} outside [0,{n})")
+        if not 0 <= p < net.n_sites:
+            raise ValueError(f"position {p} outside [0,{net.n_sites})")
         if p in fixed_ops:
             raise ValueError(f"position {p} is both fixed and open")
     if any(a >= b for a, b in zip(opened, opened[1:])):
@@ -464,90 +501,22 @@ def _site_ops(net: TensorNetwork, site_ops: Mapping[int, np.ndarray]) -> dict[in
 
 
 def _doubled(
-    net: TensorNetwork, ops: dict[int, np.ndarray], open_pos: tuple[int, ...] = ()
+    net: TensorNetwork, ops: Mapping[int, np.ndarray], open_pos: tuple[int, ...] = (),
+    seqs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The doubled network ⟨Ψ| ⊗_p ops[p] |Ψ⟩ with identities elsewhere.
+    """⟨Ψ| ⊗_p ops[p] |Ψ⟩ with identities elsewhere (:func:`_doubled_path`).
 
-    The legs at the sorted positions ``open_pos`` stay open: the result is
-    the diagonal over them, one axis each (0-d when none is open). On trees
-    one leaf-to-root sweep of ket-bra vertex steps (:func:`_ket`) runs one
-    row per joint symbol of the open legs, with one row axis per open
-    position, so the root's (*R, 1, 1) message reshapes to the result. A
-    message has length 1 on the axis of an open leg outside its subtree,
-    and shared operators serve every row. Every subtree without an operator
-    or open leg is skipped, an exact identity (isometry property).
-    Other DAGs sum over the state (:func:`_open_state`); no layer map is
-    built.
+    The result is the diagonal over the legs at the sorted positions
+    ``open_pos``, one axis each. Given a (B, k) array ``seqs``, positions
+    < k are fixed at each row's symbols and the result leads with B rows.
     """
-    plan = net.quiver.plan
-    if not plan.is_tree:
-        psi = b = _open_state(net)
-        for p, o in ops.items():
-            b = np.moveaxis(np.tensordot(b, o, axes=([p], [1])), -1, p)
-        other = tuple(ax for ax in range(psi.ndim) if ax not in open_pos)
-        return np.asarray(np.sum(psi.conj() * b, axis=other))
-
-    q, pos = net.quiver, plan.out_position
-    shape = tuple(net.site_dims[p] for p in open_pos)
-    # one row axis per open position, along which only its own column varies
-    cols = {p: np.arange(d).reshape([d if i == j else 1 for i in range(len(shape))])
-            for j, (p, d) in enumerate(zip(open_pos, shape))}
-    # ket-side matrices by edge: the operators on leaves, then the messages
-    mats = {q.out_edges[p]: o for p, o in ops.items()}
-    for verts in reversed(plan.layering.layers):
-        for v in verts:
-            if any(e in mats or pos.get(e, -1) in cols for e in q.vertex_out_edges(v)):
-                x, y, _ = _ket(net, v, cols, mats)
-                mats[plan.in_edge[v]] = _ket_bra(x, y, max(len(shape), 1))
-    root = mats.get(q.in_edges[0])
-    return np.array(1.0 + 0.0j) if root is None else root.reshape(shape)
-
-
-# The ket-bra step through one vertex of a tree, shared by the doubled sweep
-# above and the sampler's conditionals. Rows are the leading axes (one for the
-# sampler's block, one per open leg in the doubled sweep); an axis of length 1
-# serves every row.
-
-def _ket(
-    net: TensorNetwork, v: int, cols: Mapping[int, np.ndarray], mats: Mapping[int, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
-    """Vertex ``v``'s tensor with leaves gathered per row and matrices applied.
-
-    ``cols`` maps positions to symbol columns over the row axes R: those
-    leaves of ``v`` are gathered per row. ``mats`` maps edge ids to (d, d)
-    or (*R, d, d) matrices, applied on the ket side of the legs left open
-    (identity where none). Returns x (*R, d_in, *open legs), y (x with the
-    matrices applied) and the axis of each open leg in both, by edge.
-    """
-    lead = next(iter(cols.values())).ndim if cols else 1
-    pos = net.quiver.plan.out_position
-    legs = list(enumerate(net.quiver.vertex_out_edges(v), start=1))
-    fixed = [(ax, pos[e]) for ax, e in legs if pos.get(e, -1) in cols]
-    kept = [(ax, e) for ax, e in legs if pos.get(e, -1) not in cols]
-    moved = net.vertex_tensor[v].transpose([ax for ax, _ in fixed] + [0] + [ax for ax, _ in kept])
-    x = moved[tuple(cols[p] for _, p in fixed)] if fixed else moved[(None,) * lead]
-    axis = {e: i for i, (_, e) in enumerate(kept, start=lead + 1)}
-    y = x
-    for e, i in axis.items():
-        if mats.get(e) is not None:
-            y = _apply(y, i, mats[e], lead)
-    return x, y, axis
-
-
-def _apply(y: np.ndarray, axis: int, m: np.ndarray, lead: int) -> np.ndarray:
-    """y'[b, .., ō, ..] = Σ_o m[b, ō, o] y[b, .., o, ..] on ``axis``; b is
-    the ``lead`` row axes."""
-    y = np.swapaxes(y, axis, -1)
-    out = y.reshape(y.shape[:lead] + (-1, y.shape[-1])) @ np.swapaxes(m, -1, -2)
-    return np.swapaxes(out.reshape(out.shape[:lead] + y.shape[lead:]), -1, axis)
-
-
-def _ket_bra(x: np.ndarray, y: np.ndarray, lead: int = 1) -> np.ndarray:
-    """The (*R, d_in, d_in) message Σ_r conj(x[b, ī, r]) y[b, i, r] on the in
-    leg (b: the ``lead`` row axes), every leg :func:`_ket` left open traced."""
-    d = x.shape[lead]
-    return (x.reshape(x.shape[:lead] + (d, -1)).conj()
-            @ np.swapaxes(y.reshape(y.shape[:lead] + (d, -1)), -1, -2))
+    k = 0 if seqs is None else seqs.shape[1]
+    if not (ops or open_pos or k):
+        return np.array(1.0 + 0.0j)  # ⟨Ψ|Ψ⟩: every vertex drops out
+    roles = "".join("g" if p < k else "o" if p in open_pos else "x" if p in ops else "t"
+                    for p in range(net.n_sites))
+    out = _execute(net, _path(net, roles), seqs, {-1 - p: o for p, o in ops.items()})
+    return out if seqs is None or k else np.broadcast_to(out, (len(seqs),) + out.shape)
 
 
 # ------------------------------------------------------------------

@@ -15,21 +15,20 @@ the doubled up-message of every edge with a fixed leaf below it and the
 top-down reduced density along the current root-to-leaf path, both as
 (B, d, d) arrays rescaled to unit trace, so the step from position k-1 to
 k recontracts only the edges between those two leaves and their lowest
-common ancestor, each vertex by the doubled sweep's ket-bra step. Other
-DAGs (MERA) contract the state once per call and read every conditional
-from its |ψ|² marginal tables.
+common ancestor, each vertex by one ket-bra step (:func:`_ket`). Other
+DAGs (MERA) run the doubled network's compiled path with the prefix
+gathered per row and position k open, over the causal cone of those legs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConditioningError
-from .network import SequenceState, TensorNetwork, _open_state, _require_model, sequence_array
-from .network import _ket, _ket_bra
+from .network import SequenceState, TensorNetwork, _doubled, _require_model, sequence_array
 
 # conditionals smaller than this total mass are treated as exactly zero
 _MASS_FLOOR = 1e-300
@@ -45,7 +44,7 @@ def conditional_distribution(net: TensorNetwork, prefix: Sequence[int]) -> np.nd
     conditional for position k-1 = len(prefix), nonnegative and summing
     to 1. Raises ConditioningError when the prefix itself has zero
     probability. On trees one root-to-leaf path and the up-messages of the
-    prefix's subtrees are contracted; other DAGs marginalize the state.
+    prefix's subtrees are contracted, on other DAGs the doubled causal cone.
     """
     k = len(prefix)
     if k >= net.n_sites:
@@ -64,22 +63,25 @@ def sample(
     samples on any platform. Draw i at position k uses uniform i·n + k of
     the stream, whatever the block size.
     """
+    return [s for block in sample_blocks(net, count, rng) for s in block]
+
+
+def sample_blocks(
+    net: TensorNetwork, count: int, rng: np.random.Generator
+) -> Iterator[list[SequenceState]]:
+    """The draws of :func:`sample`, a block of up to :data:`_BLOCK_ROWS` at
+    a time, each yielded as soon as it is drawn."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return []
-    n = net.n_sites
-    kernel = _kernel(net)
-    draws: list[SequenceState] = []
+    kernel = _kernel(net) if count else None
     for start in range(0, count, _BLOCK_ROWS):
-        u = rng.random((min(_BLOCK_ROWS, count - start), n))
+        u = rng.random((min(_BLOCK_ROWS, count - start), net.n_sites))
         seqs = np.zeros(u.shape, dtype=np.int64)
         weights = kernel(seqs)
-        for k in range(n):
+        for k in range(net.n_sites):
             cum = np.cumsum(_normalize(weights(k), seqs[:, :k]), axis=1)
             seqs[:, k] = _inverse_cdf(cum, u[:, k])
-        draws += map(tuple, seqs.tolist())
-    return draws
+        yield list(map(tuple, seqs.tolist()))
 
 
 def _normalize(weights: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
@@ -114,13 +116,7 @@ def _kernel(net: TensorNetwork) -> Callable[[np.ndarray], Callable[[int], np.nda
     _require_model(net)
     if net.quiver.plan.is_tree:
         return lambda seqs: _TreePaths(net, seqs).weights
-    # tables[j]: |ψ|² summed over positions j..n-1, one axis per position < j
-    tables = [np.abs(_open_state(net)) ** 2]
-    for _ in range(net.n_sites):
-        tables.insert(0, tables[0].sum(axis=-1))
-    dims = net.site_dims
-    return lambda seqs: lambda k: np.broadcast_to(
-        tables[k + 1][tuple(seqs[:, :k].T)], (len(seqs), dims[k]))
+    return lambda seqs: lambda k: _doubled(net, {}, (k,), seqs[:, :k]).real
 
 
 class _TreePaths:
@@ -177,7 +173,7 @@ class _TreePaths:
                 g = (t.conj() @ t.transpose(0, 2, 1)).transpose(1, 2, 0)
                 return rho.reshape(b, -1) @ g.reshape(d_in * d_in, d)
             t = t.reshape(d_in * d, -1)  # g[ī, ō, i, o] = Σ_r conj(t[ī, ō, r]) t[i, o, r]
-            g = _ket_bra(t, t, 0).reshape(d_in, d, d_in, d).transpose(0, 2, 1, 3)
+            g = (t.conj() @ t.T).reshape(d_in, d, d_in, d).transpose(0, 2, 1, 3)
             return (rho.reshape(b, -1) @ g.reshape(d_in * d_in, d * d)).reshape(b, d, d)
         z = (rho @ y.reshape(len(y), d_in, -1)).reshape((b,) + y.shape[1:])
         x, z = np.swapaxes(x, open_axis, 1), np.swapaxes(z, open_axis, 1)
@@ -226,3 +222,37 @@ def _unit_trace(m: np.ndarray) -> np.ndarray:
     """
     tr = np.trace(m, axis1=1, axis2=2).real
     return m / np.where(tr > 0.0, tr, 1.0)[:, None, None]
+
+
+# The ket-bra step through one vertex of a tree, on the block's leading row
+# axis; an axis of length 1 serves every row.
+
+def _ket(
+    net: TensorNetwork, v: int, cols: Mapping[int, np.ndarray], mats: Mapping[int, np.ndarray | None]
+) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
+    """Vertex ``v``'s tensor with the leaves at the positions in ``cols``
+    gathered at each row's symbol, and the (B, d, d) matrices in ``mats``
+    (None: the identity) applied on the ket side of the legs left open.
+    Returns x (B or 1, d_in, *open legs), y (x with the matrices applied)
+    and the axis of each open leg in both, by edge."""
+    pos = net.quiver.plan.out_position
+    legs = list(enumerate(net.quiver.vertex_out_edges(v), start=1))
+    fixed = [(ax, pos[e]) for ax, e in legs if pos.get(e, -1) in cols]
+    kept = [(ax, e) for ax, e in legs if pos.get(e, -1) not in cols]
+    moved = net.vertex_tensor[v].transpose([ax for ax, _ in fixed] + [0] + [ax for ax, _ in kept])
+    x = moved[tuple(cols[p] for _, p in fixed)] if fixed else moved[None]
+    axis = {e: i for i, (_, e) in enumerate(kept, start=2)}
+    y = x
+    for e, i in axis.items():
+        if mats.get(e) is not None:
+            y = np.swapaxes(y, i, -1)  # y'[b, .., ō, ..] = Σ_o m[b, ō, o] y[b, .., o, ..]
+            out = y.reshape(len(y), -1, y.shape[-1]) @ np.swapaxes(mats[e], -1, -2)
+            y = np.swapaxes(out.reshape((len(out),) + y.shape[1:]), -1, i)
+    return x, y, axis
+
+
+def _ket_bra(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (B, d_in, d_in) message Σ_r conj(x[b, ī, r]) y[b, i, r] on the in
+    leg, every leg :func:`_ket` left open traced."""
+    d = x.shape[1]
+    return x.reshape(len(x), d, -1).conj() @ np.swapaxes(y.reshape(len(y), d, -1), 1, 2)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from isotn import cli, training
+from isotn import cli, sampling, training
 from isotn.cli import main
 from isotn.errors import ModelFileError, ZeroAmplitudeError
 from isotn.model import SymbolSet
@@ -142,6 +142,34 @@ class TestSampleCommand:
         path = self._deterministic_model(tmp_path)
         assert main(["sample", "--model", str(path), "--count", "0", "--seed", "1"]) == 0
         assert capsys.readouterr().out == ""
+
+    def test_blocks_print_as_they_complete(self, tmp_path, capsys, monkeypatch):
+        path = self._deterministic_model(tmp_path)
+        monkeypatch.setattr(sampling, "_BLOCK_ROWS", 2)
+        printed, real = [], cli._rng
+
+        class Uniforms:  # the lines printed when each block's uniforms are drawn
+            def __init__(self, seed, stream):
+                self.rng = real(seed, stream)
+
+            def random(self, shape):
+                printed.append(capsys.readouterr().out.count("\n"))
+                return self.rng.random(shape)
+
+        monkeypatch.setattr(cli, "_rng", Uniforms)
+        assert main(["sample", "--model", str(path), "--count", "5", "--seed", "1"]) == 0
+        assert printed == [0, 2, 2] and capsys.readouterr().out == "abb\n"
+
+    def test_mera_of_fourteen_symbols(self, tmp_path, capsys):
+        # the full state has 14**8 entries: 22 GiB for the |ψ|² tables
+        net = random_network("mera", 8, 14, 3, philox(44))
+        path = tmp_path / "mera.isotn"
+        save_model(ModelBundle(net, SymbolSet(tuple("abcdefghijklmn"), "chars"), "mera", 0), path)
+        assert main(["sample", "--model", str(path), "--count", "70", "--seed", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 70 and all(len(l) == 8 and set(l) <= set("abcdefghijklmn") for l in lines)
+        assert main(["mi", "--model", str(path), "--lmax", "7"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 7 + 2
 
 
 class TestEvalCommand:

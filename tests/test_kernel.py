@@ -20,7 +20,7 @@ from isotn.dense import state
 from isotn.errors import ZeroAmplitudeError
 from isotn.manifold import gauge_transform, moduli_dimension, real_stiefel_dim, retract, tangent_project
 from isotn.model import SampleMultiset, log_likelihood
-from isotn.network import TensorNetwork, amplitudes, random_network, random_tensors
+from isotn.network import TensorNetwork, amplitudes, random_network, random_tensors, site_marginal
 from isotn.sampling import conditional_distribution
 from isotn.tensor_core import isometry_violation, random_isometry
 from isotn.training import TrainConfig, gradient, mean_gradient, train
@@ -98,7 +98,7 @@ def test_items_sharing_no_edge_multiply_out():
     seqs = enumerate_sequences(net.site_dims)
     psi = state(net)
     assert np.max(np.abs(amplitudes(net, seqs) - np.array([psi[s] for s in seqs]))) <= 1e-12
-    assert np.max(np.abs(network._open_state(net) - psi)) <= 1e-12
+    assert np.max(np.abs(site_marginal(net, {}, (0, 1, 2)) - np.abs(psi) ** 2)) <= 1e-12
     g, _ = mean_gradient(net, [(seqs[7], 1)])
     envs, amp = einsum_environments(net, seqs[7])
     assert max(np.max(np.abs(g[v] + np.conj(envs[v] / amp))) for v in g) <= 1e-12

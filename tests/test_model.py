@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from isotn import model
 from isotn.manifold import gauge_transform
 from isotn.model import (
     SampleMultiset,
@@ -13,7 +15,7 @@ from isotn.model import (
     kl_divergence,
     log_likelihood,
 )
-from isotn.network import random_network
+from isotn.network import amplitudes, random_network
 from isotn.tensor_core import random_isometry
 
 from conftest import deterministic_chain_net, enumerate_sequences, philox, single_vertex_net
@@ -114,6 +116,31 @@ class TestLogLikelihood:
             assert log_likelihood(net, SampleMultiset(256, {(1,) * 256: 1})) == math.inf
         message = str(record[0].message)
         assert len(message) <= 200 and "length 256" in message
+
+    def test_memory_is_flat_in_the_number_of_windows(self):
+        net = random_network("mera", 8, 5, 4, philox(46))
+        gen = philox(47)
+
+        def peak(count):
+            rows = gen.integers(0, 5, (count, 8)).tolist()
+            sample = SampleMultiset(8, {tuple(r): 1 for r in rows})
+            tracemalloc.start()
+            try:
+                log_likelihood(net, sample)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8)  # compile the path first
+        assert peak(4 * model._EVAL_ROWS) <= 1.1 * peak(model._EVAL_ROWS)
+
+    def test_chunks_score_like_one_batch(self):
+        net = random_network("chain", 6, 3, 3, philox(48))
+        rows = philox(49).integers(0, 3, (3 * model._EVAL_ROWS, 6)).tolist()
+        sample = SampleMultiset(6, {tuple(r): 1 + k % 3 for k, r in enumerate(rows)})
+        probs = np.abs(amplitudes(net, list(sample.entries))) ** 2
+        expected = -sum(m * math.log(p) for m, p in zip(sample.entries.values(), probs))
+        assert abs(log_likelihood(net, sample) - expected) <= 1e-13 * abs(expected)
 
 
 class TestKLDivergence:

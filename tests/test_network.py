@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ from isotn.errors import IsometryImpossibleError, ShapeError
 from isotn.graph import Quiver, topological_layers
 from isotn.network import (
     TensorNetwork,
-    _open_state,
     amplitude,
     amplitudes,
     random_network,
@@ -263,11 +263,7 @@ def no_layer_maps(monkeypatch):
 
 
 class TestBoundaryState:
-    """Non-tree networks take every path through one boundary-state contraction."""
-
-    def test_mera_open_state_matches_dense_state(self, rng):
-        net = random_network("mera", 8, 2, 3, rng)
-        np.testing.assert_allclose(_open_state(net), state(net), rtol=0, atol=1e-12)
+    """Non-tree networks take every doubled quantity through the compiled doubled path."""
 
     def test_mera_marginal_paths_build_no_layer_map(self, rng, no_layer_maps):
         net = random_network("mera", 8, 2, 2, rng)
@@ -287,23 +283,43 @@ class TestBoundaryState:
         joint = site_marginal(net, {}, (6, 11))
         assert np.max(np.abs(joint.sum(axis=1) - one)) <= 1e-12
 
-    def test_state_beyond_memory_fails_before_contracting(self, monkeypatch):
-        monkeypatch.setattr(network, "contract", lambda *args: pytest.fail("contracted"))
-        monkeypatch.setattr(network.os, "sysconf", lambda name: 1024)  # 1 MiB of memory
-        net = random_network("mera", 16, 2, 2, philox(43))  # 2**16 entries, twice 1 MiB
-        with pytest.raises(MemoryError, match=r"^the state needs ~0.00195 GiB"):
-            conditional_distribution(net, (0, 1))
+    def test_mera_joints_and_expectations_match_dense_state(self):
+        net = random_network("mera", 8, 2, 3, philox(44))
+        psi = state(net)
+        prob = np.abs(psi) ** 2
+        for i in range(8):
+            for j in range(i + 1, 8):
+                rest = tuple(ax for ax in range(8) if ax not in (i, j))
+                assert np.max(np.abs(site_marginal(net, {}, (i, j)) - prob.sum(axis=rest))) <= 1e-12
+        x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        ket = psi
+        for p in (2, 5):
+            ket = np.moveaxis(np.tensordot(x, ket, axes=([1], [p])), 0, p)
+        assert abs(site_operator_expectation(net, {2: x, 5: x}) - np.vdot(psi, ket)) <= 1e-12
 
-    def test_mera_state_is_built_once_per_network(self, monkeypatch):
+    def test_doubled_paths_compile_once_per_roles(self, monkeypatch):
         net = random_network("mera", 16, 2, 2, philox(42))
-        amplitudes(net, [(0,) * 16, (1,) * 16])
-        assert "_state" not in vars(net)  # a sequence's contraction is never cached
-        states = []
-        real = network._open_state
-        monkeypatch.setattr(network, "_open_state", lambda *args: states.append(real(*args)) or states[-1])
-        decay_curve(net, 4)
-        assert len(states) == 54 and all(s is states[0] for s in states)
-        assert not states[0].flags.writeable
+        calls = []
+        real = network._compile
+        monkeypatch.setattr(network, "_compile", lambda *args: calls.append(1) or real(*args))
+        first = decay_curve(net, 4)
+        assert len(calls) == 54  # one path per pair, keyed by which legs are open
+        member = net.with_tensors(random_tensors(net.quiver, net.edge_dim, philox(43)))
+        assert decay_curve(net, 4) == first and decay_curve(member, 4) != first
+        assert len(calls) == 54
+
+    def test_mera_pair_joints_far_beyond_the_state(self):
+        # the state has 2**32 entries (64 GiB); a pair's causal cone is small
+        net = random_network("mera", 32, 2, 4, philox(45))
+        tracemalloc.start()
+        try:
+            joints = [site_marginal(net, {}, (i, j)) for i, j in ((0, 1), (7, 8), (13, 21), (30, 31))]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        for joint in joints:
+            assert joint.shape == (2, 2) and abs(joint.sum() - 1.0) <= 1e-12 and joint.min() >= -1e-15
 
 
 def _imported_modules(path: Path):

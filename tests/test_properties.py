@@ -1,8 +1,10 @@
-"""Property tests of the tree doubled sweep against the dense state.
+"""Property tests of the doubled network and the sampler's conditionals
+against the dense state, on every topology.
 
-The trees are random directed trees whose Out-edge ids are shuffled, so a
+The random trees are directed trees whose Out-edge ids are shuffled, so a
 leaf's sequence position need not follow depth-first order, and whose
-vertices have mixed leaf and internal legs in any order.
+vertices have mixed leaf and internal legs in any order. The standard
+networks are the chains, binary trees and MERAs of ``random_network``.
 """
 
 import numpy as np
@@ -11,7 +13,15 @@ from hypothesis import strategies as st
 
 from isotn.dense import state
 from isotn.graph import Quiver
-from isotn.network import TensorNetwork, random_tensors, site_marginal, site_operator_expectation
+from isotn.network import (
+    TensorNetwork,
+    amplitude,
+    random_network,
+    random_tensors,
+    site_marginal,
+    site_operator_expectation,
+)
+from isotn.sampling import conditional_distribution, sample
 
 from conftest import philox
 
@@ -55,6 +65,17 @@ def random_trees(draw):
     return TensorNetwork(q, dims, random_tensors(q, dims, philox(draw(st.integers(0, 2**16)))))
 
 
+@st.composite
+def standard_networks(draw):
+    """A Haar-random chain (2–6 sites), binary tree or MERA (2, 4 or 8
+    sites), site dims 2–3, bond cap 1–4. An 8-site MERA has site dim 2:
+    at 3 the dense oracle's layer maps take seconds."""
+    kind = draw(st.sampled_from(["chain", "tree", "mera"]))
+    n = draw(st.integers(2, 6)) if kind == "chain" else draw(st.sampled_from([2, 4, 8]))
+    w = 2 if (kind, n) == ("mera", 8) else draw(st.integers(2, 3))
+    return random_network(kind, n, w, draw(st.integers(1, 4)), philox(draw(st.integers(0, 2**16))))
+
+
 def hermitian(d, gen):
     a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
     return a + a.conj().T
@@ -69,9 +90,8 @@ def dense_doubled(psi, ops, open_pos):
     return np.sum(psi.conj() * ket, axis=closed)
 
 
-@settings(max_examples=150)
-@given(net=random_trees(), data=st.data())
-def test_tree_marginals_and_expectations_match_dense_state(net, data):
+def check_against_dense_state(net, data):
+    """Marginals (1–3 open legs, up to 2 operators) and an expectation."""
     n, dims = net.n_sites, net.site_dims
     psi = state(net)
     opened = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
@@ -89,3 +109,24 @@ def test_tree_marginals_and_expectations_match_dense_state(net, data):
     ops[opened[0]] = hermitian(dims[opened[0]], gen)
     want = dense_doubled(psi, ops, ())
     assert abs(site_operator_expectation(net, ops) - want) <= 1e-12
+
+
+@settings(max_examples=150)
+@given(net=random_trees(), data=st.data())
+def test_tree_marginals_and_expectations_match_dense_state(net, data):
+    check_against_dense_state(net, data)
+
+
+@settings(max_examples=100)
+@given(net=standard_networks(), data=st.data())
+def test_standard_network_marginals_and_expectations_match_dense_state(net, data):
+    check_against_dense_state(net, data)
+
+
+@settings(max_examples=100)
+@given(net=st.one_of(random_trees(), standard_networks()), seed=st.integers(0, 2**16))
+def test_conditionals_multiply_to_the_born_probability(net, seed):
+    s = sample(net, 1, philox(seed))[0]
+    chain = np.prod([conditional_distribution(net, s[:k])[s[k]] for k in range(net.n_sites)])
+    born = abs(amplitude(net, s)) ** 2
+    assert abs(chain - born) <= 1e-12 * born

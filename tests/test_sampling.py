@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import isotn.network as network
 import isotn.sampling as sampling
 from isotn.errors import ConditioningError
 from isotn.graph import Quiver
@@ -193,13 +194,14 @@ class TestRealisticLengths:
         prefix = sample(net, 1, philox(13))[0][:-1]
         assert abs(conditional_distribution(net, prefix).sum() - 1.0) <= 1e-12
 
-    def test_mera_state_built_once_per_call(self, monkeypatch):
+    def test_mera_sampler_compiles_one_path_per_position(self, monkeypatch):
         net = random_network("mera", 16, 2, 2, philox(37))
         calls = []
-        real = sampling._open_state
-        monkeypatch.setattr(sampling, "_open_state", lambda *args: calls.append(1) or real(*args))
-        assert len(sample(net, 5, philox(12))) == 5
-        assert len(calls) == 1
+        real = network._compile
+        monkeypatch.setattr(network, "_compile", lambda *args: calls.append(1) or real(*args))
+        draws = sample(net, 5, philox(12))
+        assert len(draws) == 5 and len(calls) == 16
+        assert sample(net, 5, philox(12)) == draws and len(calls) == 16
 
     def test_long_prefix_error_is_bounded(self):
         net = deterministic_chain_net((0,) * 257, 2)
