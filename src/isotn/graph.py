@@ -166,7 +166,8 @@ class Plan:
     when ``is_tree`` holds. ``below`` maps every edge to the sorted
     sequence positions of the Out edges reachable from it. ``paths``
     caches the contraction paths :mod:`isotn.network` compiles for this
-    quiver, keyed by edge dimensions and leg roles.
+    quiver, keyed by edge dimensions and leg roles, and ``groups`` its
+    vertices grouped by tensor shape, keyed by edge dimensions.
     """
 
     layering: Layering
@@ -176,6 +177,7 @@ class Plan:
     legs: Mapping[int, VertexLegs]
     below: Mapping[int, tuple[int, ...]]
     paths: dict = field(default_factory=dict, compare=False, repr=False)
+    groups: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _build_plan(q: Quiver) -> Plan:

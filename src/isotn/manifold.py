@@ -16,54 +16,60 @@ import numpy as np
 
 from .errors import UnsupportedTopologyError
 from .network import TensorNetwork
-from .tensor_core import as_matrix, from_matrix, matrix_dims, project_to_isometry
+from .tensor_core import as_stack, from_stack, matrix_dims, project_to_isometry
 
 TangentVector = dict[int, np.ndarray]
+
+
+def _stack(arrays: Mapping[int, np.ndarray], verts: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """The arrays of one shape group's ``verts`` stacked as a (k, *shape)
+    complex copy; a missing or misshapen direction raises ValueError
+    naming its vertex."""
+    for v in verts:
+        if v not in arrays:
+            raise ValueError(f"vertex {v}: no direction given")
+        if np.shape(arrays[v]) != shape:
+            raise ValueError(f"vertex {v}: direction shape {np.shape(arrays[v])} != tensor shape {shape}")
+    return np.array([arrays[v] for v in verts], dtype=np.complex128)
 
 
 def tangent_project(net: TensorNetwork, raw: Mapping[int, np.ndarray]) -> TangentVector:
     """Project per-vertex arrays onto the Stiefel tangent space.
 
     Per vertex, with U the grouped matrix and G the grouped input:
-    ξ = G − U·herm(U†G). The result satisfies U†ξ + ξ†U = 0 and the
-    projection is idempotent.
+    ξ = G − U·herm(U†G) (Edelman, Arias & Smith, SIAM J. Matrix Anal.
+    Appl. 20, 1998). The result satisfies U†ξ + ξ†U = 0 and the
+    projection is idempotent. Each shape group runs at once on its
+    transposed stacks A = Uᵀ, B = Gᵀ: with K = B·A†, ξᵀ = B − herm(K)·A.
     """
     out: TangentVector = {}
-    for v in net.quiver.vertices:
-        t = net.vertex_tensor[v]
-        g = np.asarray(raw[v], dtype=np.complex128)
-        if g.shape != t.shape:
-            raise ValueError(f"vertex {v}: direction shape {g.shape} != tensor shape {t.shape}")
-        split = net.vertex_split(v)
-        u = as_matrix(t, split)
-        gm = as_matrix(g, split)
-        utg = u.conj().T @ gm
-        xi = gm - u @ ((utg + utg.conj().T) / 2.0)
-        out[v] = from_matrix(xi, t.shape, split)
+    for verts, shape, split in net.shape_groups():
+        g = _stack(raw, verts, shape)
+        a, b = as_stack(_stack(net.vertex_tensor, verts, shape), split), as_stack(g, split)
+        k = b @ np.swapaxes(a, 1, 2).conj()
+        b -= (k + np.swapaxes(k, 1, 2).conj()) / 2.0 @ a
+        out.update(zip(verts, from_stack(b, g.shape, split)))
     return out
 
 
 def tangency_violation(net: TensorNetwork, xi: Mapping[int, np.ndarray]) -> float:
     """max over vertices of ‖U†ξ + ξ†U‖_max (0 for an exact tangent)."""
     worst = 0.0
-    for v in net.quiver.vertices:
-        split = net.vertex_split(v)
-        u = as_matrix(net.vertex_tensor[v], split)
-        x = as_matrix(np.asarray(xi[v], dtype=np.complex128), split)
-        sym = u.conj().T @ x
-        worst = max(worst, float(np.max(np.abs(sym + sym.conj().T))))
+    for verts, shape, split in net.shape_groups():
+        a = as_stack(_stack(net.vertex_tensor, verts, shape), split)
+        x = as_stack(_stack(xi, verts, shape), split)
+        sym = x @ np.swapaxes(a, 1, 2).conj()  # (U†ξ)ᵀ, whose sum with its adjoint has the same moduli
+        worst = max(worst, float(np.max(np.abs(sym + np.swapaxes(sym, 1, 2).conj()))))
     return worst
 
 
 def retract(net: TensorNetwork, xi: Mapping[int, np.ndarray], step: float) -> TensorNetwork:
-    """Move every vertex by ``step``·ξ and snap back to the nearest isometry."""
+    """Move every vertex by ``step``·ξ and snap back to the nearest isometry,
+    one polar factor call per shape group."""
     new_tensors = {}
-    for v in net.quiver.vertices:
-        t = net.vertex_tensor[v]
-        d = np.asarray(xi[v], dtype=np.complex128)
-        if d.shape != t.shape:
-            raise ValueError(f"vertex {v}: direction shape {d.shape} != tensor shape {t.shape}")
-        new_tensors[v] = project_to_isometry(t + step * d, net.vertex_split(v))
+    for verts, shape, split in net.shape_groups():
+        moved = _stack(xi, verts, shape) * step + _stack(net.vertex_tensor, verts, shape)
+        new_tensors.update(zip(verts, project_to_isometry(moved, split)))
     return net.with_tensors(new_tensors)
 
 

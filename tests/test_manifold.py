@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isotn.errors import UnsupportedTopologyError
+from isotn.errors import SingularMatrixError, UnsupportedTopologyError
 from isotn.graph import Quiver, build_chain
 from isotn.manifold import (
     gauge_orbit_rank,
@@ -101,6 +101,81 @@ class TestRetract:
                 for v in net.quiver.vertices
             )
             assert err < 10.0 * t**2
+
+
+def per_vertex_tangent(net, raw):
+    """ξ = G − U·herm(U†G), one grouped matrix at a time: the reference."""
+    out = {}
+    for v in net.quiver.vertices:
+        split = net.vertex_split(v)
+        u, g = as_matrix(net.vertex_tensor[v], split), as_matrix(np.asarray(raw[v], dtype=complex), split)
+        utg = u.conj().T @ g
+        out[v] = from_matrix(g - u @ ((utg + utg.conj().T) / 2.0), net.vertex_tensor[v].shape, split)
+    return out
+
+
+def per_vertex_svd_retract(net, xi, step):
+    """The polar factor of U + step·ξ from one SVD per vertex: the reference."""
+    out = {}
+    for v in net.quiver.vertices:
+        split, t = net.vertex_split(v), net.vertex_tensor[v]
+        w, _, vh = np.linalg.svd(as_matrix(t + step * xi[v], split), full_matrices=False)
+        out[v] = from_matrix(w @ vh, t.shape, split)
+    return out
+
+
+class TestShapeGroups:
+    @pytest.mark.parametrize("kind, shapes", [
+        ("chain", {(1, 8, 27), (8, 8, 27), (8, 27)}),
+        ("tree", {(1, 8, 8), (8, 8, 8), (8, 27, 27)}),
+        ("mera", {(1, 8, 8), (8, 8, 8), (8, 8, 8, 8), (8, 8, 27), (8, 8, 27, 27)}),
+    ])
+    def test_batched_geometry_matches_per_vertex_reference(self, kind, shapes):
+        gen = philox(21)
+        net = random_network(kind, 8, 27, 8, gen)
+        groups = net.shape_groups()
+        assert {shape for _, shape, _ in groups} == shapes
+        assert sorted(v for verts, _, _ in groups for v in verts) == sorted(net.quiver.vertices)
+        assert any(len(verts) > 1 for verts, _, _ in groups)
+        raw = random_direction(net, gen)
+        xi = tangent_project(net, raw)
+        expected = per_vertex_tangent(net, raw)
+        for v in net.quiver.vertices:
+            np.testing.assert_allclose(xi[v], expected[v], rtol=0, atol=1e-13)
+        moved = retract(net, xi, 0.05)
+        expected = per_vertex_svd_retract(net, xi, 0.05)
+        for v in net.quiver.vertices:
+            np.testing.assert_allclose(moved.vertex_tensor[v], expected[v], rtol=0, atol=1e-13)
+        assert tangency_violation(net, xi) < 1e-13
+        assert moved.max_isometry_violation() < 1e-13
+
+    def test_groups_are_cached_per_edge_dims(self, rng):
+        net = random_network("tree", 8, 3, 2, rng)
+        assert net.with_tensors(net.vertex_tensor).shape_groups() is net.shape_groups()
+
+    @pytest.mark.parametrize("call", [
+        lambda net, d: tangent_project(net, d),
+        lambda net, d: retract(net, d, 0.1),
+        lambda net, d: tangency_violation(net, d),
+    ], ids=["tangent_project", "retract", "tangency_violation"])
+    def test_missing_direction_names_the_vertex(self, call, rng):
+        net = random_network("tree", 4, 2, 2, rng)
+        directions = random_direction(net, rng)
+        del directions[0]
+        with pytest.raises(ValueError, match=r"^vertex 0: no direction given$"):
+            call(net, directions)
+
+    def test_rank_deficient_update_raises(self, rng):
+        # moving vertex 1 by −U·e₀e₀† drops one input direction: rank d_in − 1
+        net = random_network("tree", 8, 3, 2, rng)
+        xi = {v: np.zeros(t.shape, dtype=complex) for v, t in net.vertex_tensor.items()}
+        t, split = net.vertex_tensor[1], net.vertex_split(1)
+        u = as_matrix(t, split)
+        assert u.shape[1] > 1
+        xi[1] = from_matrix(-u[:, :1] @ np.eye(u.shape[1])[:1], t.shape, split)
+        with pytest.raises(SingularMatrixError) as err:
+            retract(net, xi, 1.0)
+        assert err.value.smallest_singular_value <= 1e-12
 
 
 class TestModuliDimension:

@@ -20,7 +20,7 @@ from isotn.network import (
     site_operator_expectation,
 )
 from isotn.sampling import conditional_distribution
-from isotn.tensor_core import IndexSplit, is_isometry, random_isometry
+from isotn.tensor_core import IndexSplit, is_isometry, isometry_violation, random_isometry
 
 from conftest import deterministic_chain_net, enumerate_sequences, philox, single_vertex_net, two_site_net
 
@@ -377,6 +377,27 @@ class TestValidation:
         q = Quiver((0,), (), (0,), (1,), {1: 0}, {0: 0})
         with pytest.raises(IsometryImpossibleError):
             TensorNetwork(q, {0: 3, 1: 2}, {0: np.ones((3, 2)) / 9.0})
+
+    def test_batched_check_names_the_perturbed_vertex(self):
+        net = random_network("tree", 32, 27, 8, philox(12))
+        leaves = [v for v in net.quiver.vertices if net.vertex_tensor[v].shape == (8, 27, 27)]
+        assert len(leaves) == 16
+        v = leaves[11]
+        bad = np.array(net.vertex_tensor[v])
+        bad[3, 5, 7] += 1e-6
+        expected = isometry_violation(bad, net.vertex_split(v))
+        assert 1e-8 < expected < 1e-5
+        with pytest.raises(ValueError, match=rf"^vertex {v} tensor is not isometric "
+                                             rf"\(violation {expected:.3e} > tol 1e-08\)$"):
+            net.with_tensors({**net.vertex_tensor, v: bad})
+
+    def test_impossible_vertex_fires_before_the_isometry_check(self):
+        # vertex 1 maps a dim-4 In edge to one Out leg of dim 2, so no
+        # isometry exists; vertex 0 is not isometric either, and comes first
+        q = Quiver((0, 1), (1,), (0,), (2, 3), {1: 0, 2: 0, 3: 1}, {0: 0, 1: 1})
+        tensors = {0: np.ones((1, 4, 2)), 1: np.ones((4, 2))}
+        with pytest.raises(IsometryImpossibleError, match=r"^vertex 1: incoming dimension 4 exceeds outgoing 2$"):
+            TensorNetwork(q, {0: 1, 1: 4, 2: 2, 3: 2}, tensors)
 
     def test_missing_edge_dim_rejected(self):
         q = Quiver((0,), (), (0,), (1,), {1: 0}, {0: 0})

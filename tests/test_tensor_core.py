@@ -95,6 +95,70 @@ class TestProjectToIsometry:
         assert err.value.smallest_singular_value <= 1e-12
 
 
+def svd_polar(m):
+    w, _, vh = np.linalg.svd(m, full_matrices=False)
+    return w @ vh
+
+
+def gram_polar(m):
+    """M(M†M)^{-1/2} from the Gram matrix, as the batched route computes it."""
+    lam, vec = np.linalg.eigh(m.conj().T @ m)
+    return m @ (vec * lam**-0.5) @ vec.conj().T
+
+
+class TestProjectStack:
+    SPLIT = IndexSplit((0,), (1, 2))  # in axis first, as on vertex tensors
+
+    def stack(self, gen, k, sigmas=None):
+        """k random (2, 3, 4) tensors; member 0 gets singular values ``sigmas``."""
+        t = gen.standard_normal((k, 2, 3, 4)) + 1j * gen.standard_normal((k, 2, 3, 4))
+        if sigmas is not None:
+            m = t[0].reshape(2, 12)
+            w, _, vh = np.linalg.svd(m, full_matrices=False)
+            t[0] = ((w * sigmas) @ vh).reshape(2, 3, 4)
+        return t
+
+    def test_members_match_per_member_svd(self):
+        t = self.stack(philox(5), 6)
+        out = project_to_isometry(t, self.SPLIT)
+        assert out.shape == t.shape and not out.flags.writeable
+        for member, p in zip(t, out):
+            expected = svd_polar(as_matrix(member, self.SPLIT))
+            np.testing.assert_allclose(as_matrix(p, self.SPLIT), expected, rtol=0, atol=1e-13)
+        np.testing.assert_array_less(isometry_violation(out, self.SPLIT), 1e-14)
+
+    def test_stack_axes_follow_any_split(self):
+        t = self.stack(philox(6), 3).transpose(0, 2, 1, 3)  # member axes (3, 2, 4), in axis 1
+        split = IndexSplit((1,), (0, 2))
+        out = project_to_isometry(t, split)
+        for member, p in zip(t, out):
+            np.testing.assert_allclose(as_matrix(p, split), svd_polar(as_matrix(member, split)),
+                                       rtol=0, atol=1e-13)
+
+    def test_ill_conditioned_member_takes_the_svd(self):
+        # κ(M) = 1e4: the Gram route would miss the isometry by ~1e-9; the
+        # SVD the whole stack falls back to does not
+        t = self.stack(philox(7), 4, sigmas=[1.0, 1e-4])
+        ill = gram_polar(as_matrix(t[0], self.SPLIT))
+        assert np.max(np.abs(ill.conj().T @ ill - np.eye(2))) > 1e-12
+        out = project_to_isometry(t, self.SPLIT)
+        np.testing.assert_array_less(isometry_violation(out, self.SPLIT), 1e-14)
+        for k, (member, p) in enumerate(zip(t, out)):
+            # the polar factor of M itself moves by ~eps·κ between two SVDs
+            np.testing.assert_allclose(as_matrix(p, self.SPLIT), svd_polar(as_matrix(member, self.SPLIT)),
+                                       rtol=0, atol=1e-11 if k == 0 else 1e-13)
+
+    def test_singular_member_raises(self):
+        t = self.stack(philox(8), 3, sigmas=[1.0, 0.0])
+        with pytest.raises(SingularMatrixError) as err:
+            project_to_isometry(t, self.SPLIT)
+        assert err.value.smallest_singular_value <= 1e-12
+
+    def test_violation_per_member(self):
+        t = np.stack([np.eye(3), 2.0 * np.eye(3)])
+        np.testing.assert_allclose(isometry_violation(t, IndexSplit((1,), (0,))), [0.0, 3.0])
+
+
 def test_astensor_rejects_nonfinite():
     with pytest.raises(ShapeError):
         astensor([1.0, np.nan])
