@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import corpus, diagnostics, model, sampling, training
-from .errors import IsotnError
+from .errors import IsotnError, UnsupportedTopologyError
 from .manifold import gauge_orbit_rank, moduli_dimension, real_stiefel_dim
 from .model_io import ModelBundle, load_model, save_model
 from .network import random_network
@@ -139,16 +139,22 @@ def cmd_mi(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    bundle = load_model(args.model)
-    dim = moduli_dimension(bundle.net)
-    rank = gauge_orbit_rank(bundle.net)
-    real = real_stiefel_dim(bundle.net)
-    quotient = (real - rank) / 2
-    print(f"moduli dimension   {dim}")
+    net = load_model(args.model).net
+    try:
+        dim = moduli_dimension(net)
+    except UnsupportedTopologyError:
+        dim = None
+    rank = gauge_orbit_rank(net)
+    real = real_stiefel_dim(net)
+    print(f"moduli dimension   {'- (the closed-form count covers trees only)' if dim is None else dim}")
     print(f"stiefel real dim   {real}")
     print(f"gauge orbit rank   {rank}")
-    print(f"(real - rank)/2    {quotient:g}  "
-          f"[{'consistent' if quotient == dim else 'INCONSISTENT'}]")
+    if dim is None:
+        print(f"quotient real dim  {real - rank}")
+    else:
+        quotient = (real - rank) / 2
+        print(f"(real - rank)/2    {quotient:g}  "
+              f"[{'consistent' if quotient == dim else 'INCONSISTENT'}]")
     return 0
 
 

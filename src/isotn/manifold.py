@@ -122,35 +122,38 @@ def _antihermitian_basis(d: int):
             yield m
 
 
+def _act_on_leg(t: np.ndarray, ax: int, m: np.ndarray) -> np.ndarray:
+    """``t`` with the (d, d) matrix ``m`` applied to its leg ``ax``."""
+    return np.moveaxis(np.tensordot(t, m, axes=([ax], [1])), -1, ax)
+
+
+def _gauged_legs(net: TensorNetwork, v: int):
+    """(edge, axis, is_in) for each leg of ``v`` on an internal or In edge."""
+    ins, outs = net.quiver.vertex_in_edges(v), net.quiver.vertex_out_edges(v)
+    legs = [(e, ax, True) for ax, e in enumerate(ins)]
+    return legs + [(e, len(ins) + k, False) for k, e in enumerate(outs) if e in net.quiver.target]
+
+
 def gauge_transform(net: TensorNetwork, unitaries: Mapping[int, np.ndarray]) -> TensorNetwork:
     """Act by a gauge group element: a unitary per internal or In edge.
 
     Each vertex tensor is composed with u_e on every outgoing internal edge
-    and with u_e^{-1} on every incoming edge; Out edges are untouched. The
-    evaluation map, hence every sequence probability, is unchanged.
+    and with u_e^{-1} on every incoming edge, i.e. with conj(u_e) = (u_e^{-1})ᵀ
+    on that leg; Out edges are untouched. The evaluation map, hence every
+    sequence probability, is unchanged.
     """
-    q = net.quiver
-    gauged = set(q.internal_edges) | set(q.in_edges)
     for e, u in unitaries.items():
-        if e not in gauged:
+        if e not in net.quiver.target:
             raise ValueError(f"edge {e} is not an internal or In edge")
-        d = net.edge_dim[e]
-        if np.asarray(u).shape != (d, d):
+        if np.shape(u) != (net.edge_dim[e],) * 2:
             raise ValueError(f"unitary for edge {e} has wrong shape")
     new_tensors = {}
-    for v in q.vertices:
+    for v in net.quiver.vertices:
         t = net.vertex_tensor[v]
-        ins = q.vertex_in_edges(v)
-        outs = q.vertex_out_edges(v)
-        for ax, e in enumerate(ins):
-            if e in unitaries:
-                inv = np.asarray(unitaries[e], dtype=np.complex128).conj().T
-                t = np.moveaxis(np.tensordot(t, inv, axes=([ax], [0])), -1, ax)
-        for k, e in enumerate(outs):
+        for e, ax, is_in in _gauged_legs(net, v):
             if e in unitaries:
                 u = np.asarray(unitaries[e], dtype=np.complex128)
-                ax = len(ins) + k
-                t = np.moveaxis(np.tensordot(t, u, axes=([ax], [1])), -1, ax)
+                t = _act_on_leg(t, ax, u.conj() if is_in else u)
         new_tensors[v] = t
     return net.with_tensors(new_tensors)
 
@@ -158,48 +161,36 @@ def gauge_transform(net: TensorNetwork, unitaries: Mapping[int, np.ndarray]) -> 
 def gauge_orbit_rank(net: TensorNetwork) -> int:
     """Numerical rank of the gauge action's differential at the current point.
 
-    Columns of the (real) Jacobian are the infinitesimal motions of all
-    vertex tensors under one anti-Hermitian generator on one internal or In
-    edge; the rank counts singular values above 1e-8 of the largest. For a
-    generic tree the action is free, so the rank equals the summed squared
-    edge dimensions, and (real parameter dim − rank)/2 recovers the moduli
-    dimension.
+    A column of the real Jacobian J is the motion of every vertex tensor
+    under one anti-Hermitian generator X on one internal or In edge: X on
+    the edge's out leg at its source, −Xᵀ on its in leg at its target. A
+    column touches at most two vertices, so JᵀJ is assembled vertex by
+    vertex: each vertex adds J_v·J_vᵀ, where the rows of J_v are the real
+    and imaginary parts of its own tensor's motion under each generator
+    of its own gauged legs, at those edges' offsets. No rows × columns
+    matrix is built. The rank counts the Gram eigenvalues above 1e-12 of
+    the largest, i.e. singular values of J above 1e-6·σ_max; squaring
+    puts true zeros near 1e-8·σ_max. For a generic tree the action is
+    free, so the rank equals the summed squared edge dimensions, and
+    (real parameter dim − rank)/2 recovers the moduli dimension. On MERA
+    it falls short of that sum by E_gauged − V: edge phases that cancel
+    at every vertex act trivially.
     """
-    q = net.quiver
-    gauged = sorted(set(q.internal_edges) | set(q.in_edges))
-    rows = sum(2 * net.vertex_tensor[v].size for v in q.vertices)
-    cols = sum(net.edge_dim[e] ** 2 for e in gauged)
-    if cols == 0:
+    gauged = sorted(net.quiver.target)  # the internal and In edges
+    sizes = [net.edge_dim[e] ** 2 for e in gauged]
+    offset = dict(zip(gauged, np.cumsum([0] + sizes).tolist()))
+    gram = np.zeros((sum(sizes), sum(sizes)))
+    for v in net.quiver.vertices:
+        t = net.vertex_tensor[v]
+        gens = [(offset[e] + k, ax, -x.T if is_in else x) for e, ax, is_in in _gauged_legs(net, v)
+                for k, x in enumerate(_antihermitian_basis(net.edge_dim[e]))]
+        jv = np.empty((len(gens), t.size), dtype=np.complex128)
+        for row, (_, ax, x) in zip(jv, gens):
+            row[:] = _act_on_leg(t, ax, x).ravel()
+        jv = jv.view(np.float64)  # real and imaginary parts interleaved
+        cols = [col for col, _, _ in gens]
+        gram[np.ix_(cols, cols)] += jv @ jv.T
+    lam = np.linalg.eigvalsh(gram)
+    if lam.size == 0 or lam[-1] <= 0.0:
         return 0
-    jac = np.zeros((rows, cols), dtype=np.float64)
-    col = 0
-    for e in gauged:
-        touched = []
-        for v in q.vertices:
-            ins = q.vertex_in_edges(v)
-            outs = q.vertex_out_edges(v)
-            if e in ins:
-                touched.append((v, "in", ins.index(e)))
-            if e in outs:
-                touched.append((v, "out", len(ins) + outs.index(e)))
-        for gen in _antihermitian_basis(net.edge_dim[e]):
-            deltas = {}
-            for v, side, ax in touched:
-                t = net.vertex_tensor[v]
-                if side == "out":
-                    d = np.moveaxis(np.tensordot(t, gen, axes=([ax], [1])), -1, ax)
-                else:
-                    d = -np.moveaxis(np.tensordot(t, gen, axes=([ax], [0])), -1, ax)
-                deltas[v] = deltas.get(v, 0) + d
-            chunks = []
-            for v in q.vertices:
-                d = deltas.get(v)
-                flat = np.zeros(net.vertex_tensor[v].size, dtype=np.complex128) if d is None else d.ravel()
-                chunks.append(flat.real)
-                chunks.append(flat.imag)
-            jac[:, col] = np.concatenate(chunks)
-            col += 1
-    sv = np.linalg.svd(jac, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > 1e-8 * sv[0]))
+    return int(np.sum(lam > 1e-12 * lam[-1]))

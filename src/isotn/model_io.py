@@ -178,6 +178,7 @@ def load_model(path) -> ModelBundle:
     if digest.digest() != checksum:
         raise ModelFileError(f"{path}: checksum mismatch (file corrupted or truncated)")
 
+    binary.setflags(write=False)  # the tensors are views of this buffer, taken without a copy
     parts = np.split(binary, np.cumsum(counts)[:-1])
     tensors = {v: part.reshape(shape) for (v, shape), part in zip(shapes.items(), parts)}
 

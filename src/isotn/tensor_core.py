@@ -2,7 +2,8 @@
 
 The value type for vertices, states and operators is a plain
 ``numpy.ndarray`` of dtype complex128 in row-major (C) order, produced by
-:func:`astensor`, which validates finiteness and freezes the buffer.
+:func:`astensor`, which validates finiteness and freezes the buffer,
+copying an array its caller can still write to.
 An :class:`IndexSplit` records which axes of a tensor are treated as the
 domain (in) and which as the codomain (out) when the tensor is viewed as a
 linear map.
@@ -36,9 +37,14 @@ def astensor(values) -> np.ndarray:
 
     Accepts anything ``np.asarray`` accepts. The result is a C-contiguous
     complex128 array with the write flag cleared, so tensors can be shared
-    freely. Raises ShapeError if any entry is NaN or infinite.
+    freely. An array the caller can still write to is copied, so the
+    caller's array stays writable and later writes to it never reach the
+    tensor; a read-only array of the right dtype and layout is taken as it
+    is. Raises ShapeError if any entry is NaN or infinite.
     """
     arr = np.ascontiguousarray(values, dtype=np.complex128)
+    if arr.flags.writeable and isinstance(values, np.ndarray) and np.may_share_memory(arr, values):
+        arr = arr.copy()
     if not np.all(np.isfinite(arr)):
         raise ShapeError("tensor entries must be finite (found NaN or Inf)")
     arr.setflags(write=False)
@@ -126,9 +132,15 @@ def as_stack(tensor: np.ndarray, split: IndexSplit) -> np.ndarray:
 
 
 def from_stack(stack: np.ndarray, shape: Sequence[int], split: IndexSplit) -> np.ndarray:
-    """Inverse of :func:`as_stack`: the frozen tensor, or stack, of ``shape``."""
+    """Inverse of :func:`as_stack`: the frozen tensor, or stack, of ``shape``.
+
+    Where the layout allows, the result is a read-only view of ``stack``,
+    which the caller hands over and no longer writes to.
+    """
     axes = _stack_axes(len(shape), split)
-    return astensor(stack.reshape([shape[a] for a in axes]).transpose(np.argsort(axes)))
+    out = stack.reshape([shape[a] for a in axes]).transpose(np.argsort(axes))
+    out.setflags(write=False)  # handed over, so astensor takes it without a copy
+    return astensor(out)
 
 
 def isometry_violation(tensor: np.ndarray, split: IndexSplit) -> float | np.ndarray:
@@ -159,6 +171,7 @@ def random_isometry(in_dim: int, out_dim: int, rng: np.random.Generator) -> np.n
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
+    q.setflags(write=False)  # nothing else holds q, so astensor takes it without a copy
     return astensor(q)
 
 

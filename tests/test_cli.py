@@ -218,8 +218,25 @@ class TestDimCommand:
         save_model(ModelBundle(net, SymbolSet(("a", "b"), "chars"), "custom", 0), path)
         assert main(["dim", "--model", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "moduli dimension   1" in out
-        assert "consistent" in out
+        assert out == ("moduli dimension   1\n"
+                       "stiefel real dim   3\n"
+                       "gauge orbit rank   1\n"
+                       "(real - rank)/2    1  [consistent]\n")
+
+    def test_mera_prints_the_quotient_real_dimension(self, tmp_path, capsys):
+        net = random_network("mera", 8, 2, 2, philox(31))
+        path = tmp_path / "mera.isotn"
+        save_model(ModelBundle(net, SymbolSet(("a", "b"), "chars"), "mera", 0), path)
+        assert main(["dim", "--model", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "moduli dimension   - (the closed-form count covers trees only)"
+        real, rank, quotient = (int(line.split()[-1]) for line in lines[1:])
+        assert lines[1:] == [f"stiefel real dim   {real}", f"gauge orbit rank   {rank}",
+                             f"quotient real dim  {quotient}"]
+        # the gauge action on MERA n=8 has a 3-dimensional stabilizer
+        gauged = net.quiver.internal_edges + net.quiver.in_edges
+        assert rank == sum(net.edge_dim[e] ** 2 for e in gauged) - 3
+        assert quotient == real - rank
 
 
 class TestModelFile:

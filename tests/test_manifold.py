@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from isotn.errors import SingularMatrixError, UnsupportedTopologyError
 from isotn.graph import Quiver, build_chain
 from isotn.manifold import (
+    _antihermitian_basis,
     gauge_orbit_rank,
     moduli_dimension,
     real_stiefel_dim,
@@ -237,3 +240,78 @@ class TestGaugeOrbitRank:
         rank = gauge_orbit_rank(net)
         assert (real_stiefel_dim(net) - rank) % 2 == 0
         assert (real_stiefel_dim(net) - rank) // 2 == moduli_dimension(net)
+
+
+def dense_gauge_orbit_rank(net):
+    """Rank of the dense real Jacobian of the gauge action, by SVD with
+    σ > 1e-8·σ_max: the reference. Each column is one anti-Hermitian
+    generator on one internal or In edge, each row one real coordinate
+    of one vertex tensor."""
+    q = net.quiver
+    gauged = sorted(set(q.internal_edges) | set(q.in_edges))
+    rows = sum(2 * net.vertex_tensor[v].size for v in q.vertices)
+    cols = sum(net.edge_dim[e] ** 2 for e in gauged)
+    jac = np.zeros((rows, cols), dtype=np.float64)
+    col = 0
+    for e in gauged:
+        touched = []
+        for v in q.vertices:
+            ins = q.vertex_in_edges(v)
+            outs = q.vertex_out_edges(v)
+            if e in ins:
+                touched.append((v, "in", ins.index(e)))
+            if e in outs:
+                touched.append((v, "out", len(ins) + outs.index(e)))
+        for gen in _antihermitian_basis(net.edge_dim[e]):
+            deltas = {}
+            for v, side, ax in touched:
+                t = net.vertex_tensor[v]
+                if side == "out":
+                    d = np.moveaxis(np.tensordot(t, gen, axes=([ax], [1])), -1, ax)
+                else:
+                    d = -np.moveaxis(np.tensordot(t, gen, axes=([ax], [0])), -1, ax)
+                deltas[v] = deltas.get(v, 0) + d
+            chunks = []
+            for v in q.vertices:
+                d = deltas.get(v)
+                flat = np.zeros(net.vertex_tensor[v].size, dtype=np.complex128) if d is None else d.ravel()
+                chunks.append(flat.real)
+                chunks.append(flat.imag)
+            jac[:, col] = np.concatenate(chunks)
+            col += 1
+    sv = np.linalg.svd(jac, compute_uv=False)
+    return int(np.sum(sv > 1e-8 * sv[0]))
+
+
+class TestGaugeRankOracle:
+    @pytest.mark.parametrize("kind, n, w, bond, seed, defect", [
+        ("chain", 8, 2, 2, 41, 0),
+        ("chain", 16, 3, 4, 42, 0),
+        ("tree", 8, 2, 3, 43, 0),
+        ("tree", 16, 3, 4, 44, 0),
+        ("mera", 8, 2, 2, 45, 3),
+        ("mera", 8, 3, 3, 46, 3),
+        ("mera", 16, 2, 3, 47, 7),
+        ("mera", 16, 3, 4, 48, 7),
+    ])
+    def test_gram_rank_matches_dense_jacobian(self, kind, n, w, bond, seed, defect):
+        net = random_network(kind, n, w, bond, philox(seed))
+        q = net.quiver
+        gauged = q.internal_edges + q.in_edges
+        rank = gauge_orbit_rank(net)
+        assert rank == dense_gauge_orbit_rank(net)
+        # edge phases that cancel at every vertex act trivially: one U(1)
+        # per independent cycle, none on a tree or chain
+        assert sum(net.edge_dim[e] ** 2 for e in gauged) - rank == len(gauged) - len(q.vertices) == defect
+
+    def test_memory_stays_vertex_local(self):
+        # a dense Jacobian here would be 2·Σ|t_v| × 385 doubles, ~144 MiB
+        net = random_network("tree", 8, 27, 8, philox(49))
+        tracemalloc.start()
+        try:
+            rank = gauge_orbit_rank(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rank == 385
+        assert peak < 32 * 2**20

@@ -20,7 +20,7 @@ from isotn.network import (
     site_operator_expectation,
 )
 from isotn.sampling import conditional_distribution
-from isotn.tensor_core import IndexSplit, is_isometry, isometry_violation, random_isometry
+from isotn.tensor_core import IndexSplit, as_stack, from_stack, is_isometry, isometry_violation, random_isometry
 
 from conftest import deterministic_chain_net, enumerate_sequences, philox, single_vertex_net, two_site_net
 
@@ -403,6 +403,27 @@ class TestValidation:
         q = Quiver((0,), (), (0,), (1,), {1: 0}, {0: 0})
         with pytest.raises(ShapeError):
             TensorNetwork(q, {0: 1}, {0: np.ones((1, 2)) / np.sqrt(2)})
+
+    def test_caller_array_is_copied_not_frozen(self):
+        q = Quiver((0,), (), (0,), (1,), {1: 0}, {0: 0})
+        a = np.array([[1.0, 0.0]], dtype=np.complex128)
+        assert a.flags.c_contiguous
+        net = TensorNetwork(q, {0: 1, 1: 2}, {0: a})
+        assert a.flags.writeable
+        a[0, 0] = 5.0
+        np.testing.assert_array_equal(net.vertex_tensor[0], [[1.0, 0.0]])
+        assert not net.vertex_tensor[0].flags.writeable
+
+    def test_stacked_tensors_are_taken_without_a_copy(self, rng):
+        # a training step's retraction hands its polar-factor stack over
+        # through from_stack, and with_tensors keeps the views
+        net = random_network("tree", 8, 3, 2, rng)
+        verts, shape, split = next(g for g in net.shape_groups() if len(g[0]) > 1)
+        stack = as_stack(np.array([net.vertex_tensor[v] for v in verts]), split).copy()
+        tensors = from_stack(stack, (len(verts),) + shape, split)
+        assert np.shares_memory(tensors, stack)
+        moved = net.with_tensors({**net.vertex_tensor, **dict(zip(verts, tensors))})
+        assert all(np.shares_memory(moved.vertex_tensor[v], t) for v, t in zip(verts, tensors))
 
 
 def test_two_site_helper_builds_bell_state():
