@@ -69,23 +69,23 @@ class DecayFit:
     degenerate: bool = False
 
 
-def _mi_from_joint(joint: np.ndarray) -> float:
+def _mi_from_joint(joint: np.ndarray) -> np.ndarray:
+    """Mutual information in nats of each joint weight table of a (…, a, b)
+    stack, one value per table, each normalized to unit mass here. A weight
+    below −1e-12 or a table with no mass anywhere in the stack raises."""
     joint = np.asarray(joint, dtype=float)
     if np.any(joint < _NEG_TOL):
         raise ValueError(f"negative joint weight {joint.min():.3e}; numerical bug")
     joint = np.clip(joint, 0.0, None)
-    total = joint.sum()
-    if total <= 0.0:
+    total = joint.sum(axis=(-2, -1), keepdims=True)
+    if np.any(total <= 0.0):
         raise ValueError("joint distribution has zero mass")
     joint = joint / total
-    pi = joint.sum(axis=1)
-    pj = joint.sum(axis=0)
+    outer = joint.sum(axis=-1, keepdims=True) * joint.sum(axis=-2, keepdims=True)
     mask = joint > 0.0
-    outer = np.outer(pi, pj)
-    value = float(np.sum(joint[mask] * (np.log(joint[mask]) - np.log(outer[mask]))))
-    if value < 0.0 and value >= _NEG_TOL:
-        return 0.0
-    return value
+    log = lambda x: np.log(x, out=np.zeros(joint.shape), where=mask)
+    value = np.sum(joint * (log(joint) - log(outer)), axis=(-2, -1))
+    return np.where((value < 0.0) & (value >= _NEG_TOL), 0.0, value)
 
 
 def pairwise_mutual_information_model(net: TensorNetwork, i: int, j: int) -> float:
@@ -96,7 +96,7 @@ def pairwise_mutual_information_model(net: TensorNetwork, i: int, j: int) -> flo
     so (i, j) and (j, i) make the same call.
     """
     _check_pair(net.n_sites, i, j)
-    return _mi_from_joint(site_marginal(net, {}, (min(i, j), max(i, j))))
+    return float(_mi_from_joint(site_marginal(net, {}, (min(i, j), max(i, j)))))
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
@@ -131,14 +131,14 @@ def pairwise_mutual_information_data(
     """
     arr = _sample_array(samples)
     _check_pair(arr.shape[1], i, j)
-    return _data_mi(arr, int(arr.max()) + 1, i, j)
+    return float(_mi_from_joint(_data_joints(arr, int(arr.max()) + 1, [i], [j]))[0])
 
 
-def _data_mi(arr: np.ndarray, w: int, i: int, j: int) -> float:
-    """Plug-in MI of columns i and j of a validated sample array over w symbols."""
-    joint = np.zeros((w, w), dtype=float)
-    np.add.at(joint, (arr[:, i], arr[:, j]), 1.0)
-    return _mi_from_joint(joint)
+def _data_joints(arr: np.ndarray, w: int, first: Sequence[int], second: Sequence[int]) -> np.ndarray:
+    """The (k, w, w) stack of joint counts of columns first[k] and second[k]
+    of a validated sample array over w symbols."""
+    code = (np.arange(len(first)) * w + arr[:, first]) * w + arr[:, second]
+    return np.bincount(code.ravel(), minlength=len(first) * w * w).reshape(-1, w, w).astype(float)
 
 
 def decay_curve(source, l_max: int) -> DecayCurve:
@@ -146,29 +146,34 @@ def decay_curve(source, l_max: int) -> DecayCurve:
 
     ``source`` is either a TensorNetwork (exact model curve) or a sequence
     of sampled sequences (plug-in estimate; the curve metadata records the
-    estimator and its bias order).
+    estimator and its bias order). A model's pair joints come from one
+    :func:`~isotn.network.site_marginal` call, one merged schedule, pairs
+    by first position, then distance, so the items of one open leg are
+    dropped before the next leg opens.
     """
-    if isinstance(source, TensorNetwork):
-        n = source.n_sites
-        mi = lambda i, j: pairwise_mutual_information_model(source, i, j)
+    model = isinstance(source, TensorNetwork)
+    arr = None if model else _sample_array(source)
+    n = source.n_sites if model else arr.shape[1]
+    if not 1 <= l_max < n:
+        raise ValueError(f"l_max must be in [1,{n}), got {l_max}")
+    distances = range(1, l_max + 1)
+    if model:
         meta: dict[str, object] = {"source": "model"}
+        pairs = sorted((i, i + l) for l in distances for i in range(n - l))
+        joint = dict(zip(pairs, site_marginal(source, {}, pairs)))
+        w = max(source.site_dims)  # a zero weight adds no information, so smaller joints are padded
+        pad = lambda j: j if j.shape == (w, w) else np.pad(j, [(0, w - d) for d in j.shape])
+        stacks = (np.array([pad(joint[i, i + l]) for i in range(n - l)]) for l in distances)
     else:
-        arr = _sample_array(source)
-        n = arr.shape[1]
         w = int(arr.max()) + 1
-        mi = lambda i, j: _data_mi(arr, w, i, j)
         meta = {
             "source": "samples",
             "estimator": "plug-in",
             "positive_bias_order": w * w / arr.shape[0],
         }
-    if not 1 <= l_max < n:
-        raise ValueError(f"l_max must be in [1,{n}), got {l_max}")
-    points = []
-    for l in range(1, l_max + 1):
-        vals = [mi(i, i + l) for i in range(n - l)]
-        points.append((l, float(np.mean(vals))))
-    return DecayCurve(tuple(points), meta)
+        stacks = (_data_joints(arr, w, range(n - l), range(l, n)) for l in distances)
+    points = tuple((l, float(np.mean(_mi_from_joint(s)))) for l, s in zip(distances, stacks))
+    return DecayCurve(points, meta)
 
 
 def fit_decay(curve: DecayCurve, kind: str) -> DecayFit:

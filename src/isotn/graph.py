@@ -165,7 +165,7 @@ class Plan:
     ``in_edge`` maps each vertex to its single in edge and is filled only
     when ``is_tree`` holds. ``below`` maps every edge to the sorted
     sequence positions of the Out edges reachable from it. ``paths``
-    caches the contraction paths :mod:`isotn.network` compiles for this
+    caches the contraction schedules :mod:`isotn.network` compiles for this
     quiver, keyed by edge dimensions and leg roles, and ``groups`` its
     vertices grouped by tensor shape, keyed by edge dimensions.
     """

@@ -24,6 +24,15 @@ marginal, two for a pair's joint) and, with a prefix gathered, the
 sampler's conditionals on DAGs that are not trees. Vertices outside the
 causal cone of the operators, open and gathered legs drop out before
 compiling, so the cost follows the cone, not the state.
+
+Each item a path makes is numbered by how it is made, not by its place in
+the path: the triple (operand a, operand b, step) gets one id per quiver
+and edge dims, so equal items of different paths share an id. Several
+paths then run as one merged schedule (:func:`_merge`) that makes each
+shared item once and drops every item after its last use; a single path
+is the one-member case of the same executor (:func:`_execute`). All the
+pair joints of a mutual-information curve come from one such schedule
+(``site_marginal`` given a list of positions).
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Container, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -78,6 +87,8 @@ class TensorNetwork:
         object.__setattr__(
             self, "vertex_tensor", {v: astensor(t) for v, t in dict(self.vertex_tensor).items()}
         )
+        # the key of this network's compiled paths and shape groups on its quiver's plan
+        object.__setattr__(self, "_dims", tuple(sorted(self.edge_dim.items())))
         self._check()
 
     def _check(self):
@@ -152,8 +163,7 @@ class TensorNetwork:
         (one vertex if its tensor alone is larger), so stacking a run for a
         batched computation adds little to the network's memory.
         """
-        groups = self.quiver.plan.groups
-        key = tuple(sorted(self.edge_dim.items()))
+        groups, key = self.quiver.plan.groups, self._dims
         if key not in groups:
             by_shape = defaultdict(list)
             for v in self.quiver.vertices:
@@ -235,21 +245,56 @@ def amplitudes(net: TensorNetwork, sequences: Sequence[Sequence[int]]) -> np.nda
     return contract(net, sequence_array(net, sequences))
 
 
-def _path(net: TensorNetwork, roles: str | None = None) -> tuple:
-    """The compiled path of ``net``, cached on its quiver's plan by edge dims
-    and leg roles (None: the ket network, else :func:`_doubled_path`'s),
-    with equal parts stored once for all the paths of those dims."""
-    by_roles, parts = net.quiver.plan.paths.setdefault(tuple(sorted(net.edge_dim.items())), ({}, {}))
+def _path(net: TensorNetwork, roles: str | tuple[str, ...] | None = None) -> tuple:
+    """The compiled schedule of ``net`` for ``roles``, cached on its quiver's
+    plan by edge dims and roles: None is the ket network, a string
+    :func:`_doubled_path`'s doubled network, and a tuple of strings every
+    member's path merged into one schedule (:func:`_merge`).
+
+    A schedule is (steps, results). Step (a, b, c, spec, done) makes item c
+    from items a and b as :func:`_compile` says, and ``done`` lists the
+    operands it uses for the last time; each result is (item, axes), one
+    per member. A step's item is numbered by how it is made: the triple
+    (a, b, spec) gets one id for all the paths of those dims, so equal items
+    of different paths have one id, and equal parts are stored once.
+    """
+    by_roles, parts, made = net.quiver.plan.paths.setdefault(net._dims, ({}, {}, {}))
     if roles not in by_roles:
-        if roles is None:  # the ket network, every Out leg gathered: one amplitude per row
-            leaves = {v: _leaf(net, v, range(net.n_sites)) for v in net.quiver.vertices}
-            steps, final, axes = _compile(leaves, {**net.edge_dim, _ROWS: 1}, (_ROWS,), max(leaves) + 1)
-        else:
-            steps, final, axes = _doubled_path(net, roles)
         share = lambda t: parts.setdefault(t, t) if type(t) is tuple else t
-        by_roles[roles] = (tuple(share((share(a), share(b), c, share(s))) for a, b, c, s in steps),
-                           share(final), axes)
+        if type(roles) is tuple:
+            members = [_path(net, r) for r in roles]
+        else:
+            if roles is None:  # the ket network, every Out leg gathered: one amplitude per row
+                leaves = {v: _leaf(net, v, range(net.n_sites)) for v in net.quiver.vertices}
+                steps, final, axes = _compile(leaves, {**net.edge_dim, _ROWS: 1}, (_ROWS,), max(leaves) + 1)
+            else:
+                steps, final, axes = _doubled_path(net, roles)
+            ids, made_here = {}, []
+            for a, b, c, spec in steps:
+                a, b, spec = key = (share(ids.get(a, a)), share(ids.get(b, b)), share(spec))
+                ids[c] = made.setdefault(key, len(made))
+                made_here.append((a, b, ids[c], spec))
+            members = [(made_here, ((ids.get(final, share(final)), axes),))]
+        steps, results = _merge(members)
+        by_roles[roles] = tuple(map(share, steps)), results
     return by_roles[roles]
+
+
+def _merge(schedules: Sequence[tuple]) -> tuple:
+    """One schedule of the steps of ``schedules`` in order, each item made
+    once, and every member's results; an item is dropped after its last use
+    unless it is a result."""
+    steps, results, seen = [], [], set()
+    for member_steps, member_results in schedules:
+        for a, b, c, spec, *_ in member_steps:
+            if c not in seen:
+                seen.add(c)
+                steps.append((a, b, c, spec))
+        results += member_results
+    last = {i: k for k, step in enumerate(steps) for i in step[:2] if type(i) is int}
+    last.update((i, -1) for i, _ in results)
+    return (tuple((a, b, c, spec, tuple(i for i in (a, b) if type(i) is int and last[i] == k))
+                  for k, (a, b, c, spec) in enumerate(steps)), tuple(results))
 
 
 def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -400,28 +445,31 @@ def contract(net: TensorNetwork, seqs: np.ndarray, saved: dict | None = None) ->
     """The (B,) amplitudes of a validated (B, n) array ``seqs`` by the ket
     path; a dict passed as ``saved`` keeps every item, for
     :func:`environments`."""
-    out = _execute(net, _path(net), seqs, {} if saved is None else saved, saved is not None)
+    out, = _execute(net, _path(net), seqs, {} if saved is None else saved, saved is not None)
     return out if out.ndim else np.full(len(seqs), out)  # no Out leg: one amplitude serves every row
 
 
 def _execute(net: TensorNetwork, path: tuple, seqs: np.ndarray | None, items: dict,
-             keep: bool = False) -> np.ndarray:
-    """Run a compiled ``path`` on ``net``, gathering leaves at ``seqs`` as
-    their step needs them. ``items`` holds the items made so far and those
-    the caller supplies, all of them kept with ``keep``."""
-    steps, final, axes = path
-    for a, b, c, (lperm, lshape, rperm, rshape, shape, _, _) in steps:
-        x = _item(net, items, seqs, a, keep).transpose(lperm).reshape(lshape)
-        y = _item(net, items, seqs, b, keep).transpose(rperm).reshape(rshape)
+             keep: bool = False) -> list[np.ndarray]:
+    """Run a compiled schedule ``path`` on ``net`` in one pass, gathering
+    leaves at ``seqs`` as their step needs them, and return one result per
+    member. ``items`` holds the items made so far and those the caller
+    supplies; each is dropped after its last use, unless ``keep``."""
+    steps, results = path
+    for a, b, c, (lperm, lshape, rperm, rshape, shape, _, _), done in steps:
+        x = _item(net, items, seqs, a).transpose(lperm).reshape(lshape)
+        y = _item(net, items, seqs, b).transpose(rperm).reshape(rshape)
         items[c] = (x @ y).reshape(shape)
-    return _item(net, items, seqs, final, keep).transpose(axes)
+        if not keep:
+            for i in done:
+                del items[i]
+    return [_item(net, items, seqs, i).transpose(axes) for i, axes in results]
 
 
-def _item(net: TensorNetwork, items: dict, seqs: np.ndarray | None, i: tuple | int,
-          keep: bool = True) -> np.ndarray:
+def _item(net: TensorNetwork, items: dict, seqs: np.ndarray | None, i: tuple | int) -> np.ndarray:
     """Item ``i``: a leaf made now from its spec, or one from ``items``."""
     if type(i) is int:
-        return items[i] if keep else items.pop(i)
+        return items[i]
     v, conj, perm, _, positions, shape = i
     t = net.vertex_tensor[v].transpose(perm)
     t = (t[tuple(seqs[:, p] for p in positions)] if positions else t).reshape(shape)
@@ -438,7 +486,7 @@ def environments(
     matmul; a vertex folds its rows into its tensor as soon as its adjoint
     is known, by a segment sum over the joint code of its symbols.
     """
-    steps, final, axes = _path(net)
+    steps, ((final, axes),) = _path(net)
     adj, envs = {}, {}
 
     def put(i: tuple | int, g: np.ndarray) -> None:
@@ -454,7 +502,7 @@ def environments(
         envs[v] = g.reshape(shape).transpose(inverse)
 
     put(final, weights if axes else weights.sum())
-    for a, b, c, (lperm, lshape, rperm, rshape, _, linv, rinv) in reversed(steps):
+    for a, b, c, (lperm, lshape, rperm, rshape, _, linv, rinv), _ in reversed(steps):
         x = _item(net, saved, seqs, a).transpose(lperm)
         y = _item(net, saved, seqs, b).transpose(rperm)
         xm, ym, g = x.reshape(lshape), y.reshape(rshape), adj.pop(c)
@@ -490,12 +538,13 @@ def site_operator_expectation(net: TensorNetwork, site_ops: Mapping[int, np.ndar
     space. Only the operators' causal cone of the doubled network is
     contracted (:func:`_doubled`), never the state or a layer map.
     """
-    return complex(_doubled(net, _site_ops(net, site_ops)))
+    return complex(_doubled(net, _site_ops(net, site_ops))[0])
 
 
 def site_marginal(
-    net: TensorNetwork, fixed_ops: Mapping[int, np.ndarray], position: int | tuple[int, ...]
-) -> np.ndarray:
+    net: TensorNetwork, fixed_ops: Mapping[int, np.ndarray],
+    position: int | tuple[int, ...] | list[int | tuple[int, ...]],
+) -> np.ndarray | list[np.ndarray]:
     """All diagonal values ⟨Ψ| (⊗ fixed ops) ⊗ |a⟩⟨a|_position |Ψ⟩ at once.
 
     Equivalent to one :func:`site_operator_expectation` call per basis
@@ -503,16 +552,26 @@ def site_marginal(
     leg there is open. Returns a real vector of length
     ``site_dims[position]``; a strictly increasing tuple of positions gives
     the real joint diagonal, one axis per position.
+
+    A list of such positions gives a list of their results, equal bit for
+    bit, from one merged schedule (:func:`_path`): an item two of them
+    share is made once and dropped after its last use, so entries that
+    share open positions should come together.
     """
-    opened = position if isinstance(position, tuple) else (position,)
-    for p in opened:
-        if not 0 <= p < net.n_sites:
-            raise ValueError(f"position {p} outside [0,{net.n_sites})")
-        if p in fixed_ops:
-            raise ValueError(f"position {p} is both fixed and open")
-    if any(a >= b for a, b in zip(opened, opened[1:])):
-        raise ValueError(f"open positions {opened} are not strictly increasing")
-    return np.real(_doubled(net, _site_ops(net, fixed_ops), opened))
+    many = isinstance(position, list)
+    opened = [p if isinstance(p, tuple) else (p,) for p in (position if many else [position])]
+    if many and not all(opened):
+        raise ValueError("no open position")
+    for ps in opened:
+        for p in ps:
+            if not 0 <= p < net.n_sites:
+                raise ValueError(f"position {p} outside [0,{net.n_sites})")
+            if p in fixed_ops:
+                raise ValueError(f"position {p} is both fixed and open")
+        if any(a >= b for a, b in zip(ps, ps[1:])):
+            raise ValueError(f"open positions {ps} are not strictly increasing")
+    out = [np.real(x) for x in _doubled(net, _site_ops(net, fixed_ops), opened)]
+    return out if many else out[0]
 
 
 def _site_ops(net: TensorNetwork, site_ops: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -532,22 +591,34 @@ def _site_ops(net: TensorNetwork, site_ops: Mapping[int, np.ndarray]) -> dict[in
 
 
 def _doubled(
-    net: TensorNetwork, ops: Mapping[int, np.ndarray], open_pos: tuple[int, ...] = (),
+    net: TensorNetwork, ops: Mapping[int, np.ndarray], opened: Sequence[tuple[int, ...]] = ((),),
     seqs: np.ndarray | None = None,
-) -> np.ndarray:
-    """⟨Ψ| ⊗_p ops[p] |Ψ⟩ with identities elsewhere (:func:`_doubled_path`).
+) -> list[np.ndarray]:
+    """⟨Ψ| ⊗_p ops[p] |Ψ⟩ with identities elsewhere (:func:`_doubled_path`),
+    once for each tuple of sorted positions in ``opened``, by one schedule.
 
-    The result is the diagonal over the legs at the sorted positions
-    ``open_pos``, one axis each. Given a (B, k) array ``seqs``, positions
-    < k are fixed at each row's symbols and the result leads with B rows.
+    Each result is the diagonal over the legs at its open positions, one
+    axis each. Given a (B, k) array ``seqs``, positions < k are fixed at
+    each row's symbols and the results lead with B rows.
     """
     k = 0 if seqs is None else seqs.shape[1]
-    if not (ops or open_pos or k):
-        return np.array(1.0 + 0.0j)  # ⟨Ψ|Ψ⟩: every vertex drops out
-    roles = "".join("g" if p < k else "o" if p in open_pos else "x" if p in ops else "t"
-                    for p in range(net.n_sites))
+    if not (ops or k or any(opened)):
+        return [np.array(1.0 + 0.0j)] * len(opened)  # ⟨Ψ|Ψ⟩: every vertex drops out
+    roles = tuple(_roles(net.n_sites, ops, p, k) for p in opened)
     out = _execute(net, _path(net, roles), seqs, {-1 - p: o for p, o in ops.items()})
-    return out if seqs is None or k else np.broadcast_to(out, (len(seqs),) + out.shape)
+    return out if seqs is None or k else [np.broadcast_to(x, (len(seqs),) + x.shape) for x in out]
+
+
+def _roles(n: int, ops: Iterable[int], open_pos: Iterable[int], k: int = 0) -> str:
+    """The :func:`_doubled_path` roles of n positions: the first k gathered,
+    then ``open_pos`` open and ``ops`` operators, the rest traced."""
+    roles = ["t"] * n
+    for p in ops:
+        roles[p] = "x"
+    for p in open_pos:
+        roles[p] = "o"
+    roles[:k] = "g" * k
+    return "".join(roles)
 
 
 # ------------------------------------------------------------------

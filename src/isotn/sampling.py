@@ -116,7 +116,7 @@ def _kernel(net: TensorNetwork) -> Callable[[np.ndarray], Callable[[int], np.nda
     _require_model(net)
     if net.quiver.plan.is_tree:
         return lambda seqs: _TreePaths(net, seqs).weights
-    return lambda seqs: lambda k: _doubled(net, {}, (k,), seqs[:, :k]).real
+    return lambda seqs: lambda k: _doubled(net, {}, [(k,)], seqs[:, :k])[0].real
 
 
 class _TreePaths:

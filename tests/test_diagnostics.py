@@ -6,6 +6,7 @@ import pytest
 from isotn.diagnostics import (
     DecayCurve,
     DecayFit,
+    _mi_from_joint,
     compare_decay,
     decay_curve,
     decay_report_records,
@@ -16,7 +17,8 @@ from isotn.diagnostics import (
 )
 from isotn.errors import FitError
 from isotn.dense import state
-from isotn.network import random_network
+from isotn.graph import build_chain
+from isotn.network import TensorNetwork, random_network, random_tensors
 
 from conftest import philox, two_site_net
 
@@ -73,6 +75,30 @@ class TestModelMI:
             pairwise_mutual_information_model(net, 1, 1)
         with pytest.raises(ValueError):
             pairwise_mutual_information_model(net, 0, 9)
+
+
+class TestJointStack:
+    def test_stack_gives_the_one_joint_values(self):
+        gen = philox(11)
+        joints = gen.random((2, 3, 4, 3)) * (gen.random((2, 3, 4, 3)) > 0.3)  # some zero weights
+        joints[1, 2] = np.eye(4, 3)
+        stacked = _mi_from_joint(joints)
+        assert stacked.shape == (2, 3)
+        for joint, value in zip(joints.reshape(-1, 4, 3), stacked.ravel()):
+            assert abs(value - _mi_from_joint(joint)) <= 1e-15
+            assert abs(value - plug_in_mi(joint)) <= 1e-12
+        assert float(_mi_from_joint(np.full((2, 2), 0.25))) == 0.0
+
+    def test_one_bad_joint_fails_the_stack(self):
+        joints = np.full((5, 2, 2), 0.25)
+        joints[3, 1, 0] = -1e-9
+        with pytest.raises(ValueError, match="negative joint weight -1.000e-09"):
+            _mi_from_joint(joints)
+        joints[3, 1, 0] = -5e-13  # within the tolerance: clipped to zero
+        assert np.all(_mi_from_joint(joints) >= 0.0)
+        joints[1] = 0.0
+        with pytest.raises(ValueError, match="zero mass"):
+            _mi_from_joint(joints)
 
 
 class TestDataMI:
@@ -141,6 +167,16 @@ class TestDecayCurve:
         net = random_network("tree", 32, 2, 8, rng)
         curve = decay_curve(net, 31)
         assert len(curve.points) == 31
+
+    def test_sites_of_unequal_dimension(self):
+        q = build_chain(4)
+        dims = {**dict.fromkeys(q.in_edges, 1), **dict.fromkeys(q.internal_edges, 2),
+                **dict(zip(q.out_edges, (2, 3, 2, 3)))}
+        net = TensorNetwork(q, dims, random_tensors(q, dims, philox(12)))
+        curve = decay_curve(net, 3)
+        for l, value in curve.points:
+            want = np.mean([pairwise_mutual_information_model(net, i, i + l) for i in range(4 - l)])
+            assert abs(value - want) <= 1e-15
 
     def test_data_curve_carries_bias_metadata(self):
         gen = philox(4)

@@ -322,6 +322,77 @@ class TestBoundaryState:
             assert joint.shape == (2, 2) and abs(joint.sum() - 1.0) <= 1e-12 and joint.min() >= -1e-15
 
 
+def _dense_mi(prob, i, j):
+    """MI of positions i < j of a dense Born table, by the defining sum."""
+    joint = prob.sum(axis=tuple(ax for ax in range(prob.ndim) if ax not in (i, j)))
+    outer = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+    keep = joint > 0
+    return float(np.sum(joint[keep] * np.log(joint[keep] / outer[keep])))
+
+
+class TestMergedSchedule:
+    """Every pair joint of a decay curve from one schedule, each item made once."""
+
+    @pytest.mark.parametrize("kind, bond", [("chain", 4), ("tree", 4), ("mera", 2)])
+    def test_pair_joints_equal_their_own_paths_bit_for_bit(self, kind, bond):
+        net = random_network(kind, 16, 2, bond, philox(46))
+        pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
+        joints = site_marginal(net, {}, pairs)
+        assert len(joints) == len(pairs)
+        for pair, joint in zip(pairs, joints):
+            assert np.array_equal(joint, site_marginal(net, {}, pair))
+
+    def test_a_list_takes_fixed_operators_and_single_positions(self, rng):
+        net = random_network("mera", 8, 2, 2, rng)
+        fixed = {2: np.array([[0.2, 0.1j], [-0.1j, 0.8]])}
+        wanted = [0, (1, 5), 7, (0, 3, 6)]
+        for position, got in zip(wanted, site_marginal(net, fixed, wanted)):
+            assert np.array_equal(got, site_marginal(net, fixed, position))
+
+    @pytest.mark.parametrize("position, message", [
+        ([(1, 2), ()], "no open position"),
+        ([(1, 2), (4, 4)], r"open positions \(4, 4\) are not strictly increasing"),
+        ([3, 8], r"position 8 outside \[0,8\)"),
+    ])
+    def test_a_list_is_checked_entry_by_entry(self, rng, position, message):
+        net = random_network("tree", 8, 2, 2, rng)
+        with pytest.raises(ValueError, match=message):
+            site_marginal(net, {}, position)
+
+    @pytest.mark.parametrize("kind", ["chain", "tree", "mera"])
+    def test_decay_curve_matches_the_dense_state(self, kind):
+        for n, w, bond in ((4, 3, 3), (8, 2, 3), (8, 2, 4)):
+            net = random_network(kind, n, w, bond, philox(47))
+            prob = np.abs(state(net)) ** 2
+            curve = decay_curve(net, n - 1)
+            for l, value in curve.points:
+                want = np.mean([_dense_mi(prob, i, i + l) for i in range(n - l)])
+                assert abs(value - max(want, 0.0)) <= 1e-12, (kind, n, l)
+
+    def test_benchmark_chain_curve_runs_under_a_thousand_steps(self, monkeypatch):
+        # n=32, w=2, D=4, l_max=16: 376 pair paths of 14 888 steps in all
+        net = random_network("chain", 32, 2, 4, philox(48))
+        runs = []
+        real = network._execute
+        monkeypatch.setattr(network, "_execute",
+                            lambda net, path, *args: runs.append(len(path[0])) or real(net, path, *args))
+        decay_curve(net, 16)
+        assert len(runs) == 1 and runs[0] <= 1000
+
+    def test_mera_curve_keeps_few_items_alive(self):
+        # pairs by first position free each open leg's items before the next
+        # leg opens; by distance the live items of every leg pile up
+        net = random_network("mera", 32, 2, 4, philox(45))
+        first = decay_curve(net, 8)  # compiles the paths
+        tracemalloc.start()
+        try:
+            again = decay_curve(net, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first and peak < 8 * 2**20
+
+
 def _imported_modules(path: Path):
     """Dotted names of the modules an import statement in ``path`` may bind."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
