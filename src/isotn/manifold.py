@@ -15,16 +15,21 @@ from typing import Mapping
 import numpy as np
 
 from .errors import UnsupportedTopologyError
-from .network import TensorNetwork
+from .network import TensorNetwork, VertexStacks
 from .tensor_core import as_stack, from_stack, matrix_dims, project_to_isometry
 
 TangentVector = dict[int, np.ndarray]
 
 
-def _stack(arrays: Mapping[int, np.ndarray], verts: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-    """The arrays of one shape group's ``verts`` stacked as a (k, *shape)
-    complex copy; a missing or misshapen direction raises ValueError
-    naming its vertex."""
+def _stack(arrays: Mapping[int, np.ndarray], groups: tuple, j: int) -> np.ndarray:
+    """The arrays of run ``j`` of ``groups`` as one (k, *shape) complex stack,
+    not to be written to: the run's own array if ``arrays`` holds it
+    (:class:`VertexStacks`), else a copy. A missing or misshapen direction
+    raises ValueError naming its vertex."""
+    run = arrays.run(groups, j) if isinstance(arrays, VertexStacks) else None
+    if run is not None:
+        return run
+    verts, shape, _ = groups[j]
     for v in verts:
         if v not in arrays:
             raise ValueError(f"vertex {v}: no direction given")
@@ -39,25 +44,24 @@ def tangent_project(net: TensorNetwork, raw: Mapping[int, np.ndarray]) -> Tangen
     Per vertex, with U the grouped matrix and G the grouped input:
     ξ = G − U·herm(U†G) (Edelman, Arias & Smith, SIAM J. Matrix Anal.
     Appl. 20, 1998). The result satisfies U†ξ + ξ†U = 0 and the
-    projection is idempotent. Each shape group runs at once on its
+    projection is idempotent. Each run of the network runs at once on its
     transposed stacks A = Uᵀ, B = Gᵀ: with K = B·A†, ξᵀ = B − herm(K)·A.
+    The result's values are read-only views of one stack per run.
     """
-    out: TangentVector = {}
-    for verts, shape, split in net.shape_groups():
-        g = _stack(raw, verts, shape)
-        a, b = as_stack(_stack(net.vertex_tensor, verts, shape), split), as_stack(g, split)
+    out, groups = [], net.shape_groups()
+    for j, (verts, shape, split, u) in enumerate(net.runs()):
+        a, b = as_stack(u, split), as_stack(_stack(raw, groups, j), split)
         k = b @ np.swapaxes(a, 1, 2).conj()
-        b -= (k + np.swapaxes(k, 1, 2).conj()) / 2.0 @ a
-        out.update(zip(verts, from_stack(b, g.shape, split)))
-    return out
+        x = (k + np.swapaxes(k, 1, 2).conj()) / 2.0 @ a
+        out.append(from_stack(np.subtract(b, x, out=x), (len(verts),) + shape, split))
+    return net.by_vertex(out)
 
 
 def tangency_violation(net: TensorNetwork, xi: Mapping[int, np.ndarray]) -> float:
     """max over vertices of ‖U†ξ + ξ†U‖_max (0 for an exact tangent)."""
-    worst = 0.0
-    for verts, shape, split in net.shape_groups():
-        a = as_stack(_stack(net.vertex_tensor, verts, shape), split)
-        x = as_stack(_stack(xi, verts, shape), split)
+    worst, groups = 0.0, net.shape_groups()
+    for j, (_, _, split, u) in enumerate(net.runs()):
+        a, x = as_stack(u, split), as_stack(_stack(xi, groups, j), split)
         sym = x @ np.swapaxes(a, 1, 2).conj()  # (U†ξ)ᵀ, whose sum with its adjoint has the same moduli
         worst = max(worst, float(np.max(np.abs(sym + np.swapaxes(sym, 1, 2).conj()))))
     return worst
@@ -65,12 +69,15 @@ def tangency_violation(net: TensorNetwork, xi: Mapping[int, np.ndarray]) -> floa
 
 def retract(net: TensorNetwork, xi: Mapping[int, np.ndarray], step: float) -> TensorNetwork:
     """Move every vertex by ``step``·ξ and snap back to the nearest isometry,
-    one polar factor call per shape group."""
-    new_tensors = {}
-    for verts, shape, split in net.shape_groups():
-        moved = _stack(xi, verts, shape) * step + _stack(net.vertex_tensor, verts, shape)
-        new_tensors.update(zip(verts, project_to_isometry(moved, split)))
-    return net.with_tensors(new_tensors)
+    one polar factor call per run, whose stack the new network takes as
+    its run. A move with a NaN or infinite entry raises ShapeError."""
+    runs, groups = [], net.shape_groups()
+    for j, (_, _, split, u) in enumerate(net.runs()):
+        with np.errstate(over="ignore", invalid="ignore"):  # left to the polar factor's check
+            moved = _stack(xi, groups, j) * step
+            moved += u
+        runs.append(project_to_isometry(moved, split))
+    return net.with_runs(runs)
 
 
 def moduli_dimension(net: TensorNetwork) -> int:

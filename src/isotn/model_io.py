@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ModelFileError
 from .graph import Quiver
 from .model import SymbolSet
-from .network import TensorNetwork
+from .network import TensorNetwork, group_vertices
 
 MAGIC = b"ISOTN-MODEL-v01\n"
 FORMAT_VERSION = 2
@@ -144,8 +144,11 @@ def _parse_header(text: str):
 
 def load_model(path) -> ModelBundle:
     """Read a model file. The binary section's length is checked against
-    the header before its one aligned buffer is allocated, so a corrupted
-    dimension raises ModelFileError, not MemoryError."""
+    the header before any tensor memory is allocated, so a corrupted
+    dimension raises ModelFileError, not MemoryError. Each vertex's bytes
+    are read straight into its slot of its run's array (the network's
+    storage, :func:`~isotn.network.group_vertices`), in file order, so a
+    loaded model holds its tensors once."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         prefix = fh.read(len(MAGIC) + 8)
@@ -162,28 +165,32 @@ def load_model(path) -> ModelBundle:
             version = int(meta["format_version"])
         except ValueError as exc:
             raise ModelFileError(f"{path}: bad header: {str(exc)[:200]}") from exc
-        shapes = {v: tuple(edge_dim[e] for e in quiver.vertex_in_edges(v) + quiver.vertex_out_edges(v))
-                  for v in quiver.vertices}
-        counts = [math.prod(shape) for shape in shapes.values()]  # exact: a dim may exceed int64
-        if 16 * sum(counts) != binary_len:
+        try:
+            groups = group_vertices(quiver, edge_dim)
+        except ValueError as exc:  # a cyclic quiver
+            raise ModelFileError(f"{path}: invalid model: {str(exc)[:200]}") from exc
+        entries = sum(len(verts) * math.prod(shape) for verts, shape, _ in groups)  # exact: a dim may exceed int64
+        if 16 * entries != binary_len:
             raise ModelFileError(f"{path}: binary section of {binary_len} bytes does not hold "
-                                 f"the header's {sum(counts)} complex entries")
-        binary = np.empty(sum(counts), dtype="<c16")
-        if fh.readinto(binary) != binary_len or len(checksum := fh.read(8)) != 8:
+                                 f"the header's {entries} complex entries")
+        runs = [np.empty((len(verts),) + shape, dtype="<c16") for verts, shape, _ in groups]
+        slots = {v: run[i] for (verts, _, _), run in zip(groups, runs) for i, v in enumerate(verts)}
+        digest = hashlib.blake2b(digest_size=8)
+        if version != 1:  # version 1 checksums the binary section only
+            digest.update(prefix[len(MAGIC):])
+            digest.update(raw_header)
+        for v in quiver.vertices:
+            if fh.readinto(slots[v]) != slots[v].nbytes:
+                raise ModelFileError(f"{path}: file truncated while reading")
+            digest.update(slots[v])
+            slots[v].setflags(write=False)  # back to back in its run, so taken without a copy
+        if len(checksum := fh.read(8)) != 8:
             raise ModelFileError(f"{path}: file truncated while reading")
-    digest = hashlib.blake2b(digest_size=8)
-    # version 1 checksums the binary section only
-    for part in (binary,) if version == 1 else (prefix[len(MAGIC):], raw_header, binary):
-        digest.update(part)
     if digest.digest() != checksum:
         raise ModelFileError(f"{path}: checksum mismatch (file corrupted or truncated)")
 
-    binary.setflags(write=False)  # the tensors are views of this buffer, taken without a copy
-    parts = np.split(binary, np.cumsum(counts)[:-1])
-    tensors = {v: part.reshape(shape) for (v, shape), part in zip(shapes.items(), parts)}
-
     try:
-        net = TensorNetwork(quiver, edge_dim, tensors, tol)
+        net = TensorNetwork(quiver, edge_dim, slots, tol)
         symbol_set = SymbolSet(tuple(symbols), meta.get("scheme", "chars")) if symbols else None
     except (ValueError, TypeError) as exc:
         raise ModelFileError(f"{path}: invalid model: {str(exc)[:200]}") from exc

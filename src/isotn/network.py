@@ -6,6 +6,16 @@ its incoming edges sorted by edge id followed by its outgoing edges sorted
 by edge id; every contraction and the serialization format rely on this one
 convention.
 
+The tensors are stored stacked: vertices whose tensors share a shape and
+split form a group (:func:`group_vertices`), cut into runs of at most
+:data:`GROUP_BYTES`, and a network holds one frozen (k, *shape) array per
+run. ``vertex_tensor[v]`` is a view of its run (a :class:`VertexStacks`),
+so the Riemannian geometry reads and writes whole runs: the gradient, the
+tangent and the retraction are stacked the same way, and a retracted
+network takes its polar-factor stacks as its storage. Every run is checked
+once, by one path, whether it was copied from a mapping of tensors or
+taken whole; a model file is read straight into its runs.
+
 This module holds the runtime kernels only. The dense layer-map path
 (full evaluation, the state, the operator flow) is the reference they are
 tested against, and lives in :mod:`isotn.dense`, which nothing here
@@ -55,7 +65,6 @@ from .graph import (
 from .tensor_core import (
     DEFAULT_ISOMETRY_TOL,
     IndexSplit,
-    astensor,
     from_matrix,
     isometry_violation,
     matrix_dims,
@@ -73,9 +82,42 @@ SequenceState = tuple[int, ...]
 GROUP_BYTES = 2**18
 
 
+class VertexStacks(dict):
+    """A {vertex: array} dict over one (k, ...) array per run of a network's
+    shape groups (``runs``): each value is a view of its run's array.
+
+    Code that works run by run reads a run's array itself through
+    :meth:`run`, with no per-vertex copy, for as long as that run's values
+    are still the views this dict was made with.
+    """
+
+    def __init__(self, groups: tuple, runs: Sequence[np.ndarray], vertices: Iterable[int]):
+        views = [tuple(run) for run in runs]
+        members = {v: m for (verts, _, _), ms in zip(groups, views) for v, m in zip(verts, ms)}
+        super().__init__((v, members[v]) for v in vertices)
+        self.groups, self.runs, self._views = groups, tuple(runs), views
+
+    def run(self, groups: tuple, j: int) -> np.ndarray | None:
+        """The array of run ``j`` of ``groups``, if they are this dict's groups
+        and the run's values are unchanged; else None."""
+        if groups is not self.groups or not all(
+                self.get(v) is m for v, m in zip(groups[j][0], self._views[j])):
+            return None
+        return self.runs[j]
+
+
 @dataclass(frozen=True)
 class TensorNetwork:
-    """Quiver + edge dimensions + isometric vertex tensors."""
+    """Quiver + edge dimensions + isometric vertex tensors.
+
+    The tensors are held as one frozen (k, *shape) complex array per run of
+    :meth:`shape_groups` (:meth:`runs`), and ``vertex_tensor[v]`` is a view of
+    its run. Tensors given as a mapping are copied into their runs, one
+    ``np.array`` per run, unless they already lie back to back in one frozen
+    buffer (:func:`_stacked_view`), as a network's own tensors or the members
+    of a stack do; :meth:`with_runs` takes whole runs as they are. Either way
+    the runs are checked once each, by :meth:`_check`.
+    """
 
     quiver: Quiver
     edge_dim: Mapping[int, int]
@@ -84,58 +126,76 @@ class TensorNetwork:
 
     def __post_init__(self):
         object.__setattr__(self, "edge_dim", dict(self.edge_dim))
-        object.__setattr__(
-            self, "vertex_tensor", {v: astensor(t) for v, t in dict(self.vertex_tensor).items()}
-        )
         # the key of this network's compiled paths and shape groups on its quiver's plan
         object.__setattr__(self, "_dims", tuple(sorted(self.edge_dim.items())))
-        self._check()
-
-    def _check(self):
-        q = self.quiver
-        all_edges = set(q.internal_edges) | set(q.in_edges) | set(q.out_edges)
-        for e in all_edges:
+        q, tensors = self.quiver, self.vertex_tensor
+        for e in set(q.internal_edges) | set(q.in_edges) | set(q.out_edges):
             d = self.edge_dim.get(e)
             if d is None or d < 1:
                 raise ShapeError(f"edge {e} has no positive dimension assigned")
         for v in q.vertices:
-            t = self.vertex_tensor.get(v)
-            if t is None:
+            if v not in tensors:
                 raise ShapeError(f"vertex {v} has no tensor assigned")
-            expected = self.vertex_shape(v)
-            if t.shape != expected:
+            if np.shape(tensors[v]) != self.vertex_shape(v):
                 raise ShapeError(
-                    f"vertex {v} tensor shape {t.shape} does not match incident "
-                    f"edge dims {expected}"
+                    f"vertex {v} tensor shape {np.shape(tensors[v])} does not match incident "
+                    f"edge dims {self.vertex_shape(v)}"
                 )
-        # judged once every group is in, so an impossible shape anywhere
-        # fires first and the first bad vertex in vertex order is named
-        violation = {}
-        for verts, shape, split in self.shape_groups():
+        runs = []
+        for verts, shape, _ in self.shape_groups():
+            run = _stacked_view(tensors, verts, shape)
+            runs.append(np.array([tensors[v] for v in verts], dtype=np.complex128) if run is None else run)
+        self._check(runs)
+
+    def _check(self, runs: Sequence[np.ndarray]) -> None:
+        """Check ``runs``, one (k, *shape) array per run of :meth:`shape_groups`,
+        and take them, frozen, as this network's tensors.
+
+        Each run is checked once, on its whole array: its shape, that its
+        shape admits an isometry, and each member's isometry violation. A NaN
+        or infinite entry makes its member's violation NaN or infinite, so
+        only then are the entries scanned, to name the vertex. An impossible
+        shape anywhere fires first; of the tolerance failures, the first
+        vertex in vertex order is named.
+        """
+        groups = self.shape_groups()
+        if len(runs) != len(groups):
+            raise ShapeError(f"{len(runs)} tensor runs given for {len(groups)} shape groups")
+        runs = [np.ascontiguousarray(run, dtype=np.complex128) for run in runs]
+        for (verts, shape, split), run in zip(groups, runs):
+            if run.shape != (len(verts),) + shape:
+                raise ShapeError(f"vertex {verts[0]}: run of shape {run.shape} does not hold "
+                                 f"{len(verts)} tensors of shape {shape}")
             out_dim, in_dim = matrix_dims(shape, split)
             if in_dim > out_dim:
                 raise IsometryImpossibleError(
                     f"vertex {verts[0]}: incoming dimension {in_dim} exceeds outgoing {out_dim}"
                 )
-            stack = np.array([self.vertex_tensor[v] for v in verts])
-            violation.update(zip(verts, isometry_violation(stack, split).tolist()))
-        for v in q.vertices:
+        violation = {}
+        for (verts, _, split), run in zip(groups, runs):
+            worst = isometry_violation(run, split)
+            if not np.isfinite(worst).all():  # a NaN or Inf entry, or squares beyond the float range
+                finite = np.isfinite(run).reshape(len(verts), -1).all(axis=1)
+                if not finite.all():
+                    raise ShapeError(f"vertex {verts[int(np.argmin(finite))]}: tensor entries must be "
+                                     f"finite (found NaN or Inf)")
+            violation.update(zip(verts, worst.tolist()))
+        for v in self.quiver.vertices:
             if not violation[v] <= self.isometry_tol:
                 raise ValueError(
                     f"vertex {v} tensor is not isometric "
                     f"(violation {violation[v]:.3e} > tol {self.isometry_tol:g})"
                 )
+        for run in runs:
+            run.setflags(write=False)
+        object.__setattr__(self, "vertex_tensor", self.by_vertex(runs))
         object.__setattr__(self, "_max_violation", max(violation.values(), default=0.0))
 
     def vertex_shape(self, v: int) -> tuple[int, ...]:
-        ins = self.quiver.vertex_in_edges(v)
-        outs = self.quiver.vertex_out_edges(v)
-        return tuple(self.edge_dim[e] for e in ins) + tuple(self.edge_dim[e] for e in outs)
+        return _vertex_shape(self.quiver, self.edge_dim, v)
 
     def vertex_split(self, v: int) -> IndexSplit:
-        n_in = len(self.quiver.vertex_in_edges(v))
-        n_out = len(self.quiver.vertex_out_edges(v))
-        return IndexSplit(tuple(range(n_in)), tuple(range(n_in, n_in + n_out)))
+        return _vertex_split(self.quiver, v)
 
     @property
     def n_sites(self) -> int:
@@ -150,30 +210,97 @@ class TensorNetwork:
         """Same quiver and dims with replaced vertex tensors (revalidated)."""
         return TensorNetwork(self.quiver, self.edge_dim, tensors, self.isometry_tol)
 
+    def with_runs(self, runs: Sequence[np.ndarray]) -> "TensorNetwork":
+        """Same quiver and dims with ``runs``, one (k, *shape) array per run of
+        :meth:`shape_groups`, as the tensors: taken as they are, with no
+        per-vertex copy, and checked as the constructor checks them. The
+        caller hands the arrays over and no longer writes to them."""
+        net = object.__new__(TensorNetwork)
+        for name in ("quiver", "edge_dim", "isometry_tol", "_dims"):
+            object.__setattr__(net, name, getattr(self, name))
+        net._check(runs)
+        return net
+
+    def runs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], IndexSplit, np.ndarray], ...]:
+        """(vertices, shape, split, tensors) for each run of :meth:`shape_groups`,
+        where ``tensors`` is the run's frozen (k, *shape) array."""
+        return tuple((*group, run) for group, run in zip(self.shape_groups(), self.vertex_tensor.runs))
+
+    def by_vertex(self, runs: Sequence[np.ndarray]) -> VertexStacks:
+        """{v: v's member of its run's array} in vertex order, for ``runs`` one
+        (k, ...) array per run of :meth:`shape_groups`."""
+        return VertexStacks(self.shape_groups(), runs, self.quiver.vertices)
+
     def max_isometry_violation(self) -> float:
         """max over vertices of ‖M†M − I‖_max, computed once at construction."""
         return self._max_violation
 
     def shape_groups(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], IndexSplit], ...]:
-        """(vertices, shape, split) for each group of vertices whose tensors
-        share one shape and split, in order of their first vertex, cached on
-        the quiver's plan by edge dims.
+        """:func:`group_vertices` of this network's quiver and edge dims."""
+        return self.quiver.plan.groups.get(self._dims) or group_vertices(self.quiver, self.edge_dim)
 
-        A group is cut into runs of at most :data:`GROUP_BYTES` of tensors
-        (one vertex if its tensor alone is larger), so stacking a run for a
-        batched computation adds little to the network's memory.
-        """
-        groups, key = self.quiver.plan.groups, self._dims
-        if key not in groups:
-            by_shape = defaultdict(list)
-            for v in self.quiver.vertices:
-                by_shape[self.vertex_shape(v), self.vertex_split(v)].append(v)
-            runs = []
-            for (shape, split), vs in by_shape.items():
-                k = max(1, GROUP_BYTES // (16 * math.prod(shape)))
-                runs += [(tuple(vs[i:i + k]), shape, split) for i in range(0, len(vs), k)]
-            groups[key] = tuple(runs)
-        return groups[key]
+
+def _vertex_shape(q: Quiver, edge_dim: Mapping[int, int], v: int) -> tuple[int, ...]:
+    """The dims of vertex ``v``'s legs in canonical order: In edges, then Out."""
+    return tuple(edge_dim[e] for e in q.vertex_in_edges(v) + q.vertex_out_edges(v))
+
+
+def _vertex_split(q: Quiver, v: int) -> IndexSplit:
+    n_in = len(q.vertex_in_edges(v))
+    return IndexSplit(tuple(range(n_in)), tuple(range(n_in, n_in + len(q.vertex_out_edges(v)))))
+
+
+def group_vertices(
+    q: Quiver, edge_dim: Mapping[int, int]
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...], IndexSplit], ...]:
+    """(vertices, shape, split) for each group of vertices whose tensors share
+    one shape and split, in order of their first vertex, cached on the
+    quiver's plan by edge dims.
+
+    A group is cut into runs of at most :data:`GROUP_BYTES` of tensors (one
+    vertex if its tensor alone is larger), so a run's array, or a batched
+    computation on it, adds little to the network's memory.
+    """
+    groups, key = q.plan.groups, tuple(sorted(edge_dim.items()))
+    if key not in groups:
+        by_shape = defaultdict(list)
+        for v in q.vertices:
+            by_shape[_vertex_shape(q, edge_dim, v), _vertex_split(q, v)].append(v)
+        runs = []
+        for (shape, split), vs in by_shape.items():
+            k = max(1, GROUP_BYTES // (16 * math.prod(shape)))
+            runs += [(tuple(vs[i:i + k]), shape, split) for i in range(0, len(vs), k)]
+        groups[key] = tuple(runs)
+    return groups[key]
+
+
+def _stacked_view(arrays: Mapping[int, np.ndarray], verts: Sequence[int],
+                 shape: tuple[int, ...]) -> np.ndarray | None:
+    """The arrays of ``verts`` as one read-only (k, *shape) complex view, if
+    they are frozen C-ordered views that lie back to back, in ``verts``
+    order, in one C-ordered complex128 buffer; else None.
+
+    The members of a stack (its rows, or :func:`~isotn.tensor_core.from_stack`
+    of it) and a network's own tensors are such views, so passing them on
+    needs no copy.
+    """
+    first = arrays[verts[0]]
+    base = getattr(first, "base", None)
+    if not (isinstance(base, np.ndarray) and base.dtype == np.complex128 and base.flags.c_contiguous):
+        return None
+    start, size = first.ctypes.data, 16 * math.prod(shape)
+    for i, v in enumerate(verts):
+        t = arrays[v]
+        if not (isinstance(t, np.ndarray) and t.base is base and t.dtype == np.complex128
+                and t.shape == shape and t.flags.c_contiguous and not t.flags.writeable
+                and t.ctypes.data == start + i * size):
+            return None
+    offset, rest = divmod(start - base.ctypes.data, 16)
+    if rest:
+        return None
+    run = base.reshape(-1)[offset:offset + len(verts) * size // 16].reshape((len(verts),) + shape)
+    run.setflags(write=False)
+    return run
 
 
 def _require_model(net: TensorNetwork) -> int:

@@ -1,9 +1,11 @@
 """Dense complex tensor arithmetic.
 
-The value type for vertices, states and operators is a plain
-``numpy.ndarray`` of dtype complex128 in row-major (C) order, produced by
-:func:`astensor`, which validates finiteness and freezes the buffer,
-copying an array its caller can still write to.
+The value type for vertices, states and operators is a plain, read-only
+``numpy.ndarray`` of dtype complex128 in row-major (C) order. States and
+operators come from :func:`astensor`, which validates finiteness and
+freezes the buffer, copying an array its caller can still write to; a
+network's vertex tensors are views of its stacked runs, which the network
+checks itself (:mod:`isotn.network`).
 An :class:`IndexSplit` records which axes of a tensor are treated as the
 domain (in) and which as the codomain (out) when the tensor is viewed as a
 linear map.
@@ -21,6 +23,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -108,13 +111,16 @@ def is_isometry(tensor: np.ndarray, split: IndexSplit, tol: float = DEFAULT_ISOM
     return isometry_violation(tensor, split) <= tol
 
 
-def _stack_axes(ndim: int, split: IndexSplit) -> tuple[int, ...]:
+@functools.cache  # few distinct (ndim, split) pairs, and a step asks for them many times
+def _stack_axes(ndim: int, split: IndexSplit) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """The axis order (stack axes, in axes, out axes) of an ``ndim`` array
-    whose axes before the last ``len(split)`` ones index a stack."""
+    whose axes before the last ``len(split)`` ones index a stack, its
+    inverse, and the number of stack axes."""
     n = len(split.in_axes + split.out_axes)
     split.validate(n if ndim >= n else ndim)
     lead = ndim - n
-    return tuple(range(lead)) + tuple(lead + a for a in split.in_axes + split.out_axes)
+    axes = tuple(range(lead)) + tuple(lead + a for a in split.in_axes + split.out_axes)
+    return axes, tuple(sorted(range(ndim), key=axes.__getitem__)), lead
 
 
 def as_stack(tensor: np.ndarray, split: IndexSplit) -> np.ndarray:
@@ -125,22 +131,23 @@ def as_stack(tensor: np.ndarray, split: IndexSplit) -> np.ndarray:
     member is split by ``split``; a single tensor is a stack of one. With
     the in axes first, as on every vertex tensor, the result is a view.
     """
-    axes = _stack_axes(tensor.ndim, split)
-    lead = tensor.ndim - len(split.in_axes + split.out_axes)
-    out_dim, in_dim = matrix_dims(tensor.shape[lead:], split)
-    return tensor.transpose(axes).reshape(-1, in_dim, out_dim)
+    axes, _, lead = _stack_axes(tensor.ndim, split)
+    t, mid = tensor.transpose(axes), lead + len(split.in_axes)
+    return t.reshape(-1, math.prod(t.shape[lead:mid]), math.prod(t.shape[mid:]))
 
 
 def from_stack(stack: np.ndarray, shape: Sequence[int], split: IndexSplit) -> np.ndarray:
     """Inverse of :func:`as_stack`: the frozen tensor, or stack, of ``shape``.
 
-    Where the layout allows, the result is a read-only view of ``stack``,
-    which the caller hands over and no longer writes to.
+    The result is C-ordered and, where the layout allows, a read-only view
+    of ``stack``, which the caller hands over and no longer writes to. Its
+    entries are not checked: a network checks its tensors once, when it
+    takes them.
     """
-    axes = _stack_axes(len(shape), split)
-    out = stack.reshape([shape[a] for a in axes]).transpose(np.argsort(axes))
-    out.setflags(write=False)  # handed over, so astensor takes it without a copy
-    return astensor(out)
+    axes, inverse, _ = _stack_axes(len(shape), split)
+    out = np.ascontiguousarray(stack.reshape([shape[a] for a in axes]).transpose(inverse))
+    out.setflags(write=False)
+    return out
 
 
 def isometry_violation(tensor: np.ndarray, split: IndexSplit) -> float | np.ndarray:
@@ -151,8 +158,9 @@ def isometry_violation(tensor: np.ndarray, split: IndexSplit) -> float | np.ndar
     """
     tensor = np.asarray(tensor, dtype=np.complex128)
     a = as_stack(tensor, split)
-    gram = a @ np.swapaxes(a, 1, 2).conj()  # conj(M†M), whose entries have the same moduli
-    worst = np.max(np.abs(gram - np.eye(a.shape[1])), axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry gives a non-finite violation
+        gram = a @ np.swapaxes(a, 1, 2).conj()  # conj(M†M), whose entries have the same moduli
+    worst = np.abs(gram - np.eye(a.shape[1])).max(axis=(1, 2))
     lead = tensor.shape[:tensor.ndim - len(split.in_axes + split.out_axes)]
     return worst.reshape(lead) if lead else float(worst[0])
 
@@ -186,11 +194,19 @@ def project_to_isometry(tensor: np.ndarray, split: IndexSplit) -> np.ndarray:
     stack takes the SVD instead, one matrix at a time. Every member the
     SVD's rank test rejects is among those, so a member without full
     column rank raises SingularMatrixError with its smallest singular value.
+    A stack with a NaN or infinite entry raises ShapeError; one whose Gram
+    matrices overflow takes the SVD.
     """
     tensor = np.asarray(tensor, dtype=np.complex128)
     a = as_stack(tensor, split)
-    lam, vec = np.linalg.eigh(a @ np.swapaxes(a, 1, 2).conj())
-    if np.all(lam[:, 0] > 1e-4 * np.maximum(lam[:, -1], 1.0)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a @ np.swapaxes(a, 1, 2).conj()
+    finite = bool(np.isfinite(gram).all())  # else a NaN or Inf entry, or an overflow
+    if not finite and not np.isfinite(a).all():
+        raise ShapeError("polar factor of a tensor with NaN or Inf entries")
+    if finite:
+        lam, vec = np.linalg.eigh(gram)
+    if finite and (lam[:, 0] > 1e-4 * np.maximum(lam[:, -1], 1.0)).all():
         p = (vec * lam[:, None, :] ** -0.5) @ np.swapaxes(vec, 1, 2).conj() @ a
     else:
         p = np.empty_like(a)

@@ -93,7 +93,9 @@ def mean_gradient(
     """Multiplicity-weighted mean gradient and mean per-sequence objective.
 
     The whole batch runs the network's compiled path forward for the
-    amplitudes and backward for the summed environments.
+    amplitudes and backward for the summed environments. The gradient's
+    values are read-only views of one stack per run of the network's shape
+    groups, so the tangent projection takes them without a copy.
     """
     if not batch:
         raise ValueError("batch must be nonempty")
@@ -106,7 +108,15 @@ def mean_gradient(
     _require_nonzero(seqs, amps)
     envs = environments(net, seqs, saved, mult / amps)
     loss = -2.0 * float(mult @ np.log(np.abs(amps))) / total
-    return {v: np.conj(e) * (-1.0 / total) for v, e in envs.items()}, loss
+    runs = []
+    for verts, shape, _ in net.shape_groups():
+        g = np.empty((len(verts),) + shape, dtype=np.complex128)
+        for i, v in enumerate(verts):
+            np.conjugate(envs[v], out=g[i])
+        g *= -1.0 / total
+        g.setflags(write=False)
+        runs.append(g)
+    return net.by_vertex(runs), loss
 
 
 def _require_nonzero(seqs: np.ndarray, amps: np.ndarray) -> None:

@@ -1,6 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isotn.corpus import (
     build_vocab,
@@ -170,6 +174,20 @@ def test_vocab_tokens_the_scheme_cannot_produce_are_rejected(tmp_path, scheme, l
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     with pytest.raises(ValueError, match=f"cannot come from scheme '{scheme}'"):
         load_vocab(path, scheme)
+
+
+@given(text=st.text(min_size=1), scheme=st.sampled_from(["chars", "words"]),
+       max_size=st.none() | st.integers(1, 8))
+def test_vocab_file_round_trips_any_text(text, scheme, max_size):
+    try:
+        vocab = build_vocab(text, scheme, max_size)
+    except ValueError:  # no tokens: only whitespace under words
+        assert scheme == "words" and not text.split()
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vocab.txt"
+        save_vocab(vocab, path)
+        assert load_vocab(path, scheme) == vocab
 
 
 def test_trailing_oov_symbol_is_exempt(tmp_path):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isotn.errors import SingularMatrixError, UnsupportedTopologyError
+from isotn.errors import IsotnError, ShapeError, SingularMatrixError, UnsupportedTopologyError
 from isotn.graph import Quiver, build_chain
 from isotn.manifold import (
     _antihermitian_basis,
@@ -15,7 +15,7 @@ from isotn.manifold import (
     tangent_project,
 )
 from isotn.network import TensorNetwork, random_network
-from isotn.tensor_core import as_matrix, from_matrix, random_isometry
+from isotn.tensor_core import as_matrix, from_matrix, project_to_isometry, random_isometry
 
 from conftest import philox, single_vertex_net
 
@@ -92,6 +92,28 @@ class TestRetract:
         xi = tangent_project(net, random_direction(net, rng))
         out = retract(net, xi, step)
         assert out.max_isometry_violation() < 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_direction_raises_shape_error(self, rng, bad):
+        net = random_network("tree", 4, 2, 2, rng)
+        xi = {v: np.zeros(t.shape) for v, t in net.vertex_tensor.items()}
+        xi[2] = np.full(net.vertex_tensor[2].shape, bad)
+        with pytest.raises(ShapeError, match="NaN or Inf") as err:
+            retract(net, xi, 0.1)
+        assert isinstance(err.value, IsotnError)
+
+    def test_runs_step_as_restacked_vertices_do(self, rng):
+        # taking the network's runs, and handing the polar factors over,
+        # changes no bit against stacking per-vertex copies
+        net = random_network("mera", 8, 3, 3, rng)
+        xi = tangent_project(net, random_direction(net, rng))
+        expected = {}
+        for verts, shape, split in net.shape_groups():
+            moved = np.array([xi[v] for v in verts]) * 0.1 + np.array([net.vertex_tensor[v] for v in verts])
+            expected.update(zip(verts, project_to_isometry(moved, split)))
+        out = retract(net, xi, 0.1)
+        assert all(np.array_equal(out.vertex_tensor[v], expected[v]) for v in net.quiver.vertices)
+        assert out.max_isometry_violation() == net.with_tensors(expected).max_isometry_violation()
 
     def test_first_order_agreement(self, rng):
         # ||retract(U, ξ, t) − (U + tξ)|| = O(t²)

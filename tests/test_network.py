@@ -485,6 +485,18 @@ class TestValidation:
         np.testing.assert_array_equal(net.vertex_tensor[0], [[1.0, 0.0]])
         assert not net.vertex_tensor[0].flags.writeable
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_names_its_vertex(self, bad):
+        # a mapping and whole runs go through the same check
+        net = random_network("tree", 8, 3, 2, philox(4))
+        j, (verts, _, _) = next((j, g) for j, g in enumerate(net.shape_groups()) if len(g[0]) > 1)
+        runs = [np.array(run) for *_, run in net.runs()]
+        runs[j][1].flat[2] = bad
+        for make in (lambda: net.with_tensors({**net.vertex_tensor, verts[1]: runs[j][1]}),
+                     lambda: net.with_runs(runs)):
+            with pytest.raises(ShapeError, match=rf"^vertex {verts[1]}: tensor entries must be finite"):
+                make()
+
     def test_stacked_tensors_are_taken_without_a_copy(self, rng):
         # a training step's retraction hands its polar-factor stack over
         # through from_stack, and with_tensors keeps the views

@@ -154,6 +154,19 @@ class TestProjectStack:
             project_to_isometry(t, self.SPLIT)
         assert err.value.smallest_singular_value <= 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_member_raises_shape_error(self, bad):
+        t = self.stack(philox(9), 3)
+        t[1, 0, 2, 1] = bad
+        with pytest.raises(ShapeError, match="NaN or Inf"):
+            project_to_isometry(t, self.SPLIT)
+
+    def test_overflowing_gram_takes_the_svd_silently(self):
+        t = self.stack(philox(10), 3)
+        with np.errstate(all="raise"):
+            out = project_to_isometry(t * 1e300, self.SPLIT)
+        np.testing.assert_allclose(out, project_to_isometry(t, self.SPLIT), rtol=0, atol=1e-13)
+
     def test_violation_per_member(self):
         t = np.stack([np.eye(3), 2.0 * np.eye(3)])
         np.testing.assert_allclose(isometry_violation(t, IndexSplit((1,), (0,))), [0.0, 3.0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from isotn.errors import SingularMatrixError, ZeroAmplitudeError
 from isotn.manifold import gauge_transform, retract, tangent_project
 from isotn.model import SampleMultiset, log_likelihood
 from isotn.network import TensorNetwork, amplitude, random_network
-from isotn.tensor_core import random_isometry
+from isotn.tensor_core import as_matrix, random_isometry
 from isotn.training import LossTrace, TrainConfig, gradient, mean_gradient, sgd_step, train
 
 from conftest import deterministic_chain_net, philox, single_vertex_net
@@ -115,6 +116,15 @@ class TestSgdStep:
         out = sgd_step(net, batch, 0.1)
         assert out.max_isometry_violation() < 1e-10
 
+    def test_overflowing_step_warns_nothing(self, rng):
+        # the Gram matrices of a 1e300 move overflow; the SVD takes over
+        net = random_network("tree", 4, 2, 2, rng)
+        batch = [((0, 1, 0, 1), 2), ((1, 1, 0, 0), 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sgd_step(net, batch, 1e300)
+        assert out.max_isometry_violation() < 1e-10
+
     def test_descent_property_full_batch(self):
         # with a small fixed step the full-batch objective never increases
         gen = philox(9)
@@ -192,6 +202,25 @@ class TestTrain:
         train(net, self._sample(), TrainConfig(learning_rate=0.1, steps=10, checkpoint_every=4),
               on_checkpoint=lambda step, snap: seen.append(step))
         assert seen == [4, 8]
+
+
+@pytest.mark.parametrize("kind, n, w, bond", [("chain", 8, 3, 4), ("tree", 8, 3, 4), ("mera", 8, 3, 3)])
+def test_trained_tensors_stay_checked_views_of_their_runs(kind, n, w, bond):
+    net = random_network(kind, n, w, bond, philox(21))
+    gen = philox(22)
+    sample = SampleMultiset(n, {tuple(int(x) for x in gen.integers(0, w, n)): 1 for _ in range(12)})
+    out, trace = train(net, sample, TrainConfig(learning_rate=0.05, steps=3, batch_size=4))
+    # the check ran on the last retracted network, over every vertex
+    worst = 0.0
+    for v in out.quiver.vertices:
+        m = as_matrix(out.vertex_tensor[v], out.vertex_split(v))
+        worst = max(worst, float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1])))))
+    assert out.max_isometry_violation() == worst == trace.records[-1].max_isometry_violation
+    # each run's tensors are views of one array: no vertex was copied out
+    assert any(len(verts) > 1 for verts, *_ in out.runs())
+    for verts, _, _, run in out.runs():
+        assert len({id(out.vertex_tensor[v].base) for v in verts}) == 1
+        assert all(np.shares_memory(out.vertex_tensor[v], run) for v in verts)
 
 
 def test_objective_gauge_invariant(rng):
