@@ -116,10 +116,8 @@ def cmd_mi(args) -> int:
         if not args.vocab:
             raise IsotnError("--data mode needs --vocab")
         vocab = corpus.load_vocab(args.vocab, args.scheme)
-        tokens = corpus.tokenize(_read_text(args.data), vocab)
-        if len(tokens) < args.n:
-            raise IsotnError(f"data has {len(tokens)} tokens, shorter than n={args.n}")
-        source = [tokens[k:k + args.n] for k in range(0, len(tokens) - args.n + 1, args.stride)]
+        sample_set = corpus.windows(corpus.tokenize(_read_text(args.data), vocab), args.n, args.stride)
+        source = [s for s, m in sample_set.items() for _ in range(m)]
         label = args.data
     curve = diagnostics.decay_curve(source, args.lmax)
     fits = {kind: diagnostics._safe_fit(curve, kind) for kind in ("power", "exponential")}

@@ -286,7 +286,8 @@ def compare_decay(
             rng = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
             )
-            member = net.with_tensors(random_tensors(net.quiver, net.edge_dim, rng))
+            runs = random_tensors(net.quiver, net.edge_dim, rng).runs
+            member = TensorNetwork.from_runs(net.quiver, net.edge_dim, runs, net.isometry_tol)
             vals = decay_curve(member, l_max).values()
             acc = vals if acc is None else acc + vals
         acc = acc / ensemble_size

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ModelFileError
 from .graph import Quiver
 from .model import SymbolSet
-from .network import TensorNetwork, group_vertices
+from .network import TensorNetwork, VertexStacks, group_vertices
 
 MAGIC = b"ISOTN-MODEL-v01\n"
 FORMAT_VERSION = 2
@@ -71,19 +71,18 @@ def _header_text(bundle: ModelBundle) -> str:
 
 
 def save_model(bundle: ModelBundle, path) -> None:
-    header = _header_text(bundle).encode("utf-8")
-    blobs = [
-        np.ascontiguousarray(bundle.net.vertex_tensor[v], dtype="<c16").tobytes()
-        for v in bundle.net.quiver.vertices
-    ]
-    binary = b"".join(blobs)
+    """Write ``bundle`` to ``path``. Each tensor is written and hashed from
+    its run, in vertex order, so saving makes no second copy of them."""
+    net, header = bundle.net, _header_text(bundle).encode("utf-8")
     length = struct.pack("<Q", len(header))
+    tensors = (np.ascontiguousarray(net.vertex_tensor[v], dtype="<c16") for v in net.quiver.vertices)
     digest = hashlib.blake2b(digest_size=8)
-    for part in (length, header, binary):
-        digest.update(part)
     with open(path, "wb") as fh:
-        for part in (MAGIC, length, header, binary, digest.digest()):
+        fh.write(MAGIC)
+        for part in (length, header, *tensors):
+            digest.update(part)
             fh.write(part)
+        fh.write(digest.digest())
 
 
 def _parse_header(text: str):
@@ -146,9 +145,10 @@ def load_model(path) -> ModelBundle:
     """Read a model file. The binary section's length is checked against
     the header before any tensor memory is allocated, so a corrupted
     dimension raises ModelFileError, not MemoryError. Each vertex's bytes
-    are read straight into its slot of its run's array (the network's
-    storage, :func:`~isotn.network.group_vertices`), in file order, so a
-    loaded model holds its tensors once."""
+    are read straight into its slot of its run's array, in file order,
+    and the runs are handed to
+    :meth:`~isotn.network.TensorNetwork.from_runs` as the network's
+    storage, so a loaded model holds its tensors once."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         prefix = fh.read(len(MAGIC) + 8)
@@ -174,23 +174,21 @@ def load_model(path) -> ModelBundle:
             raise ModelFileError(f"{path}: binary section of {binary_len} bytes does not hold "
                                  f"the header's {entries} complex entries")
         runs = [np.empty((len(verts),) + shape, dtype="<c16") for verts, shape, _ in groups]
-        slots = {v: run[i] for (verts, _, _), run in zip(groups, runs) for i, v in enumerate(verts)}
         digest = hashlib.blake2b(digest_size=8)
         if version != 1:  # version 1 checksums the binary section only
             digest.update(prefix[len(MAGIC):])
             digest.update(raw_header)
-        for v in quiver.vertices:
-            if fh.readinto(slots[v]) != slots[v].nbytes:
+        for slot in VertexStacks(groups, runs, quiver.vertices).values():
+            if fh.readinto(slot) != slot.nbytes:
                 raise ModelFileError(f"{path}: file truncated while reading")
-            digest.update(slots[v])
-            slots[v].setflags(write=False)  # back to back in its run, so taken without a copy
+            digest.update(slot)
         if len(checksum := fh.read(8)) != 8:
             raise ModelFileError(f"{path}: file truncated while reading")
     if digest.digest() != checksum:
         raise ModelFileError(f"{path}: checksum mismatch (file corrupted or truncated)")
 
     try:
-        net = TensorNetwork(quiver, edge_dim, slots, tol)
+        net = TensorNetwork.from_runs(quiver, edge_dim, runs, tol)
         symbol_set = SymbolSet(tuple(symbols), meta.get("scheme", "chars")) if symbols else None
     except (ValueError, TypeError) as exc:
         raise ModelFileError(f"{path}: invalid model: {str(exc)[:200]}") from exc

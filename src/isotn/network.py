@@ -11,10 +11,12 @@ split form a group (:func:`group_vertices`), cut into runs of at most
 :data:`GROUP_BYTES`, and a network holds one frozen (k, *shape) array per
 run. ``vertex_tensor[v]`` is a view of its run (a :class:`VertexStacks`),
 so the Riemannian geometry reads and writes whole runs: the gradient, the
-tangent and the retraction are stacked the same way, and a retracted
-network takes its polar-factor stacks as its storage. Every run is checked
-once, by one path, whether it was copied from a mapping of tensors or
-taken whole; a model file is read straight into its runs.
+tangent and the retraction are stacked the same way. A mapping of tensors
+is always copied into fresh runs; :meth:`TensorNetwork.from_runs` takes
+whole runs as the storage, and it is the one way in for every producer of
+runs: a random draw (:func:`random_tensors` fills fresh runs vertex by
+vertex), a retraction's polar-factor stacks and a loaded model file.
+Either way every run is checked once, by one path.
 
 This module holds the runtime kernels only. The dense layer-map path
 (full evaluation, the state, the operator flow) is the reference they are
@@ -65,7 +67,7 @@ from .graph import (
 from .tensor_core import (
     DEFAULT_ISOMETRY_TOL,
     IndexSplit,
-    from_matrix,
+    as_stack,
     isometry_violation,
     matrix_dims,
     random_isometry,
@@ -106,17 +108,20 @@ class VertexStacks(dict):
         return self.runs[j]
 
 
+class _Runs(tuple):
+    """Runs handed to :meth:`TensorNetwork.from_runs`: taken, not copied."""
+
+
 @dataclass(frozen=True)
 class TensorNetwork:
     """Quiver + edge dimensions + isometric vertex tensors.
 
     The tensors are held as one frozen (k, *shape) complex array per run of
     :meth:`shape_groups` (:meth:`runs`), and ``vertex_tensor[v]`` is a view of
-    its run. Tensors given as a mapping are copied into their runs, one
-    ``np.array`` per run, unless they already lie back to back in one frozen
-    buffer (:func:`_stacked_view`), as a network's own tensors or the members
-    of a stack do; :meth:`with_runs` takes whole runs as they are. Either way
-    the runs are checked once each, by :meth:`_check`.
+    its run. Tensors given as a mapping are always copied into fresh runs,
+    one ``np.array`` per run; :meth:`from_runs` takes whole runs as they are.
+    Either way the edge dims are checked, and the runs once each, by
+    :meth:`_check`.
     """
 
     quiver: Quiver
@@ -133,19 +138,28 @@ class TensorNetwork:
             d = self.edge_dim.get(e)
             if d is None or d < 1:
                 raise ShapeError(f"edge {e} has no positive dimension assigned")
-        for v in q.vertices:
-            if v not in tensors:
-                raise ShapeError(f"vertex {v} has no tensor assigned")
-            if np.shape(tensors[v]) != self.vertex_shape(v):
-                raise ShapeError(
-                    f"vertex {v} tensor shape {np.shape(tensors[v])} does not match incident "
-                    f"edge dims {self.vertex_shape(v)}"
-                )
-        runs = []
-        for verts, shape, _ in self.shape_groups():
-            run = _stacked_view(tensors, verts, shape)
-            runs.append(np.array([tensors[v] for v in verts], dtype=np.complex128) if run is None else run)
-        self._check(runs)
+        if not isinstance(tensors, _Runs):
+            for v in q.vertices:
+                if v not in tensors:
+                    raise ShapeError(f"vertex {v} has no tensor assigned")
+                if np.shape(tensors[v]) != self.vertex_shape(v):
+                    raise ShapeError(
+                        f"vertex {v} tensor shape {np.shape(tensors[v])} does not match incident "
+                        f"edge dims {self.vertex_shape(v)}"
+                    )
+            tensors = [np.array([tensors[v] for v in verts], dtype=np.complex128)
+                       for verts, _, _ in self.shape_groups()]
+        self._check(tensors)
+
+    @classmethod
+    def from_runs(cls, quiver: Quiver, edge_dim: Mapping[int, int], runs: Sequence[np.ndarray],
+                  isometry_tol: float = DEFAULT_ISOMETRY_TOL) -> "TensorNetwork":
+        """The network whose tensors are ``runs``, one (k, *shape) array per
+        run of :func:`group_vertices` of ``quiver`` and ``edge_dim``: taken as
+        they are, with no per-vertex copy, and checked as the constructor
+        checks a mapping. The caller hands the arrays over and no longer
+        writes to them."""
+        return cls(quiver, edge_dim, _Runs(runs), isometry_tol)
 
     def _check(self, runs: Sequence[np.ndarray]) -> None:
         """Check ``runs``, one (k, *shape) array per run of :meth:`shape_groups`,
@@ -207,19 +221,9 @@ class TensorNetwork:
         return tuple(self.edge_dim[e] for e in self.quiver.out_edges)
 
     def with_tensors(self, tensors: Mapping[int, np.ndarray]) -> "TensorNetwork":
-        """Same quiver and dims with replaced vertex tensors (revalidated)."""
+        """Same quiver and dims with replaced vertex tensors, copied into fresh
+        runs and revalidated."""
         return TensorNetwork(self.quiver, self.edge_dim, tensors, self.isometry_tol)
-
-    def with_runs(self, runs: Sequence[np.ndarray]) -> "TensorNetwork":
-        """Same quiver and dims with ``runs``, one (k, *shape) array per run of
-        :meth:`shape_groups`, as the tensors: taken as they are, with no
-        per-vertex copy, and checked as the constructor checks them. The
-        caller hands the arrays over and no longer writes to them."""
-        net = object.__new__(TensorNetwork)
-        for name in ("quiver", "edge_dim", "isometry_tol", "_dims"):
-            object.__setattr__(net, name, getattr(self, name))
-        net._check(runs)
-        return net
 
     def runs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], IndexSplit, np.ndarray], ...]:
         """(vertices, shape, split, tensors) for each run of :meth:`shape_groups`,
@@ -272,35 +276,6 @@ def group_vertices(
             runs += [(tuple(vs[i:i + k]), shape, split) for i in range(0, len(vs), k)]
         groups[key] = tuple(runs)
     return groups[key]
-
-
-def _stacked_view(arrays: Mapping[int, np.ndarray], verts: Sequence[int],
-                 shape: tuple[int, ...]) -> np.ndarray | None:
-    """The arrays of ``verts`` as one read-only (k, *shape) complex view, if
-    they are frozen C-ordered views that lie back to back, in ``verts``
-    order, in one C-ordered complex128 buffer; else None.
-
-    The members of a stack (its rows, or :func:`~isotn.tensor_core.from_stack`
-    of it) and a network's own tensors are such views, so passing them on
-    needs no copy.
-    """
-    first = arrays[verts[0]]
-    base = getattr(first, "base", None)
-    if not (isinstance(base, np.ndarray) and base.dtype == np.complex128 and base.flags.c_contiguous):
-        return None
-    start, size = first.ctypes.data, 16 * math.prod(shape)
-    for i, v in enumerate(verts):
-        t = arrays[v]
-        if not (isinstance(t, np.ndarray) and t.base is base and t.dtype == np.complex128
-                and t.shape == shape and t.flags.c_contiguous and not t.flags.writeable
-                and t.ctypes.data == start + i * size):
-            return None
-    offset, rest = divmod(start - base.ctypes.data, 16)
-    if rest:
-        return None
-    run = base.reshape(-1)[offset:offset + len(verts) * size // 16].reshape((len(verts),) + shape)
-    run.setflags(write=False)
-    return run
 
 
 def _require_model(net: TensorNetwork) -> int:
@@ -632,13 +607,9 @@ def environments(
     for a, b, c, (lperm, lshape, rperm, rshape, _, linv, rinv), _ in reversed(steps):
         x = _item(net, saved, seqs, a).transpose(lperm)
         y = _item(net, saved, seqs, b).transpose(rperm)
-        xm, ym, g = x.reshape(lshape), y.reshape(rshape), adj.pop(c)
-        if xm.ndim == 3:
-            g = g.reshape(len(xm), xm.shape[1], ym.shape[2])
-            gx, gy = g @ np.swapaxes(ym, 1, 2), np.swapaxes(xm, 1, 2) @ g
-        else:
-            g = g.reshape(len(xm), ym.shape[1])
-            gx, gy = g @ ym.T, xm.T @ g
+        xm, ym = x.reshape(lshape), y.reshape(rshape)
+        g = adj.pop(c).reshape(xm.shape[:-1] + ym.shape[-1:])
+        gx, gy = g @ np.swapaxes(ym, -1, -2), np.swapaxes(xm, -1, -2) @ g
         put(a, gx.reshape(x.shape).transpose(linv))
         put(b, gy.reshape(y.shape).transpose(rinv))
     return envs
@@ -793,16 +764,20 @@ def _bond_dims(q: Quiver, kind: str, n: int, w: int, bond: int | Sequence[int]) 
 
 def random_tensors(
     q: Quiver, edge_dim: Mapping[int, int], rng: np.random.Generator
-) -> dict[int, np.ndarray]:
-    """Independent Haar-random isometric tensors for every vertex."""
-    tensors = {}
-    for v in q.vertices:
-        n_in = len(q.vertex_in_edges(v))
-        shape = tuple(edge_dim[e] for e in q.vertex_in_edges(v) + q.vertex_out_edges(v))
-        split = IndexSplit(tuple(range(n_in)), tuple(range(n_in, len(shape))))
-        d_out, d_in = matrix_dims(shape, split)
-        tensors[v] = from_matrix(random_isometry(d_in, d_out, rng), shape, split)
-    return tensors
+) -> VertexStacks:
+    """Independent Haar-random isometric tensors for every vertex, drawn in
+    vertex order straight into their slots of fresh runs of
+    :func:`group_vertices`, which :meth:`TensorNetwork.from_runs` takes
+    (the dict's ``runs``)."""
+    groups = group_vertices(q, edge_dim)
+    runs = [np.empty((len(verts),) + shape, dtype=np.complex128) for verts, shape, _ in groups]
+    for v, t in VertexStacks(groups, runs, q.vertices).items():
+        split = _vertex_split(q, v)
+        d_out, d_in = matrix_dims(t.shape, split)
+        as_stack(t, split)[0] = random_isometry(d_in, d_out, rng).T  # in axes first: a view of t
+    for run in runs:
+        run.setflags(write=False)
+    return VertexStacks(groups, runs, q.vertices)
 
 
 def random_network(
@@ -827,4 +802,4 @@ def random_network(
         raise ValueError(f"unknown network kind {kind!r}")
     q = builders[kind](n)
     dims = _bond_dims(q, kind, n, phys_dim, bond)
-    return TensorNetwork(q, dims, random_tensors(q, dims, rng))
+    return TensorNetwork.from_runs(q, dims, random_tensors(q, dims, rng).runs)

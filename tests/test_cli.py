@@ -207,6 +207,13 @@ class TestMiCommand:
         out = capsys.readouterr().out
         assert "I(l)" in out
 
+    @pytest.mark.parametrize("flags", [["--stride", "0"], ["--n", "0"], ["--n", "-2"]],
+                             ids=["stride_0", "n_0", "n_negative"])
+    def test_data_mode_rejects_bad_windows(self, corpus_file, vocab_file, capsys, flags):
+        assert main(["mi", "--data", str(corpus_file), "--vocab", str(vocab_file),
+                     "--lmax", "4", *flags]) == 1
+        assert capsys.readouterr().err == "error: window length and stride must be >= 1\n"
+
     def test_requires_exactly_one_source(self, capsys):
         assert main(["mi", "--lmax", "3"]) == 1
 
@@ -277,6 +284,18 @@ class TestModelFile:
             tracemalloc.stop()
         assert peak < 1.25 * tensor_bytes
         assert all(t.ctypes.data % 16 == 0 for t in loaded.vertex_tensor.values())
+
+    def test_save_makes_no_second_copy_of_the_tensors(self, tmp_path):
+        net = random_network("chain", 36, 32, 32, philox(6))
+        tensor_bytes = sum(t.nbytes for t in net.vertex_tensor.values())
+        assert tensor_bytes >= 16 * 2**20
+        tracemalloc.start()
+        try:
+            save_model(ModelBundle(net, None, "chain", 0), tmp_path / "big.isotn")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * tensor_bytes
 
     def test_corruption_detected(self, tmp_path, rng):
         from isotn.errors import ModelFileError

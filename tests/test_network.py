@@ -20,7 +20,7 @@ from isotn.network import (
     site_operator_expectation,
 )
 from isotn.sampling import conditional_distribution
-from isotn.tensor_core import IndexSplit, as_stack, from_stack, is_isometry, isometry_violation, random_isometry
+from isotn.tensor_core import IndexSplit, is_isometry, isometry_violation, random_isometry
 
 from conftest import deterministic_chain_net, enumerate_sequences, philox, single_vertex_net, two_site_net
 
@@ -493,20 +493,47 @@ class TestValidation:
         runs = [np.array(run) for *_, run in net.runs()]
         runs[j][1].flat[2] = bad
         for make in (lambda: net.with_tensors({**net.vertex_tensor, verts[1]: runs[j][1]}),
-                     lambda: net.with_runs(runs)):
+                     lambda: TensorNetwork.from_runs(net.quiver, net.edge_dim, runs)):
             with pytest.raises(ShapeError, match=rf"^vertex {verts[1]}: tensor entries must be finite"):
                 make()
 
     def test_stacked_tensors_are_taken_without_a_copy(self, rng):
-        # a training step's retraction hands its polar-factor stack over
-        # through from_stack, and with_tensors keeps the views
+        # runs handed to from_runs are the network's storage, as a training
+        # step's polar-factor stacks are; a mapping is always copied
         net = random_network("tree", 8, 3, 2, rng)
-        verts, shape, split = next(g for g in net.shape_groups() if len(g[0]) > 1)
-        stack = as_stack(np.array([net.vertex_tensor[v] for v in verts]), split).copy()
-        tensors = from_stack(stack, (len(verts),) + shape, split)
-        assert np.shares_memory(tensors, stack)
-        moved = net.with_tensors({**net.vertex_tensor, **dict(zip(verts, tensors))})
-        assert all(np.shares_memory(moved.vertex_tensor[v], t) for v, t in zip(verts, tensors))
+        runs = [np.array(run) for *_, run in net.runs()]
+        taken = TensorNetwork.from_runs(net.quiver, net.edge_dim, runs)
+        for (verts, _, _, run), given in zip(taken.runs(), runs):
+            assert run is given and not run.flags.writeable
+            assert all(np.shares_memory(taken.vertex_tensor[v], given) for v in verts)
+        copied = net.with_tensors(net.vertex_tensor)
+        assert not any(np.shares_memory(a, b) for (*_, a), (*_, b) in zip(copied.runs(), net.runs()))
+        np.testing.assert_array_equal(copied.vertex_tensor[1], net.vertex_tensor[1])
+
+    def test_from_runs_checks_the_run_count_and_shapes(self):
+        net = random_network("tree", 8, 3, 2, philox(4))
+        runs = [run for *_, run in net.runs()]
+        with pytest.raises(ShapeError, match=rf"^{len(runs) - 1} tensor runs given for {len(runs)} shape groups$"):
+            TensorNetwork.from_runs(net.quiver, net.edge_dim, runs[:-1])
+        j, (verts, _, _) = next((j, g) for j, g in enumerate(net.shape_groups()) if len(g[0]) > 1)
+        short = runs[:j] + [runs[j][1:]] + runs[j + 1:]
+        with pytest.raises(ShapeError, match=rf"^vertex {verts[0]}: run of shape \({len(verts) - 1}, "):
+            TensorNetwork.from_runs(net.quiver, net.edge_dim, short)
+        e = net.quiver.internal_edges[0]
+        with pytest.raises(ShapeError, match=rf"^edge {e} has no positive dimension assigned$"):
+            TensorNetwork.from_runs(net.quiver, {**net.edge_dim, e: 0}, runs)
+
+    def test_random_network_peaks_near_the_tensor_bytes(self):
+        # each vertex is drawn straight into its slot of the network's runs
+        tracemalloc.start()
+        try:
+            net = random_network("chain", 36, 32, 32, philox(6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tensor_bytes = sum(t.nbytes for t in net.vertex_tensor.values())
+        assert tensor_bytes >= 16 * 2**20
+        assert peak < 1.25 * tensor_bytes
 
 
 def test_two_site_helper_builds_bell_state():
