@@ -117,7 +117,7 @@ def cmd_mi(args) -> int:
             raise IsotnError("--data mode needs --vocab")
         vocab = corpus.load_vocab(args.vocab, args.scheme)
         sample_set = corpus.windows(corpus.tokenize(_read_text(args.data), vocab), args.n, args.stride)
-        source = [s for s, m in sample_set.items() for _ in range(m)]
+        source = np.repeat(sample_set.rows, sample_set.counts, axis=0)
         label = args.data
     curve = diagnostics.decay_curve(source, args.lmax)
     fits = {kind: diagnostics._safe_fit(curve, kind) for kind in ("power", "exponential")}

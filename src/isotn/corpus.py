@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from .model import SampleMultiset, SymbolSet
-from .network import whole_number
+from .network import whole_array
 
 SCHEMES = ("bytes", "chars", "words")
 
@@ -108,21 +110,18 @@ def detokenize(indices, vocab: SymbolSet) -> str:
 
 
 def windows(tokens, n: int, stride: int = 1) -> SampleMultiset:
-    """All length-n windows at offsets 0, stride, 2·stride, ...
-
-    Identical windows accumulate multiplicity; a tail shorter than ``n``
-    is dropped. Raises when the stream is shorter than one window or holds
-    a token that is not a finite whole number.
+    """All length-n windows at offsets 0, stride, 2·stride, ..., counted
+    by :class:`~isotn.model.SampleMultiset` from a strided view of the
+    tokens; a tail shorter than ``n`` is dropped. Raises when the stream is
+    shorter than one window or holds a token that is not a finite whole
+    number.
     """
     if n < 1 or stride < 1:
         raise ValueError("window length and stride must be >= 1")
-    tokens = [whole_number(t, "token") for t in tokens]
+    tokens = whole_array(tokens, "token")
     if len(tokens) < n:
         raise ValueError(f"token stream of length {len(tokens)} is shorter than n={n}")
-    entries: Counter = Counter()
-    for start in range(0, len(tokens) - n + 1, stride):
-        entries[tuple(tokens[start:start + n])] += 1
-    return SampleMultiset(n, dict(entries))
+    return SampleMultiset(n, np.lib.stride_tricks.sliding_window_view(tokens, n)[::stride])
 
 
 def _escape(token: str) -> str:

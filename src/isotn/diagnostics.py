@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import FitError
-from .network import TensorNetwork, random_tensors, site_marginal, whole_number
+from .network import TensorNetwork, random_tensors, site_marginal, whole_array
 
 _NEG_TOL = -1e-12
 _I_FLOOR = 1e-12
@@ -110,11 +110,7 @@ def _sample_array(samples: Sequence[Sequence[int]]) -> np.ndarray:
     arr = np.asarray(samples)
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ValueError("need at least 2 samples of equal length")
-    if arr.dtype.kind not in "iu":
-        bad = arr[~(np.isfinite(arr) & (np.floor(arr) == arr))]
-        if bad.size:
-            whole_number(bad[0], "symbol", " in samples")  # raises
-        arr = arr.astype(int)
+    arr = whole_array(arr, "symbol", " in samples")
     if arr.min() < 0:
         raise ValueError(f"negative symbol {int(arr.min())} in samples")
     return arr

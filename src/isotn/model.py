@@ -10,7 +10,6 @@ All logarithms are natural (nats).
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import _brief
-from .network import SequenceState, TensorNetwork, amplitude, amplitudes, whole_number
+from .network import SequenceState, TensorNetwork, amplitude, amplitudes, whole_array, whole_number
 
 Distribution = dict[SequenceState, float]
 
@@ -49,28 +48,51 @@ class SymbolSet:
         return {tok: i for i, tok in enumerate(self.symbols)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SampleMultiset:
-    """Fixed-length sequences of whole symbols with positive whole multiplicities."""
+    """Fixed-length sequences of whole symbols with positive whole multiplicities,
+    given as a {sequence: multiplicity} mapping or an (N, n) table of rows.
+
+    Held as read-only arrays: ``rows``, the distinct sequences as a (U, n)
+    int64 table in lexicographic order, and ``counts``, their multiplicities.
+    ``entries`` and ``items()`` are views in row order.
+    """
 
     n: int
-    entries: Mapping[SequenceState, int]
+    rows: np.ndarray
+    counts: np.ndarray
 
-    def __post_init__(self):
-        entries = {tuple(whole_number(x, "symbol") for x in s): whole_number(m, "multiplicity")
-                   for s, m in dict(self.entries).items()}
-        object.__setattr__(self, "entries", entries)
-        if self.n < 1:
+    def __init__(self, n: int, entries: Mapping[SequenceState, int] | np.ndarray):
+        if n < 1:
             raise ValueError("sequence length must be positive")
-        for s, m in entries.items():
-            if len(s) != self.n:
-                raise ValueError(f"sequence {s} has length {len(s)}, expected {self.n}")
-            if m < 1:
-                raise ValueError(f"multiplicity of {s} must be >= 1, got {m}")
+        if isinstance(entries, Mapping):
+            items = sorted((tuple(whole_number(x, "symbol") for x in s), whole_number(m, "multiplicity"))
+                           for s, m in entries.items())
+            for s, m in items:
+                if len(s) != n:
+                    raise ValueError(f"sequence {s} has length {len(s)}, expected {n}")
+                if m < 1:
+                    raise ValueError(f"multiplicity of {s} must be >= 1, got {m}")
+            rows = np.array([s for s, _ in items], dtype=np.int64).reshape(len(items), n)
+            counts = np.array([m for _, m in items], dtype=np.int64)
+        else:
+            table = whole_array(entries, "symbol")
+            if table.ndim != 2 or table.shape[1] != n:
+                raise ValueError(f"sequence table of shape {table.shape} is not (count, {n})")
+            rows, counts = np.unique(table, axis=0, return_counts=True)
+        rows.setflags(write=False)
+        counts.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def cardinality(self) -> int:
-        return sum(self.entries.values())
+        return int(self.counts.sum())
+
+    @property
+    def entries(self) -> dict[SequenceState, int]:
+        return dict(zip(map(tuple, self.rows.tolist()), self.counts.tolist()))
 
     def items(self):
         return self.entries.items()
@@ -92,19 +114,19 @@ def empirical_distribution(sample: SampleMultiset) -> Distribution:
 def log_likelihood(net: TensorNetwork, sample: SampleMultiset) -> float:
     """Free energy F(u|S) = −Σ_s m(s) log μ(s). Lower is better.
 
-    Sequences are scored :data:`_EVAL_ROWS` at a time, so memory stays flat
-    in the sample's size. A zero-amplitude sample sequence makes the
-    objective infinite; this is reported as ``inf`` together with a warning
-    naming the sequence rather than being epsilon-smoothed away.
+    The sample's rows are scored in order, :data:`_EVAL_ROWS` at a time, so
+    memory stays flat in the sample's size. A zero-amplitude sample row
+    makes the objective infinite; this is reported as ``inf`` together with
+    a warning naming the first such row rather than being epsilon-smoothed.
     """
     total = 0.0
-    items = iter(sample.items())
-    while chunk := list(itertools.islice(items, _EVAL_ROWS)):
-        probs = np.abs(amplitudes(net, [s for s, _ in chunk])) ** 2
-        for (s, m), p in zip(chunk, probs.tolist()):
+    for start in range(0, len(sample.rows), _EVAL_ROWS):
+        part = slice(start, start + _EVAL_ROWS)
+        probs = np.abs(amplitudes(net, sample.rows[part])) ** 2
+        for s, m, p in zip(sample.rows[part].tolist(), sample.counts[part].tolist(), probs.tolist()):
             if p == 0.0:
                 warnings.warn(
-                    f"sequence {_brief(s)} has zero model probability; objective is infinite",
+                    f"sequence {_brief(tuple(s))} has zero model probability; objective is infinite",
                     RuntimeWarning,
                     stacklevel=2,
                 )

@@ -303,6 +303,14 @@ def whole_number(x, what: str, where: str = "") -> int:
     raise ValueError(f"{what} {x}{where} is not a finite whole number")
 
 
+def whole_array(values, what: str, where: str = "") -> np.ndarray:
+    """``values`` as an int64 array; unless they are integers, each is read by :func:`whole_number`."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        arr = np.array([whole_number(x, what, where) for x in arr.ravel().tolist()]).reshape(arr.shape)
+    return arr.astype(np.int64, copy=False)
+
+
 def sequence_array(
     net: TensorNetwork, rows: Sequence[Sequence[int]], length: int | None = None
 ) -> np.ndarray:
@@ -747,6 +755,9 @@ def _bond_dims(q: Quiver, kind: str, n: int, w: int, bond: int | Sequence[int]) 
         what = {"chain": f"bond dims for a chain of {n}", "tree": "per-level bond dims",
                 "mera": "per-row bond dims"}[kind]
         raise ValueError(f"need {rows} {what}, got {len(caps)}")
+    for b in [bond] if caps is None else caps:
+        if b < 1:
+            raise ValueError(f"bond dimension must be positive, got {b}")
     row, dims = {q.in_edges[0]: 0}, {q.in_edges[0]: 1}
     for verts in q.plan.layering.layers:
         for v in verts:

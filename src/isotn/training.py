@@ -18,7 +18,6 @@ step records the violation measured there.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -149,36 +148,37 @@ def train(
 ) -> tuple[TensorNetwork, LossTrace]:
     """Mini-batch descent over the shuffled sample; deterministic under seed.
 
-    Every recorded loss is the multiplicity-weighted mean per-sequence
-    objective of that step's batch, evaluated before the update. The data
-    order stream is derived from the seed independently of any
-    initialization randomness. An error raised inside a step (a zero
-    amplitude, a singular polar factor, a non-isometric retraction) keeps
-    its type and attributes, and its message starts with ``step N: ``.
+    Each epoch shuffles the indices of the |S| windows (row r repeated
+    counts[r] times, rows in order); a batch holds the distinct rows its
+    indices name, in row order, each with its count. Every recorded loss is the
+    multiplicity-weighted mean per-sequence objective of that step's batch,
+    evaluated before the update. The data order stream is derived from the
+    seed independently of any initialization randomness. An error raised
+    inside a step (a zero amplitude, a singular polar factor, a
+    non-isometric retraction) keeps its type and attributes, and its
+    message starts with ``step N: ``.
     """
     if sample.n != net.n_sites:
         raise ValueError(f"sample length {sample.n} != network sites {net.n_sites}")
-    items = sorted(sample.items())
-    if items:
-        sequence_array(net, [s for s, _ in items])
-    expanded: list[SequenceState] = []
-    for s, m in items:
-        expanded.extend([s] * m)
+    if len(sample.rows) or cfg.steps:  # an empty sample cannot fill a batch
+        sequence_array(net, sample.rows)
+    ends = np.cumsum(sample.counts)
 
     shuffle_rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
     )
-    order: list[int] = []
+    order = np.empty(0, dtype=np.int64)
     records: list[LossRecord] = []
     t0 = time.perf_counter()
     current = net
     for step in range(cfg.steps):
         while len(order) < cfg.batch_size:
-            epoch = list(range(len(expanded)))
+            epoch = np.arange(sample.cardinality)
             shuffle_rng.shuffle(epoch)
-            order.extend(epoch)
+            order = np.concatenate([order, epoch])
         take, order = order[: cfg.batch_size], order[cfg.batch_size:]
-        batch = sorted(Counter(expanded[i] for i in take).items())
+        picked, mult = np.unique(np.searchsorted(ends, take, "right"), return_counts=True)
+        batch = list(zip(map(tuple, sample.rows[picked].tolist()), mult.tolist()))
         try:
             current, batch_loss = _step(current, batch, cfg.learning_rate)
         except ValueError as exc:  # keeps the type and attributes, names the step

@@ -79,6 +79,15 @@ class TestTrainCommand:
         for v in expected.quiver.vertices:
             np.testing.assert_array_equal(bundle.net.vertex_tensor[v], expected.vertex_tensor[v])
 
+    @pytest.mark.parametrize("bond, bad", [("0", 0), ("4,0", 0), ("-2", -2)],
+                             ids=["zero", "zero_in_list", "negative"])
+    def test_nonpositive_bond_is_one_error_line(self, tmp_path, corpus_file, vocab_file, capsys,
+                                                bond, bad):
+        args = train_args(corpus_file, vocab_file, tmp_path / "m.isotn", steps=1)
+        args[args.index("--n") + 1], args[args.index("--bond-dims") + 1] = "8", bond
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: bond dimension must be positive, got {bad}\n"
+
     def test_unreadable_data_path_fails_with_message(self, tmp_path, vocab_file, capsys):
         missing = tmp_path / "no-such-file.txt"
         code = main(train_args(missing, vocab_file, tmp_path / "m.isotn"))

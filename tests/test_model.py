@@ -1,8 +1,12 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from isotn import model
 from isotn.manifold import gauge_transform
@@ -51,6 +55,31 @@ def test_sample_multiset_rejects_non_whole_numbers(entries, value):
 def test_sample_multiset_keeps_whole_floats_as_ints():
     s = SampleMultiset(2, {(2.0, 1): 2.0})
     assert s.entries == {(2, 1): 2} and all(type(x) is int for x in (*next(iter(s.entries)), s.cardinality))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: hnp.arrays(
+    np.int64, st.tuples(st.integers(0, 30), st.just(n)), elements=st.integers(-2, 2))))
+def test_a_table_counts_its_rows_like_a_counter(table):
+    n = table.shape[1]
+    from_table = SampleMultiset(n, table)
+    from_counter = SampleMultiset(n, Counter(map(tuple, table.tolist())))
+    for s in (from_table, from_counter):
+        np.testing.assert_array_equal(s.rows, from_table.rows)
+        np.testing.assert_array_equal(s.counts, from_table.counts)
+        assert s.rows.dtype == np.int64 and s.rows.shape == (len(s.counts), n)
+        assert not s.rows.flags.writeable and not s.counts.flags.writeable
+        assert s.cardinality == len(table)
+    assert list(from_table.items()) == list(from_counter.items())
+    keys = [s for s, _ in from_table.items()]
+    assert keys == sorted(set(map(tuple, table.tolist())))
+
+
+def test_sample_table_is_checked():
+    with pytest.raises(ValueError, match=r"^symbol 0.5 is not a finite whole number$"):
+        SampleMultiset(2, np.array([[1.0, 0.5]]))
+    with pytest.raises(ValueError, match=r"shape \(2, 3\) is not \(count, 2\)"):
+        SampleMultiset(2, np.zeros((2, 3), dtype=int))
+    assert SampleMultiset(2, [[1.0, 0], [1, 0]]).entries == {(1, 0): 2}
 
 
 class TestBornProbability:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -195,6 +196,36 @@ class TestTrain:
         assert len(str(err.value)) <= 200
         assert getattr(err.value, "sequence", (1,) * 256) == (1,) * 256
         assert getattr(err.value, "smallest_singular_value", 1e-17) == 1e-17
+
+    def test_empty_sample_is_rejected_unless_no_step_runs(self, rng):
+        net = random_network("tree", 4, 2, 2, rng)
+        empty = SampleMultiset(4, {})
+        with pytest.raises(ValueError, match="nonempty"):
+            train(net, empty, TrainConfig(learning_rate=0.05, steps=1, batch_size=2))
+        assert train(net, empty, TrainConfig(learning_rate=0.05, steps=0))[0] is net
+
+    def test_batches_follow_the_shuffled_expansion_of_sorted_items(self, rng, monkeypatch):
+        # the reference draws batches the way the stream was first defined:
+        # sorted items expanded one entry per window, the index list shuffled
+        # on Philox stream (seed, 1) an epoch at a time, each batch counted
+        sample = SampleMultiset(4, {(1, 1, 1, 1): 2, (0, 0, 0, 0): 4, (0, 1, 0, 1): 3})
+        cfg = TrainConfig(learning_rate=0.05, steps=6, batch_size=13, seed=5)
+        expanded = [s for s, m in sorted(sample.items()) for _ in range(m)]
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=5, spawn_key=(1,))))
+        order, expected = [], []
+        for _ in range(cfg.steps):
+            while len(order) < cfg.batch_size:
+                epoch = list(range(len(expanded)))
+                gen.shuffle(epoch)
+                order.extend(epoch)
+            take, order = order[:cfg.batch_size], order[cfg.batch_size:]
+            expected.append(sorted(Counter(expanded[i] for i in take).items()))
+
+        seen = []
+        monkeypatch.setattr(training, "mean_gradient",
+                            lambda net, batch: seen.append(batch) or mean_gradient(net, batch))
+        train(random_network("tree", 4, 2, 2, rng), sample, cfg)
+        assert seen == expected
 
     def test_checkpoint_callback_invoked(self, rng):
         net = random_network("tree", 4, 2, 2, rng)
