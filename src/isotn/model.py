@@ -55,7 +55,9 @@ class SampleMultiset:
 
     Held as read-only arrays: ``rows``, the distinct sequences as a (U, n)
     int64 table in lexicographic order, and ``counts``, their multiplicities.
-    ``entries`` and ``items()`` are views in row order.
+    ``entries`` and ``items()`` are views in row order. A table's rows are
+    counted by one packed byte key per row (:func:`_count_rows`), one sort
+    of N keys of n·width bytes, with no int64 copy of the table.
     """
 
     n: int
@@ -79,7 +81,7 @@ class SampleMultiset:
             table = whole_array(entries, "symbol")
             if table.ndim != 2 or table.shape[1] != n:
                 raise ValueError(f"sequence table of shape {table.shape} is not (count, {n})")
-            rows, counts = np.unique(table, axis=0, return_counts=True)
+            rows, counts = _count_rows(table)
         rows.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "n", n)
@@ -96,6 +98,27 @@ class SampleMultiset:
 
     def items(self):
         return self.entries.items()
+
+
+def _count_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (N, n) int64 table in lexicographic order, as a
+    (U, n) int64 array, and how often each occurs.
+
+    Each row is counted by one byte key: its symbols less the table's
+    minimum, in the narrowest big-endian unsigned width (1, 2, 4 or 8 bytes)
+    that holds the span, so byte order is symbol order. The key is cast
+    straight from ``table``, which may be a strided view, and a span of 2^63
+    or more wraps mod 2^64 on the way in and back.
+    """
+    lo, hi = (int(table.min()), int(table.max())) if table.size else (0, 0)
+    width = next(w for w in (1, 2, 4, 8) if hi - lo < 256 ** w)
+    key = np.empty(table.shape, dtype=f">u{width}")
+    np.subtract(table, np.int64(lo), out=key, casting="unsafe")
+    distinct, counts = np.unique(key.view(f"V{key.itemsize * table.shape[1]}").ravel(),
+                                 return_counts=True)
+    rows = np.add(distinct.view(key.dtype).reshape(-1, table.shape[1]), np.int64(lo),
+                  dtype=np.int64, casting="unsafe")
+    return rows, counts
 
 
 def born_probability(net: TensorNetwork, sequence: Sequence[int]) -> float:

@@ -70,7 +70,7 @@ from .tensor_core import (
     as_stack,
     isometry_violation,
     matrix_dims,
-    random_isometry,
+    random_isometries,
 )
 
 # A sequence state is one symbol index per Out edge, in canonical
@@ -779,13 +779,23 @@ def random_tensors(
     """Independent Haar-random isometric tensors for every vertex, drawn in
     vertex order straight into their slots of fresh runs of
     :func:`group_vertices`, which :meth:`TensorNetwork.from_runs` takes
-    (the dict's ``runs``)."""
+    (the dict's ``runs``). Each stretch of vertices that are consecutive
+    members of one run is drawn as one stack by :func:`random_isometries`."""
     groups = group_vertices(q, edge_dim)
     runs = [np.empty((len(verts),) + shape, dtype=np.complex128) for verts, shape, _ in groups]
-    for v, t in VertexStacks(groups, runs, q.vertices).items():
-        split = _vertex_split(q, v)
-        d_out, d_in = matrix_dims(t.shape, split)
-        as_stack(t, split)[0] = random_isometry(d_in, d_out, rng).T  # in axes first: a view of t
+    place = {v: (j, i) for j, (verts, _, _) in enumerate(groups) for i, v in enumerate(verts)}
+    stretches: list[list[int]] = []  # [run, first member, members]
+    for v in q.vertices:
+        j, i = place[v]
+        if stretches and stretches[-1][0] == j and stretches[-1][1] + stretches[-1][2] == i:
+            stretches[-1][2] += 1
+        else:
+            stretches.append([j, i, 1])
+    for j, i, k in stretches:
+        _, shape, split = groups[j]
+        d_out, d_in = matrix_dims(shape, split)
+        # in axes first, so as_stack is a view of the run's slots
+        as_stack(runs[j][i:i + k], split)[...] = random_isometries(k, d_in, d_out, rng).transpose(0, 2, 1)
     for run in runs:
         run.setflags(write=False)
     return VertexStacks(groups, runs, q.vertices)

@@ -165,20 +165,33 @@ def isometry_violation(tensor: np.ndarray, split: IndexSplit) -> float | np.ndar
     return worst.reshape(lead) if lead else float(worst[0])
 
 
-def random_isometry(in_dim: int, out_dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random isometry as an (out_dim, in_dim) matrix with M†M = I.
+def random_isometries(k: int, in_dim: int, out_dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``k`` independent Haar-random isometries as a (k, out_dim, in_dim)
+    stack, each with M†M = I.
 
-    Drawn by QR of a complex Ginibre matrix with the R-diagonal phase fix,
-    which makes the distribution invariant under left unitary multiplication.
+    Drawn by one stacked QR of complex Ginibre matrices with the R-diagonal
+    phase fix, which makes the distribution invariant under left unitary
+    multiplication. Member i reads the stream where the i-th of ``k``
+    successive one-member draws would, and gets the same matrix.
     """
     if in_dim < 1 or out_dim < 1:
         raise ValueError("dimensions must be positive")
     if in_dim > out_dim:
         raise ValueError(f"in_dim {in_dim} exceeds out_dim {out_dim}: no isometry exists")
-    z = rng.standard_normal((out_dim, in_dim)) + 1j * rng.standard_normal((out_dim, in_dim))
+    x = rng.standard_normal((k, 2, out_dim, in_dim))
+    z = np.empty((k, out_dim, in_dim), dtype=np.complex128)
+    z.real, z.imag = x[:, 0], x[:, 1]
+    del x  # each temporary is the size of the stack; hold at most two
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q *= (d / np.abs(d))[:, None, :]
+    return q
+
+
+def random_isometry(in_dim: int, out_dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random isometry as an (out_dim, in_dim) matrix with M†M = I: the
+    one-member :func:`random_isometries`."""
+    q = random_isometries(1, in_dim, out_dim, rng)[0]
     q.setflags(write=False)  # nothing else holds q, so astensor takes it without a copy
     return astensor(q)
 

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,18 @@ class TestWindows:
         tokens = gen.integers(0, 2, size=10_000)
         sample = windows(tokens, 8, 1)
         assert sample.cardinality == 10_000 - 8 + 1
+
+    def test_counting_peaks_near_the_rows(self):
+        # 100k nearly distinct windows: the rows themselves take 24 MiB;
+        # sorting the rows as int64 records peaked at 3.1x that
+        tokens = philox(2).integers(0, 27, size=100_000)
+        tracemalloc.start()
+        try:
+            sample = windows(tokens, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * sample.rows.nbytes
 
     def test_short_stream_rejected(self):
         with pytest.raises(ValueError):

@@ -74,6 +74,39 @@ def test_a_table_counts_its_rows_like_a_counter(table):
     assert keys == sorted(set(map(tuple, table.tolist())))
 
 
+_I64 = np.iinfo(np.int64)
+
+
+@st.composite
+def spanned_tables(draw):
+    """(N, n) int64 tables whose symbols span just below or just above a key
+    width boundary (2^8, 2^16, 2^32), or the whole int64 range, from a drawn
+    minimum, which may be negative."""
+    n, count = draw(st.integers(1, 4)), draw(st.integers(0, 30))
+    span = draw(st.sampled_from([0, 1, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**63, 2**64 - 1]))
+    lo = draw(st.integers(int(_I64.min), int(_I64.max) - span))
+    values = [lo, lo + 1, lo + span // 2, lo + span - 1, lo + span]
+    return draw(hnp.arrays(np.int64, (count, n), elements=st.sampled_from(values)))
+
+
+@given(spanned_tables())
+def test_rows_are_counted_like_a_row_unique(table):
+    n = table.shape[1]
+    expected_rows, expected_counts = np.unique(table, axis=0, return_counts=True)
+    sample = SampleMultiset(n, table)
+    assert sample.rows.dtype == np.int64 and sample.rows.shape == (len(expected_rows), n)
+    assert not sample.rows.flags.writeable and not sample.counts.flags.writeable
+    np.testing.assert_array_equal(sample.rows, expected_rows)
+    np.testing.assert_array_equal(sample.counts, expected_counts)
+    tokens = table.ravel()  # and through the strided view of corpus.windows
+    if len(tokens) >= n:
+        view = np.lib.stride_tricks.sliding_window_view(tokens, n)[::2]
+        expected_rows, expected_counts = np.unique(view, axis=0, return_counts=True)
+        sample = SampleMultiset(n, view)
+        np.testing.assert_array_equal(sample.rows, expected_rows)
+        np.testing.assert_array_equal(sample.counts, expected_counts)
+
+
 def test_sample_table_is_checked():
     with pytest.raises(ValueError, match=r"^symbol 0.5 is not a finite whole number$"):
         SampleMultiset(2, np.array([[1.0, 0.5]]))

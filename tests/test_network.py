@@ -20,7 +20,7 @@ from isotn.network import (
     site_operator_expectation,
 )
 from isotn.sampling import conditional_distribution
-from isotn.tensor_core import IndexSplit, is_isometry, isometry_violation, random_isometry
+from isotn.tensor_core import IndexSplit, is_isometry, isometry_violation, matrix_dims, random_isometry
 
 from conftest import deterministic_chain_net, enumerate_sequences, philox, single_vertex_net, two_site_net
 
@@ -431,6 +431,19 @@ class TestExplicitBondLists:
     def test_wrong_length_rejected(self, rng):
         with pytest.raises(ValueError):
             random_network("chain", 5, 2, [2, 4], rng)
+
+
+@pytest.mark.parametrize("kind, n, w, bond", [("chain", 16, 5, 4), ("tree", 32, 27, 8), ("mera", 16, 3, 4)])
+def test_random_tensors_read_the_stream_vertex_by_vertex(kind, n, w, bond):
+    # the oracle: one random_isometry per vertex, in vertex order, on the same stream
+    net = random_network(kind, n, w, bond, philox(50))
+    drawing, rng = philox(51), philox(51)
+    drawn = random_tensors(net.quiver, net.edge_dim, drawing)
+    for v in net.quiver.vertices:
+        shape = net.vertex_shape(v)
+        out_dim, in_dim = matrix_dims(shape, net.vertex_split(v))
+        assert np.array_equal(drawn[v], random_isometry(in_dim, out_dim, rng).T.reshape(shape)), v
+    assert drawing.random() == rng.random()  # both streams stop at the same place
 
 
 class TestValidation:
