@@ -8,8 +8,8 @@ left-to-right observable order (so sorting Out edges by id yields sequence
 position order).
 
 Everything a contraction needs to know about the graph alone (layering,
-tree test, leg bookkeeping) is compiled once into a :class:`Plan` and
-cached on the immutable quiver.
+tree test, Out positions, and the schedules compiled from them) is kept in
+one :class:`Plan`, cached on the immutable quiver.
 """
 
 from __future__ import annotations
@@ -150,52 +150,26 @@ def topological_layers(q: Quiver) -> Layering:
 
 
 @dataclass(frozen=True)
-class VertexLegs:
-    """The out legs of one vertex: leaf legs carry Out edges and are named
-    by sequence position, internal legs are named by edge id."""
-
-    leaf_positions: tuple[int, ...]
-    inner_edges: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Plan:
     """Graph-only data shared by every contraction of one quiver.
 
-    ``in_edge`` maps each vertex to its single in edge and is filled only
-    when ``is_tree`` holds. ``below`` maps every edge to the sorted
-    sequence positions of the Out edges reachable from it. ``paths``
-    caches the contraction schedules :mod:`isotn.network` compiles for this
-    quiver, keyed by edge dimensions and leg roles, and ``groups`` its
-    vertices grouped by tensor shape, keyed by edge dimensions.
+    ``paths`` caches the contraction schedules :mod:`isotn.network` compiles
+    for this quiver, keyed by edge dimensions and leg roles, ``groups`` its
+    vertices grouped by tensor shape, keyed by edge dimensions, and
+    ``tree_steps`` the tree sampler's steps (:mod:`isotn.sampling`).
     """
 
     layering: Layering
     is_tree: bool
     out_position: Mapping[int, int]
-    in_edge: Mapping[int, int]
-    legs: Mapping[int, VertexLegs]
-    below: Mapping[int, tuple[int, ...]]
     paths: dict = field(default_factory=dict, compare=False, repr=False)
     groups: dict = field(default_factory=dict, compare=False, repr=False)
+    tree_steps: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _build_plan(q: Quiver) -> Plan:
     """Compile the plan of ``q``; callers use the cached ``q.plan``."""
-    layering = topological_layers(q)
-    tree = is_tree(q)
-    pos = {e: p for p, e in enumerate(q.out_edges)}
-    legs = {v: VertexLegs(tuple(pos[e] for e in q.vertex_out_edges(v) if e in pos),
-                          tuple(e for e in q.vertex_out_edges(v) if e not in pos))
-            for v in q.vertices}
-    in_edge = {v: q.vertex_in_edges(v)[0] for v in q.vertices} if tree else {}
-    below = {e: (p,) for e, p in pos.items()}
-    for verts in reversed(layering.layers):
-        for v in verts:
-            reach = tuple(sorted({p for e in q.vertex_out_edges(v) for p in below[e]}))
-            for e in q.vertex_in_edges(v):
-                below[e] = reach
-    return Plan(layering, tree, pos, in_edge, legs, below)
+    return Plan(topological_layers(q), is_tree(q), {e: p for p, e in enumerate(q.out_edges)})
 
 
 def _find_cycle(q: Quiver, resolved: set[int]) -> tuple[int, ...]:

@@ -308,6 +308,9 @@ def whole_array(values, what: str, where: str = "") -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
         arr = np.array([whole_number(x, what, where) for x in arr.ravel().tolist()]).reshape(arr.shape)
+    big = arr.dtype.kind != "i" and (arr >= 2**63) | (arr < -2**63)  # the cast would wrap them
+    if np.any(big):
+        raise ValueError(f"{what} {arr.ravel()[np.argmax(big.ravel())]}{where} does not fit in int64")
     return arr.astype(np.int64, copy=False)
 
 

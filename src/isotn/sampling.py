@@ -12,22 +12,26 @@ chains included, every vertex is an isometry, so a subtree with no fixed
 leaf contracts to the identity and a conditional needs only the path from
 the root to its leaf (Ferris & Vidal, arXiv:1201.3974). The kernel caches
 the doubled up-message of every edge with a fixed leaf below it and the
-top-down reduced density along the current root-to-leaf path, both as
-(B, d, d) arrays rescaled to unit trace, so the step from position k-1 to
-k recontracts only the edges between those two leaves and their lowest
-common ancestor, each vertex by one ket-bra step (:func:`_ket`). Other
-DAGs (MERA) run the doubled network's compiled path with the prefix
+reduced density along the current root-to-leaf path, both as (B, d, d)
+arrays rescaled to unit trace, so the step from position k-1 to k
+recontracts only the edges between those two leaves and their lowest
+common ancestor, each vertex by one ket-bra step. Those steps are
+compiled once per quiver (:func:`_steps`). A vertex with no row data is
+folded with its conjugate once and kept on the network, the memo holding
+no more bytes than the network's tensors.
+Other DAGs (MERA) run the doubled network's compiled path with the prefix
 gathered per row and position k open, over the causal cone of those legs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConditioningError
+from .errors import ConditioningError, _brief
+from .graph import Quiver
 from .network import SequenceState, TensorNetwork, _doubled, _require_model, sequence_array
 
 # conditionals smaller than this total mass are treated as exactly zero
@@ -79,29 +83,33 @@ def sample_blocks(
         seqs = np.zeros(u.shape, dtype=np.int64)
         weights = kernel(seqs)
         for k in range(net.n_sites):
-            cum = np.cumsum(_normalize(weights(k), seqs[:, :k]), axis=1)
+            cum = _normalize(weights(k), seqs[:, :k]).cumsum(axis=1)
             seqs[:, k] = _inverse_cdf(cum, u[:, k])
         yield list(map(tuple, seqs.tolist()))
 
 
 def _normalize(weights: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
     """Rows of ``weights`` clipped at zero and divided by their sums."""
-    if np.any(weights < -1e-12):
-        raise ValueError(f"negative conditional weight {weights.min():.3e}; numerical bug")
-    weights = np.clip(weights, 0.0, None)
+    low = weights.min()
+    if low < 0.0:
+        if low < -1e-12:
+            b = int(np.argmin(weights.min(axis=1)))
+            raise ValueError(f"negative conditional weight {low:.3e} at position {prefixes.shape[1]} "
+                             f"in row {b}, prefix {_brief(tuple(prefixes[b].tolist()))}; numerical bug")
+        weights = np.maximum(weights, 0.0)
     total = weights.sum(axis=1)
-    empty = np.flatnonzero(total <= _MASS_FLOOR)
-    if empty.size:
-        raise ConditioningError(tuple(prefixes[empty[0]].tolist()))
+    if total.min() <= _MASS_FLOOR:
+        raise ConditioningError(tuple(prefixes[np.argmax(total <= _MASS_FLOOR)].tolist()))
     return weights / total[:, None]
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per row, the first index whose cumulative sum exceeds ``u``."""
-    k = np.sum(cum <= u[:, None], axis=1)
-    for b in np.flatnonzero(k >= cum.shape[1]):
-        # u >= cum[-1]: the normalized cumsum can end at 1 - 2**-53
-        k[b] = np.max(np.nonzero(np.diff(np.concatenate(([0.0], cum[b]))) > 0.0))
+    k = (cum <= u[:, None]).sum(axis=1)
+    if k.max() >= cum.shape[1]:
+        for b in np.flatnonzero(k >= cum.shape[1]):
+            # u >= cum[-1]: the normalized cumsum can end at 1 - 2**-53
+            k[b] = np.max(np.nonzero(np.diff(np.concatenate(([0.0], cum[b]))) > 0.0))
     return k
 
 
@@ -111,7 +119,8 @@ def _kernel(net: TensorNetwork) -> Callable[[np.ndarray], Callable[[int], np.nda
     Given a (B, ≥k) symbol array it returns ``weights``: ``weights(k)`` is
     the (B, w_k) array of unnormalized conditional weights at position k,
     each row conditioned on its own symbols at positions 0..k-1. Call it
-    with k = 0, 1, ... while filling in the array's columns in that order.
+    with k = 0, 1, ... while filling in the columns in turn, or at any k once.
+    On trees a k past the next one steps through the positions in between.
     """
     _require_model(net)
     if net.quiver.plan.is_tree:
@@ -120,98 +129,149 @@ def _kernel(net: TensorNetwork) -> Callable[[np.ndarray], Callable[[int], np.nda
 
 
 class _TreePaths:
-    """Conditionals of one block of rows on a directed tree.
-
-    An up-message (bra, ket) on edge e contracts the subtree below e with
-    its fixed leaves gathered at each row's symbols, and stays valid while
-    the number of fixed positions below e is unchanged. The reduced density
-    ρ on edge e contracts everything outside that subtree. Positions are
-    fixed in increasing order, so every ρ on the previous leaf's path stays
-    valid; the ones in ``rho``, in insertion order, are exactly that path.
-    """
+    """Conditionals of one block of rows on a directed tree. An up-message
+    (bra, ket) on edge e contracts the subtree below e with its fixed leaves
+    gathered at each row's symbols; ``up`` holds the ones later steps read.
+    The reduced density ρ on edge e contracts everything outside that
+    subtree; ``rho`` holds the ρ's of the current root-to-leaf path, root
+    first, and ``path`` the descents that make them. A row axis of length 1
+    serves every row."""
 
     def __init__(self, net: TensorNetwork, seqs: np.ndarray):
-        q = net.quiver
-        self.net, self.plan, self.seqs = net, q.plan, seqs
-        self.source, self.target, self.out_edges = q.source, q.target, q.out_edges
-        # the fixed positions' symbol columns, views that see later draws
-        self.cols: dict[int, np.ndarray] = {}
-        self.up: dict[int, tuple[int, np.ndarray]] = {}
-        root = q.in_edges[0]
-        self.rho = {root: np.ones((seqs.shape[0], 1, 1), dtype=np.complex128)}
+        self.net, self.seqs = net, seqs
+        self.memo = net.__dict__.setdefault("_tree_memo", {None: sum(r.nbytes for r in net.vertex_tensor.runs)})
+        self.up, self.rho, self.path, self.next = {}, [np.ones((1, 1, 1), dtype=np.complex128)], [], 0
 
     def weights(self, k: int) -> np.ndarray:
-        """The (B, w_k) diagonal of ρ at position k, positions < k fixed."""
-        for p in range(len(self.cols), k):
-            self.cols[p] = self.seqs[:, p]
-        v = self.source[self.out_edges[k]]
-        edge, path = self.plan.in_edge[v], []
-        while edge not in self.rho:
-            path.append(edge)
-            edge = self.plan.in_edge[self.source[edge]]
-        while next(reversed(self.rho)) != edge:
-            self.rho.popitem()
-        for edge in reversed(path):
-            self.rho[edge] = _unit_trace(self._descend(self.source[edge], k, edge))
-        return self._descend(v, k).real
+        """The (B, w_k) diagonal of ρ at position k, positions < k fixed,
+        after the steps from the last position asked for up to k. Only the
+        ρ's on the path at k are made."""
+        for msgs, keep, descents in _steps(self.net.quiver)[self.next:k + 1]:
+            for e, ket, drop in msgs:
+                self.up[e] = _unit_trace(_ket_bra(*self._ket(*ket)))
+                for c in drop:
+                    del self.up[c]
+            del self.rho[keep:], self.path[keep - 1:]
+            self.path += descents[:-1]
+        for op in self.path[len(self.rho) - 1:]:
+            self.rho.append(_unit_trace(self._descend(self.rho[-1], *op)))
+        self.next = k + 1
+        w = self._descend(self.rho[-1], *descents[-1]).real
+        return w if len(w) == len(self.seqs) else np.broadcast_to(w, (len(self.seqs), w.shape[1]))
 
-    def _descend(self, v: int, k: int, edge: int | None = None) -> np.ndarray:
-        """ρ on the out edge ``edge`` of ``v`` as (B, d, d), or without one
-        the (B, w) diagonal of ρ on the leaf leg at position k."""
-        x, y, axis = _ket(self.net, v, self.cols, self._messages(v, k, edge))
-        d_in = x.shape[1]
-        rho = self.rho[self.plan.in_edge[v]]
-        b = len(rho)
-        open_axis = axis[self.out_edges[k] if edge is None else edge]
-        if y is x and all(p >= k for p in self.plan.legs[v].leaf_positions):
-            # no row data at v: fold the vertex with its conjugate once, then
-            # apply that superoperator to every row's ρ
-            t = np.swapaxes(x[0], open_axis - 1, 1)
-            d = t.shape[1]
-            if edge is None:  # g[ī, i, a] = Σ_r conj(t[ī, a, r]) t[i, a, r]
-                t = t.reshape(d_in, d, -1).transpose(1, 0, 2)
-                g = (t.conj() @ t.transpose(0, 2, 1)).transpose(1, 2, 0)
-                return rho.reshape(b, -1) @ g.reshape(d_in * d_in, d)
-            t = t.reshape(d_in * d, -1)  # g[ī, ō, i, o] = Σ_r conj(t[ī, ō, r]) t[i, o, r]
-            g = (t.conj() @ t.T).reshape(d_in, d, d_in, d).transpose(0, 2, 1, 3)
-            return (rho.reshape(b, -1) @ g.reshape(d_in * d_in, d * d)).reshape(b, d, d)
-        z = (rho @ y.reshape(len(y), d_in, -1)).reshape((b,) + y.shape[1:])
-        x, z = np.swapaxes(x, open_axis, 1), np.swapaxes(z, open_axis, 1)
-        if edge is None:
-            d = x.shape[1]
-            return np.sum(x.reshape(len(x), d, -1).conj() * z.reshape(b, d, -1), axis=2)
+    def _folded(self, v: int, axis: int, leaf: bool) -> np.ndarray:
+        """:func:`_fold` of vertex ``v`` for its out leg at ``axis``, kept on
+        the network while it is v's tensor and there is room (at key None)."""
+        t, hit = self.net.vertex_tensor[v], self.memo.get((v, axis))
+        if hit is not None and hit[0] is t:
+            return hit[1]
+        if hit is not None:  # v's tensor was replaced: its bytes are free again
+            self.memo[None] += self.memo.pop((v, axis))[1].nbytes
+        g = _fold(t.swapaxes(axis - 1, 1), leaf)
+        if g.nbytes <= self.memo[None]:
+            self.memo[None] -= g.nbytes
+            self.memo[v, axis] = t, g
+        return g
+
+    def _descend(self, rho: np.ndarray, ket: tuple, axis: int, leaf: bool, fold: bool) -> np.ndarray:
+        """ρ on the out leg at ``axis`` of :meth:`_ket` ``ket`` from ``rho`` on
+        its in leg as (B, d, d), or for a leaf leg the (B, w) diagonal."""
+        if fold:  # no row data at the vertex: one superoperator for every row
+            g = self._folded(ket[0], axis, leaf)
+            return (rho.reshape(len(rho), -1) @ g.reshape(len(g), -1)).reshape((len(rho),) + g.shape[1:])
+        x, y = self._ket(*ket)
+        z = rho @ y.reshape(len(y), x.shape[1], -1)
+        x, z = x.swapaxes(axis, 1), z.reshape((len(z),) + y.shape[1:]).swapaxes(axis, 1)
+        if leaf:
+            return (x.reshape(x.shape[:2] + (-1,)).conj() * z.reshape(z.shape[:2] + (-1,))).sum(axis=2)
         return _ket_bra(x, z)
 
-    def _messages(self, v: int, k: int, skip: int | None = None) -> dict[int, np.ndarray | None]:
-        """The up-message of every internal leg of ``v`` but ``skip``."""
-        return {e: self._message(e, k) for e in self.plan.legs[v].inner_edges if e != skip}
+    def _ket(self, v: int, order: tuple, fixed: tuple, mats: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """x: vertex ``v``'s tensor, axes in ``order``, the leaves at positions
+        ``fixed`` gathered per row, as (B or 1, d_in, *open legs); y: x with
+        the up-message of each (edge, axis) in ``mats`` on the ket side."""
+        moved = self.net.vertex_tensor[v].transpose(order)
+        x = moved[tuple(self.seqs[:, p] for p in fixed)] if fixed else moved[None]
+        y = x
+        for e, i in mats:  # y'[b, .., ō, ..] = Σ_o m[b, ō, o] y[b, .., o, ..]
+            y = y.swapaxes(i, -1)
+            out = y.reshape(len(y), -1, y.shape[-1]) @ self.up[e].swapaxes(-1, -2)
+            y = out.reshape((len(out),) + y.shape[1:]).swapaxes(-1, i)
+        return x, y
 
-    def _message(self, edge: int, k: int) -> np.ndarray | None:
-        """The up-message on ``edge``, or None (the identity) below no fixed leaf."""
-        count = bisect_left(self.plan.below[edge], k)
-        if count == 0:
-            return None
-        hit = self.up.get(edge)
-        if hit is not None and hit[0] == count:
-            return hit[1]
-        # recompute the stale messages below, children before parents
-        todo, order = [edge], []
-        while todo:
-            e = todo.pop()
-            order.append(e)
-            for c in self.plan.legs[self.target[e]].inner_edges:
-                n_c = bisect_left(self.plan.below[c], k)
-                if n_c and self.up.get(c, (0,))[0] != n_c:
-                    todo.append(c)
-        for e in reversed(order):
-            v = self.target[e]
-            x, y, _ = _ket(self.net, v, self.cols, self._messages(v, k))
-            n_e = bisect_left(self.plan.below[e], k)
-            self.up[e] = (n_e, _unit_trace(_ket_bra(x, y)))
-            if n_e == len(self.plan.below[e]):  # final: no later step reads the children
-                for c in self.plan.legs[v].inner_edges:
-                    self.up.pop(c, None)
-        return self.up[edge][1]
+
+def _fold(t: np.ndarray, leaf: bool) -> np.ndarray:
+    """t (d_in, d, ...) times its conjugate, legs after d traced: (d_in², d) for a leaf, else (d_in², d, d)."""
+    d_in, d = t.shape[:2]
+    if leaf:  # g[ī, i, a] = Σ_r conj(t[ī, a, r]) t[i, a, r]
+        t = t.reshape(d_in, d, -1).transpose(1, 0, 2)
+        return (t.conj() @ t.transpose(0, 2, 1)).transpose(1, 2, 0).reshape(d_in * d_in, d)
+    t = t.reshape(d_in * d, -1)  # g[ī, ō, i, o] = Σ_r conj(t[ī, ō, r]) t[i, o, r]
+    return (t.conj() @ t.T).reshape(d_in, d, d_in, d).transpose(0, 2, 1, 3).reshape(d_in * d_in, d, d)
+
+
+def _steps(q: Quiver) -> tuple:
+    """The tree kernel's steps on ``q`` from position k-1 to k for every k,
+    cached on its plan. A step is (stale up-messages, children first, each
+    with those it ends; ρ's kept; ρ's to redo, then the leaf). Up-messages
+    go stale as fixed positions below grow."""
+    if not q.plan.tree_steps:
+        q.plan.tree_steps[None] = tuple(map(_Replay(q).step, range(len(q.out_edges))))
+    return q.plan.tree_steps[None]
+
+
+class _Replay:
+    """The tree kernel's bookkeeping, on the graph alone."""
+
+    def __init__(self, q: Quiver):
+        self.q, self.pos, self.up, self.path = q, q.plan.out_position, {}, dict.fromkeys(q.in_edges)
+        self.in_edge = {v: q.vertex_in_edges(v)[0] for v in q.vertices}
+        self.below = {e: (p,) for e, p in self.pos.items()}
+        for v in [v for layer in q.plan.layering.layers for v in layer][::-1]:  # children first
+            self.below[self.in_edge[v]] = tuple(sorted(p for e in q.vertex_out_edges(v) for p in self.below[e]))
+
+    def step(self, k: int) -> tuple:
+        """The step from position k-1 to k, after those to every earlier k."""
+        self.msgs, src, leaf = [], self.q.source, self.q.out_edges[k]
+        edge, new = self.in_edge[src[leaf]], []
+        while edge not in self.path:
+            new.append(edge)
+            edge = self.in_edge[src[edge]]
+        while next(reversed(self.path)) != edge:
+            self.path.popitem()
+        keep = len(self.path)
+        self.path.update(dict.fromkeys(reversed(new)))
+        descents = tuple(self._at(src[e], k, e) for e in (*reversed(new), leaf))
+        return tuple(self.msgs), keep, descents
+
+    def _at(self, v: int, k: int, edge: int | None = None) -> tuple:
+        """:meth:`_TreePaths._descend`'s arguments at ``v`` to ``edge`` at k."""
+        legs = list(enumerate(self.q.vertex_out_edges(v), start=1))
+        fixed = [(ax, self.pos[e]) for ax, e in legs if self.pos.get(e, k) < k]
+        kept = [(ax, e) for ax, e in legs if self.pos.get(e, k) >= k]
+        axis = {e: i for i, (_, e) in enumerate(kept, start=2)}
+        mats = tuple((e, i) for e, i in axis.items() if e not in self.pos and e != edge and self._message(e, k))
+        ket = v, tuple(ax for ax, _ in [*fixed, (0, None), *kept]), tuple(p for _, p in fixed), mats
+        return ket, axis.get(edge), edge in self.pos, not (fixed or mats)
+
+    def _message(self, edge: int, k: int) -> bool:
+        """Whether ``edge`` has a fixed leaf below it (else its up-message is
+        the identity); its stale up-messages are made, children first."""
+        if self._stale(edge, k):
+            todo, order = [edge], []
+            while todo:
+                order.append(todo.pop())
+                todo += [c for c in self.q.vertex_out_edges(self.q.target[order[-1]]) if self._stale(c, k)]
+            for e in reversed(order):
+                ket = self._at(self.q.target[e], k)[0]
+                self.up[e] = bisect_left(self.below[e], k)
+                final = self.up[e] == len(self.below[e])  # then no later step reads the children
+                self.msgs.append((e, ket, tuple(c for c, _ in ket[3] if final and self.up.pop(c))))
+        return bisect_left(self.below[edge], k) > 0
+
+    def _stale(self, edge: int, k: int) -> bool:
+        count = edge not in self.pos and bisect_left(self.below[edge], k)
+        return count and self.up.get(edge) != count
 
 
 def _unit_trace(m: np.ndarray) -> np.ndarray:
@@ -220,39 +280,12 @@ def _unit_trace(m: np.ndarray) -> np.ndarray:
     The scale cancels in the final normalization, and it keeps products
     over long prefixes from underflowing.
     """
-    tr = np.trace(m, axis1=1, axis2=2).real
-    return m / np.where(tr > 0.0, tr, 1.0)[:, None, None]
-
-
-# The ket-bra step through one vertex of a tree, on the block's leading row
-# axis; an axis of length 1 serves every row.
-
-def _ket(
-    net: TensorNetwork, v: int, cols: Mapping[int, np.ndarray], mats: Mapping[int, np.ndarray | None]
-) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
-    """Vertex ``v``'s tensor with the leaves at the positions in ``cols``
-    gathered at each row's symbol, and the (B, d, d) matrices in ``mats``
-    (None: the identity) applied on the ket side of the legs left open.
-    Returns x (B or 1, d_in, *open legs), y (x with the matrices applied)
-    and the axis of each open leg in both, by edge."""
-    pos = net.quiver.plan.out_position
-    legs = list(enumerate(net.quiver.vertex_out_edges(v), start=1))
-    fixed = [(ax, pos[e]) for ax, e in legs if pos.get(e, -1) in cols]
-    kept = [(ax, e) for ax, e in legs if pos.get(e, -1) not in cols]
-    moved = net.vertex_tensor[v].transpose([ax for ax, _ in fixed] + [0] + [ax for ax, _ in kept])
-    x = moved[tuple(cols[p] for _, p in fixed)] if fixed else moved[None]
-    axis = {e: i for i, (_, e) in enumerate(kept, start=2)}
-    y = x
-    for e, i in axis.items():
-        if mats.get(e) is not None:
-            y = np.swapaxes(y, i, -1)  # y'[b, .., ō, ..] = Σ_o m[b, ō, o] y[b, .., o, ..]
-            out = y.reshape(len(y), -1, y.shape[-1]) @ np.swapaxes(mats[e], -1, -2)
-            y = np.swapaxes(out.reshape((len(out),) + y.shape[1:]), -1, i)
-    return x, y, axis
+    tr = m.trace(axis1=1, axis2=2).real
+    return m / (tr if tr.min() > 0.0 else np.where(tr > 0.0, tr, 1.0))[:, None, None]
 
 
 def _ket_bra(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The (B, d_in, d_in) message Σ_r conj(x[b, ī, r]) y[b, i, r] on the in
-    leg, every leg :func:`_ket` left open traced."""
+    leg, every other leg of x and y traced."""
     d = x.shape[1]
-    return x.reshape(len(x), d, -1).conj() @ np.swapaxes(y.reshape(len(y), d, -1), 1, 2)
+    return x.reshape(len(x), d, -1).conj() @ y.reshape(len(y), d, -1).swapaxes(1, 2)

@@ -3,6 +3,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -103,6 +104,12 @@ class TestWindows:
     def test_non_whole_tokens_rejected(self, tokens, value):
         with pytest.raises(ValueError, match=rf"^token {value} is not a finite whole number$"):
             windows(tokens, 2)
+
+    def test_unsigned_tokens_past_int64_rejected(self):
+        with pytest.raises(ValueError, match=r"^token 18446744073709551615 does not fit in int64$"):
+            windows(np.array([2**64 - 1, 3], dtype=np.uint64), 1)
+        assert dict(windows(np.array([2**63 - 1, 3], dtype=np.uint64), 1).items()) == {
+            (2**63 - 1,): 1, (3,): 1}
 
     def test_whole_float_tokens_kept(self):
         assert dict(windows([1.0, 0, 1.0], 2).items()) == {(1, 0): 1, (0, 1): 1}

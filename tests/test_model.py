@@ -115,6 +115,14 @@ def test_sample_table_is_checked():
     assert SampleMultiset(2, [[1.0, 0], [1, 0]]).entries == {(1, 0): 2}
 
 
+def test_unsigned_symbols_past_int64_rejected():
+    with pytest.raises(ValueError, match=r"^symbol 9223372036854775808 does not fit in int64$"):
+        SampleMultiset(1, np.array([[2**63], [5]], dtype=np.uint64))
+    with pytest.raises(ValueError, match=r"^symbol 9.223372036854776e\+18 does not fit in int64$"):
+        SampleMultiset(1, np.array([[2.0**63], [5.0]]))
+    np.testing.assert_array_equal(SampleMultiset(1, np.array([[5], [2]], dtype=np.uint8)).rows, [[2], [5]])
+
+
 class TestBornProbability:
     def test_uniform_single_vertex(self):
         net = single_vertex_net([1 / np.sqrt(2), 1 / np.sqrt(2)])

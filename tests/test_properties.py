@@ -3,12 +3,15 @@ against the dense state, on every topology.
 
 The random trees are directed trees whose Out-edge ids are shuffled, so a
 leaf's sequence position need not follow depth-first order, and whose
-vertices have mixed leaf and internal legs in any order. The standard
-networks are the chains, binary trees and MERAs of ``random_network``.
+vertices have mixed leaf and internal legs in any order; the interleaved
+trees put each leaf at a random vertex. The standard networks are the
+chains, binary trees and MERAs of ``random_network``.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isotn.dense import state
@@ -62,6 +65,26 @@ def random_trees(draw):
     for e in sorted(internal, reverse=True):  # children have larger ids than parents
         room = int(np.prod([dims[o] for o in q.vertex_out_edges(target[e])]))
         dims[e] = min(draw(st.integers(1, 4)), room)
+    return TensorNetwork(q, dims, random_tensors(q, dims, philox(draw(st.integers(0, 2**16)))))
+
+
+@st.composite
+def interleaved_trees(draw):
+    """A Haar-random isometric network on a random directed tree of 1–5
+    vertices whose 1–8 leaves sit at random vertices (each childless vertex
+    holds one), so that consecutive positions jump between subtrees. Site
+    dims 2–3, internal dims 1–4 capped so every vertex can be an isometry."""
+    n_v = draw(st.integers(1, 5))
+    parent = {v: draw(st.integers(0, v - 1)) for v in range(1, n_v)}  # vertex v hangs on edge v
+    owners = [v for v in range(n_v) if v not in parent.values()]
+    owners += draw(st.lists(st.integers(0, n_v - 1), max_size=8 - len(owners)))
+    owners = draw(st.permutations(owners))  # the vertex of each position
+    outs = tuple(range(n_v, n_v + len(owners)))
+    q = Quiver(tuple(range(n_v)), tuple(parent), (0,), outs, {**parent, **dict(zip(outs, owners))},
+               {0: 0, **{v: v for v in parent}})
+    dims = {0: 1, **{e: draw(st.integers(2, 3)) for e in outs}}
+    for e in sorted(parent, reverse=True):
+        dims[e] = min(draw(st.integers(1, 4)), math.prod(dims[o] for o in q.vertex_out_edges(e)))
     return TensorNetwork(q, dims, random_tensors(q, dims, philox(draw(st.integers(0, 2**16)))))
 
 
@@ -130,3 +153,16 @@ def test_conditionals_multiply_to_the_born_probability(net, seed):
     chain = np.prod([conditional_distribution(net, s[:k])[s[k]] for k in range(net.n_sites)])
     born = abs(amplitude(net, s)) ** 2
     assert abs(chain - born) <= 1e-12 * born
+
+
+@settings(max_examples=150)
+@given(net=interleaved_trees(), data=st.data())
+def test_tree_conditionals_match_projected_marginals(net, data):
+    # the tree kernel against the doubled network with the prefix's projectors fixed
+    dims = net.site_dims
+    k = data.draw(st.integers(0, net.n_sites - 1))
+    prefix = tuple(data.draw(st.integers(0, d - 1)) for d in dims[:k])
+    want = site_marginal(net, {p: np.diag(np.eye(dims[p])[x]) for p, x in enumerate(prefix)}, k)
+    assume(want.sum() > 1e-6)
+    got = conditional_distribution(net, prefix)
+    assert np.max(np.abs(got - want / want.sum())) <= 1e-12

@@ -154,16 +154,81 @@ class TestExactness:
         lambda: small_tree((2, 1, 2, 1), 33),  # interleaved: vertex 1 holds positions 1 and 3
         lambda: small_tree((1, 1, 1, 2, 2, 2), 0),  # criterion 7's six-leaf tree
         lambda: random_network("mera", 8, 2, 2, philox(34)),
-    ], ids=["chain8", "tree8", "interleaved4", "six_leaf", "mera8"])
+        lambda: random_network("tree", 32, 27, 8, philox(39)),  # the benchmark's size, 8 draws
+    ], ids=["chain8", "tree8", "interleaved4", "six_leaf", "mera8", "bench_tree32"])
     def test_same_draws_as_reference(self, make):
         net = make()
-        assert sample(net, 150, philox(8)) == reference_sample(net, 150, philox(8))
+        count = 8 if net.n_sites == 32 else 150
+        assert sample(net, count, philox(8)) == reference_sample(net, count, philox(8))
 
     def test_draws_do_not_depend_on_block_size(self, monkeypatch):
         net = random_network("tree", 8, 3, 3, philox(35))
         whole = sample(net, 70, philox(9))
         monkeypatch.setattr(sampling, "_BLOCK_ROWS", 3)
         assert sample(net, 70, philox(9)) == whole
+
+
+def memo_bytes(net):
+    """Bytes of the arrays the tree sampler keeps on ``net``."""
+    memo = net.__dict__.get("_tree_memo", {})
+    return sum(entry[1].nbytes for key, entry in memo.items() if key is not None)
+
+
+def tensor_bytes(net):
+    return sum(run.nbytes for run in net.vertex_tensor.runs)
+
+
+class TestMemo:
+    @pytest.mark.parametrize("make", [
+        lambda: random_network("chain", 8, 3, 3, philox(31)),
+        lambda: random_network("tree", 8, 3, 3, philox(32)),
+        lambda: small_tree((2, 1, 2, 1), 33),
+    ], ids=["chain8", "tree8", "interleaved4"])
+    def test_warm_memo_gives_the_same_draws(self, make):
+        warm = make()
+        sample(warm, 5, philox(1))
+        assert memo_bytes(warm) > 0
+        assert sample(warm, 150, philox(8)) == sample(make(), 150, philox(8))
+        prefix = sample(warm, 1, philox(2))[0][:-1]
+        assert np.array_equal(conditional_distribution(warm, prefix), conditional_distribution(make(), prefix))
+
+    def test_memo_stays_within_the_tensor_bytes(self):
+        # each internal vertex (16, 16, 16) folds to 256 x 256 entries,
+        # more than all the network's tensors together
+        net = random_network("tree", 8, 4, 16, philox(40))
+        draws = sample(net, 60, philox(14))
+        assert 0 < memo_bytes(net) <= tensor_bytes(net) < 16 * 256**2
+        assert draws == reference_sample(net, 60, philox(14))
+        assert sample(net, 60, philox(14)) == draws and memo_bytes(net) <= tensor_bytes(net)
+
+    def test_memo_follows_replaced_tensors(self):
+        # the memo is checked against the tensors themselves, not the network;
+        # the fold of a replaced tensor is dropped and its bytes are free again
+        a = random_network("tree", 8, 3, 3, philox(41))
+        sample(a, 5, philox(1))
+        for seed in (42, 43):
+            b = random_network("tree", 8, 3, 3, philox(seed))
+            a.vertex_tensor.update(b.vertex_tensor)
+            assert sample(a, 40, philox(15)) == sample(b, 40, philox(15))
+            memo = a.__dict__["_tree_memo"]
+            assert all(entry[0] is a.vertex_tensor[key[0]] for key, entry in memo.items() if key is not None)
+            assert 0 < memo_bytes(a) <= tensor_bytes(a)
+
+
+def test_negative_weight_names_position_and_row(monkeypatch):
+    def kernel(net):
+        def block(seqs):
+            def weights(k):
+                w = np.full((len(seqs), 2), 0.5)
+                w[1, 0] = -0.25 if k == 2 else 0.5
+                return w
+            return weights
+        return block
+
+    monkeypatch.setattr(sampling, "_kernel", kernel)
+    with pytest.raises(ValueError, match=r"^negative conditional weight -2.500e-01 at position 2 in row 1, "
+                                         r"prefix \([01], [01]\); numerical bug$"):
+        sample(random_network("tree", 4, 2, 2, philox(0)), 3, philox(0))
 
 
 class TestRealisticLengths:
