@@ -9,14 +9,16 @@ convention.
 The tensors are stored stacked: vertices whose tensors share a shape and
 split form a group (:func:`group_vertices`), cut into runs of at most
 :data:`GROUP_BYTES`, and a network holds one frozen (k, *shape) array per
-run. ``vertex_tensor[v]`` is a view of its run (a :class:`VertexStacks`),
-so the Riemannian geometry reads and writes whole runs: the gradient, the
-tangent and the retraction are stacked the same way. A mapping of tensors
-is always copied into fresh runs; :meth:`TensorNetwork.from_runs` takes
-whole runs as the storage, and it is the one way in for every producer of
-runs: a random draw (:func:`random_tensors` fills fresh runs vertex by
-vertex), a retraction's polar-factor stacks and a loaded model file.
-Either way every run is checked once, by one path.
+run. ``vertex_tensor[v]`` is a view of its run, and ``vertex_tensor`` (a
+:class:`VertexStacks`) and ``edge_dim`` are read-only, so a network keeps
+the tensors and dims it was checked with. The Riemannian geometry reads
+and writes whole runs: the gradient, the tangent and the retraction are
+stacked the same way. A mapping of tensors is always copied into fresh
+runs; :meth:`TensorNetwork.from_runs` takes whole runs as the storage, and
+it is the one way in for every producer of runs: a random draw
+(:func:`random_tensors` fills fresh runs vertex by vertex), a retraction's
+polar-factor stacks and a loaded model file. Either way every run is
+checked once, by one path.
 
 This module holds the runtime kernels only. The dense layer-map path
 (full evaluation, the state, the operator flow) is the reference they are
@@ -53,6 +55,7 @@ import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -85,27 +88,23 @@ GROUP_BYTES = 2**18
 
 
 class VertexStacks(dict):
-    """A {vertex: array} dict over one (k, ...) array per run of a network's
-    shape groups (``runs``): each value is a view of its run's array.
-
-    Code that works run by run reads a run's array itself through
-    :meth:`run`, with no per-vertex copy, for as long as that run's values
-    are still the views this dict was made with.
-    """
+    """A read-only {vertex: array} dict over one (k, ...) array per run of a
+    network's shape groups (``runs``), each value a view of its run's array;
+    code that works run by run reads a run's array through :meth:`run`."""
 
     def __init__(self, groups: tuple, runs: Sequence[np.ndarray], vertices: Iterable[int]):
-        views = [tuple(run) for run in runs]
-        members = {v: m for (verts, _, _), ms in zip(groups, views) for v, m in zip(verts, ms)}
+        members = {v: m for (verts, _, _), run in zip(groups, runs) for v, m in zip(verts, run)}
         super().__init__((v, members[v]) for v in vertices)
-        self.groups, self.runs, self._views = groups, tuple(runs), views
+        self.groups, self.runs = groups, tuple(runs)
 
     def run(self, groups: tuple, j: int) -> np.ndarray | None:
-        """The array of run ``j`` of ``groups``, if they are this dict's groups
-        and the run's values are unchanged; else None."""
-        if groups is not self.groups or not all(
-                self.get(v) is m for v, m in zip(groups[j][0], self._views[j])):
-            return None
-        return self.runs[j]
+        """The array of run ``j`` of ``groups`` if they are this dict's groups, else None."""
+        return self.runs[j] if groups is self.groups else None
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only: make a new network or mapping instead")
+
+    __setitem__ = __delitem__ = update = pop = popitem = clear = setdefault = __ior__ = _read_only
 
 
 class _Runs(tuple):
@@ -118,8 +117,9 @@ class TensorNetwork:
 
     The tensors are held as one frozen (k, *shape) complex array per run of
     :meth:`shape_groups` (:meth:`runs`), and ``vertex_tensor[v]`` is a view of
-    its run. Tensors given as a mapping are always copied into fresh runs,
-    one ``np.array`` per run; :meth:`from_runs` takes whole runs as they are.
+    its run; ``vertex_tensor`` and ``edge_dim`` are read-only mappings.
+    Tensors given as a mapping are always copied into fresh runs, one
+    ``np.array`` per run; :meth:`from_runs` takes whole runs as they are.
     Either way the edge dims are checked, and the runs once each, by
     :meth:`_check`.
     """
@@ -130,7 +130,7 @@ class TensorNetwork:
     isometry_tol: float = DEFAULT_ISOMETRY_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "edge_dim", dict(self.edge_dim))
+        object.__setattr__(self, "edge_dim", MappingProxyType(dict(self.edge_dim)))
         # the key of this network's compiled paths and shape groups on its quiver's plan
         object.__setattr__(self, "_dims", tuple(sorted(self.edge_dim.items())))
         q, tensors = self.quiver, self.vertex_tensor

@@ -17,8 +17,8 @@ arrays rescaled to unit trace, so the step from position k-1 to k
 recontracts only the edges between those two leaves and their lowest
 common ancestor, each vertex by one ket-bra step. Those steps are
 compiled once per quiver (:func:`_steps`). A vertex with no row data is
-folded with its conjugate once and kept on the network, the memo holding
-no more bytes than the network's tensors.
+folded with its conjugate once and kept on the network, whose tensors are
+read-only, in a memo of at most the tensors' bytes.
 Other DAGs (MERA) run the doubled network's compiled path with the prefix
 gathered per row and position k open, over the causal cone of those legs.
 """
@@ -161,16 +161,13 @@ class _TreePaths:
 
     def _folded(self, v: int, axis: int, leaf: bool) -> np.ndarray:
         """:func:`_fold` of vertex ``v`` for its out leg at ``axis``, kept on
-        the network while it is v's tensor and there is room (at key None)."""
-        t, hit = self.net.vertex_tensor[v], self.memo.get((v, axis))
-        if hit is not None and hit[0] is t:
-            return hit[1]
-        if hit is not None:  # v's tensor was replaced: its bytes are free again
-            self.memo[None] += self.memo.pop((v, axis))[1].nbytes
-        g = _fold(t.swapaxes(axis - 1, 1), leaf)
-        if g.nbytes <= self.memo[None]:
-            self.memo[None] -= g.nbytes
-            self.memo[v, axis] = t, g
+        the network while there is room (the bytes left, at key None)."""
+        g = self.memo.get((v, axis))
+        if g is None:
+            g = _fold(self.net.vertex_tensor[v].swapaxes(axis - 1, 1), leaf)
+            if g.nbytes <= self.memo[None]:
+                self.memo[None] -= g.nbytes
+                self.memo[v, axis] = g
         return g
 
     def _descend(self, rho: np.ndarray, ket: tuple, axis: int, leaf: bool, fold: bool) -> np.ndarray:

@@ -3,16 +3,16 @@
 The per-sequence objective is F(u|s) = −2 Re log⟨s|Ψ⟩ = −log μ(s). Its
 gradient with respect to the conjugate parameters (the ascent direction
 for the real objective) is −conj(E_v / A) per vertex, where A is the
-amplitude and E_v = ∂A/∂u_v the vertex environment. The batch mean is
-computed without a per-sequence loop on every topology: the compiled
-contraction path of :mod:`isotn.network` runs all batch sequences forward
-at once for the amplitudes, then runs backwards from the
-multiplicity-over-amplitude weights and folds Σ_b m_b E_v(s_b)/A(s_b) into
-one tensor per vertex. A step projects the mean gradient to the Stiefel
-tangent space, moves one learning rate against it and retracts by the
-polar factor, so every iterate is exactly isometric; the retracted
-network's construction rejects any violation above its tolerance, and the
-step records the violation measured there.
+amplitude and E_v = ∂A/∂u_v the vertex environment. A batch is a (B, n)
+array of distinct rows and B counts, as a sample holds them. Its mean
+runs without a per-sequence loop on every topology: the compiled path of
+:mod:`isotn.network` runs every row forward at once for the amplitudes,
+then backwards from the multiplicity-over-amplitude weights, and folds
+Σ_b m_b E_v(s_b)/A(s_b) into one tensor per vertex. A step projects the
+mean gradient to the Stiefel tangent space, moves one learning rate
+against it and retracts by the polar factor, so every iterate is exactly
+isometric; the retracted network's construction rejects any violation
+above its tolerance, and the step records the violation measured there.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import ZeroAmplitudeError
 from .manifold import retract, tangent_project
 from .model import SampleMultiset
 from .network import (
-    SequenceState,
     TensorNetwork,
     _require_model,
     contract,
@@ -83,24 +82,28 @@ def gradient(net: TensorNetwork, sequence: Sequence[int]) -> Gradient:
     Raises ZeroAmplitudeError when the sequence has amplitude zero (the
     objective is singular there).
     """
-    return mean_gradient(net, [(sequence, 1)])[0]
+    return mean_gradient(net, [sequence], [1])[0]
 
 
 def mean_gradient(
-    net: TensorNetwork, batch: Sequence[tuple[Sequence[int], int]]
+    net: TensorNetwork, rows: Sequence[Sequence[int]], counts: Sequence[int]
 ) -> tuple[Gradient, float]:
-    """Multiplicity-weighted mean gradient and mean per-sequence objective.
+    """Mean gradient and mean per-sequence objective of the rows of a (B, n)
+    symbol table, row b weighted by ``counts[b]``, a positive whole number.
 
     The whole batch runs the network's compiled path forward for the
-    amplitudes and backward for the summed environments. The gradient's
-    values are read-only views of one stack per run of the network's shape
-    groups, so the tangent projection takes them without a copy.
+    amplitudes and backward for the summed environments. The gradient is a
+    read-only :class:`~isotn.network.VertexStacks` over one stack per run of
+    the network's shape groups, which the tangent projection takes whole.
     """
-    if not batch:
-        raise ValueError("batch must be nonempty")
     _require_model(net)
-    seqs = sequence_array(net, [s for s, _ in batch])
-    mult = np.array([m for _, m in batch], dtype=np.float64)
+    seqs, given = sequence_array(net, rows), np.asarray(counts)
+    if given.shape != (len(seqs),):
+        raise ValueError(f"{given.size} counts given for {len(seqs)} rows")
+    mult = given.astype(np.float64)
+    bad = np.flatnonzero(~(np.isfinite(mult) & (mult >= 1.0) & (np.floor(mult) == mult)))
+    if bad.size:
+        raise ValueError(f"count {given[bad[0]]} of row {bad[0]} is not a positive whole number")
     total = float(mult.sum())
     saved: dict = {}
     amps = contract(net, seqs, saved)
@@ -126,17 +129,18 @@ def _require_nonzero(seqs: np.ndarray, amps: np.ndarray) -> None:
 
 
 def sgd_step(
-    net: TensorNetwork, batch: Sequence[tuple[SequenceState, int]], learning_rate: float
+    net: TensorNetwork, rows: Sequence[Sequence[int]], counts: Sequence[int], learning_rate: float
 ) -> TensorNetwork:
-    """One descent step: retract along the projected negative mean gradient."""
-    return _step(net, batch, learning_rate)[0]
+    """One descent step on a :func:`mean_gradient` batch: retract along the
+    projected negative mean gradient."""
+    return _step(net, rows, counts, learning_rate)[0]
 
 
 def _step(
-    net: TensorNetwork, batch: Sequence[tuple[SequenceState, int]], learning_rate: float
+    net: TensorNetwork, rows: Sequence[Sequence[int]], counts: Sequence[int], learning_rate: float
 ) -> tuple[TensorNetwork, float]:
     """The step of :func:`sgd_step` and the batch loss before it."""
-    g, loss = mean_gradient(net, batch)
+    g, loss = mean_gradient(net, rows, counts)
     return retract(net, tangent_project(net, g), -learning_rate), loss
 
 
@@ -149,14 +153,14 @@ def train(
     """Mini-batch descent over the shuffled sample; deterministic under seed.
 
     Each epoch shuffles the indices of the |S| windows (row r repeated
-    counts[r] times, rows in order); a batch holds the distinct rows its
-    indices name, in row order, each with its count. Every recorded loss is the
-    multiplicity-weighted mean per-sequence objective of that step's batch,
-    evaluated before the update. The data order stream is derived from the
-    seed independently of any initialization randomness. An error raised
-    inside a step (a zero amplitude, a singular polar factor, a
-    non-isometric retraction) keeps its type and attributes, and its
-    message starts with ``step N: ``.
+    counts[r] times, rows in order); a batch is the rows of ``sample.rows``
+    its indices name, in row order, and how often each is named. Every
+    recorded loss is the multiplicity-weighted mean per-sequence objective of
+    that step's batch, evaluated before the update. The data order stream is
+    derived from the seed independently of any initialization randomness. An
+    error raised inside a step (a zero amplitude, a singular polar factor, a
+    non-isometric retraction) keeps its type and attributes, and its message
+    starts with ``step N: ``.
     """
     if sample.n != net.n_sites:
         raise ValueError(f"sample length {sample.n} != network sites {net.n_sites}")
@@ -178,9 +182,8 @@ def train(
             order = np.concatenate([order, epoch])
         take, order = order[: cfg.batch_size], order[cfg.batch_size:]
         picked, mult = np.unique(np.searchsorted(ends, take, "right"), return_counts=True)
-        batch = list(zip(map(tuple, sample.rows[picked].tolist()), mult.tolist()))
         try:
-            current, batch_loss = _step(current, batch, cfg.learning_rate)
+            current, batch_loss = _step(current, sample.rows[picked], mult, cfg.learning_rate)
         except ValueError as exc:  # keeps the type and attributes, names the step
             exc.args = (f"step {step}: {exc}",)
             raise

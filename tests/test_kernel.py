@@ -38,9 +38,10 @@ def test_batched_amplitudes_match_dense_state(kind):
 
 
 def random_batch(net, gen, size):
+    """``size`` random rows of symbols and a count for each, as two arrays."""
     w = net.site_dims[0]
-    return [(tuple(int(x) for x in gen.integers(0, w, net.n_sites)), int(gen.integers(2, 5)))
-            for _ in range(size)]
+    rows, counts = zip(*[(gen.integers(0, w, net.n_sites), gen.integers(2, 5)) for _ in range(size)])
+    return np.array(rows), np.array(counts)
 
 
 def einsum_environments(net, s):
@@ -74,16 +75,16 @@ def einsum_environments(net, s):
 def test_mean_gradient_matches_einsum_oracle(kind):
     gen = philox(22)
     net = random_network(kind, 8, 3, 3, gen)
-    batch = random_batch(net, gen, 12)
+    rows, counts = random_batch(net, gen, 12)
     acc = {v: np.zeros(t.shape, dtype=np.complex128) for v, t in net.vertex_tensor.items()}
     loss = 0.0
-    for s, m in batch:
+    for s, m in zip(rows.tolist(), counts.tolist()):
         envs, amp = einsum_environments(net, s)
         for v, e in envs.items():
             acc[v] += m * -np.conj(e / amp)
         loss += -2.0 * m * math.log(abs(amp))
-    total = sum(m for _, m in batch)
-    g, batch_loss = mean_gradient(net, batch)
+    total = int(counts.sum())
+    g, batch_loss = mean_gradient(net, rows, counts)
     scale = max(np.max(np.abs(a)) for a in acc.values()) / total
     worst = max(np.max(np.abs(g[v] - acc[v] / total)) for v in acc)
     assert worst <= 1e-12 * scale
@@ -99,7 +100,7 @@ def test_items_sharing_no_edge_multiply_out():
     psi = state(net)
     assert np.max(np.abs(amplitudes(net, seqs) - np.array([psi[s] for s in seqs]))) <= 1e-12
     assert np.max(np.abs(site_marginal(net, {}, (0, 1, 2)) - np.abs(psi) ** 2)) <= 1e-12
-    g, _ = mean_gradient(net, [(seqs[7], 1)])
+    g, _ = mean_gradient(net, np.array([seqs[7]]), np.array([1]))
     envs, amp = einsum_environments(net, seqs[7])
     assert max(np.max(np.abs(g[v] + np.conj(envs[v] / amp))) for v in g) <= 1e-12
 
@@ -108,15 +109,14 @@ def test_mera_at_benchmark_size():
     # the layer-by-layer boundary state needed 2**48 entries per amplitude here
     gen = philox(32)
     net = random_network("mera", 32, 27, 8, gen)
-    batch = random_batch(net, gen, 8)
-    seqs = [s for s, _ in batch]
+    seqs, counts = random_batch(net, gen, 8)
     amps = amplitudes(net, seqs)
     # a unitary on the In edge would only change the global phase
     unitaries = {e: random_isometry(net.edge_dim[e], net.edge_dim[e], gen)
                  for e in net.quiver.internal_edges}
     gauged = amplitudes(gauge_transform(net, unitaries), seqs)
     assert np.max(np.abs(gauged - amps)) <= 1e-12 * np.max(np.abs(amps))
-    g, _ = mean_gradient(net, batch)
+    g, _ = mean_gradient(net, seqs, counts)
     h = 1e-5
     for _ in range(2):
         raw = {v: gen.standard_normal(t.shape) + 1j * gen.standard_normal(t.shape)
@@ -125,8 +125,8 @@ def test_mera_at_benchmark_size():
         scale = math.sqrt(sum(float(np.sum(np.abs(x) ** 2)) for x in xi.values()))
         xi = {v: x / scale for v, x in xi.items()}
         analytic = 2.0 * sum(float(np.real(np.vdot(xi[v], g[v]))) for v in g)
-        fd = (mean_gradient(retract(net, xi, h), batch)[1]
-              - mean_gradient(retract(net, xi, -h), batch)[1]) / (2 * h)
+        fd = (mean_gradient(retract(net, xi, h), seqs, counts)[1]
+              - mean_gradient(retract(net, xi, -h), seqs, counts)[1]) / (2 * h)
         assert abs(analytic - fd) / max(abs(fd), 1e-3) < 1e-5
 
 
@@ -134,7 +134,7 @@ def test_single_row_batch_equals_gradient():
     gen = philox(23)
     net = random_network("tree", 8, 3, 3, gen)
     s = tuple(int(x) for x in gen.integers(0, 3, 8))
-    g, _ = mean_gradient(net, [(s, 1)])
+    g, _ = mean_gradient(net, np.array([s]), np.array([1]))
     single = gradient(net, s)
     for v in g:
         np.testing.assert_array_equal(g[v], single[v])
@@ -142,9 +142,8 @@ def test_single_row_batch_equals_gradient():
 
 def test_zero_amplitude_row_named():
     net = deterministic_chain_net((0, 1, 0), 2)
-    batch = [((0, 1, 0), 2), ((1, 1, 0), 1), ((0, 0, 0), 1)]
     with pytest.raises(ZeroAmplitudeError) as err:
-        mean_gradient(net, batch)
+        mean_gradient(net, np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]]), np.array([2, 1, 1]))
     assert err.value.sequence == (1, 1, 0)
 
 
@@ -164,7 +163,7 @@ def test_train_rejects_first_bad_sequence_in_sorted_order():
 
 SYMBOL_CALLS = {
     "amplitudes": lambda net, s: amplitudes(net, [s]),
-    "mean_gradient": lambda net, s: mean_gradient(net, [(s, 1)])[1],
+    "mean_gradient": lambda net, s: mean_gradient(net, np.array([s]), np.array([1]))[1],
     "conditional_distribution": lambda net, s: conditional_distribution(net, s[:3]),
 }
 
@@ -243,5 +242,5 @@ def test_dag_paths_build_plan_once_per_quiver(plan_builds):
     gen = philox(29)
     seqs = [tuple(int(x) for x in gen.integers(0, 2, 8)) for _ in range(20)]
     amplitudes(net, seqs)
-    mean_gradient(net, [(s, 1) for s in seqs])
+    mean_gradient(net, np.array(seqs), np.ones(len(seqs), dtype=np.int64))
     assert max(plan_builds.values()) == 1

@@ -1,4 +1,5 @@
 import ast
+import operator
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +11,8 @@ from isotn.dense import evaluate, intermediate_state, layer_map, operator_descen
 from isotn.diagnostics import decay_curve, pairwise_mutual_information_model
 from isotn.errors import IsometryImpossibleError, ShapeError
 from isotn.graph import Quiver, topological_layers
+from isotn.manifold import tangent_project
+from isotn.model_io import ModelBundle, load_model, save_model
 from isotn.network import (
     TensorNetwork,
     amplitude,
@@ -21,6 +24,7 @@ from isotn.network import (
 )
 from isotn.sampling import conditional_distribution
 from isotn.tensor_core import IndexSplit, is_isometry, isometry_violation, matrix_dims, random_isometry
+from isotn.training import mean_gradient
 
 from conftest import deterministic_chain_net, enumerate_sequences, philox, single_vertex_net, two_site_net
 
@@ -547,6 +551,54 @@ class TestValidation:
         tensor_bytes = sum(t.nbytes for t in net.vertex_tensor.values())
         assert tensor_bytes >= 16 * 2**20
         assert peak < 1.25 * tensor_bytes
+
+
+class TestReadOnlyStorage:
+    # a network keeps the tensors and dims it was checked with; the gradient
+    # and the tangent are stacked the same way and read-only as well
+    WRITES = {
+        "setitem": lambda m, v: operator.setitem(m, v, m[v]),
+        "delitem": lambda m, v: operator.delitem(m, v),
+        "ior": lambda m, v: operator.ior(m, {v: m[v]}),
+        "update": lambda m, v: m.update({v: m[v]}),
+        "pop": lambda m, v: m.pop(v),
+        "popitem": lambda m, v: m.popitem(),
+        "setdefault": lambda m, v: m.setdefault(v, m[v]),
+        "clear": lambda m, v: m.clear(),
+    }
+
+    @pytest.mark.parametrize("write", WRITES.values(), ids=WRITES)
+    def test_writes_to_stacked_tensors_raise(self, write):
+        net = random_network("tree", 4, 2, 2, philox(50))
+        g, _ = mean_gradient(net, np.array([[0, 1, 0, 1]]), np.array([1]))
+        for stacks in (net.vertex_tensor, g, tangent_project(net, g)):
+            before = dict(stacks)
+            with pytest.raises(TypeError, match="read-only"):
+                write(stacks, 1)
+            assert list(stacks) == list(before) and all(stacks[v] is before[v] for v in before)
+
+    def test_writes_to_edge_dims_raise(self):
+        net = random_network("tree", 4, 2, 2, philox(50))
+        with pytest.raises(TypeError):
+            net.edge_dim[1] = 3
+        with pytest.raises(TypeError):
+            del net.edge_dim[1]
+        assert net.edge_dim[1] == 2 and np.isfinite(amplitudes(net, [(0, 1, 0, 1)])).all()
+
+    def test_tensors_are_views_of_their_runs(self, tmp_path):
+        net = random_network("tree", 8, 3, 3, philox(51))
+        drawn = random_tensors(net.quiver, net.edge_dim, philox(52))
+        member = net.with_tensors(drawn)  # a mapping is copied into fresh runs
+        assert not any(np.shares_memory(run, given) for (*_, run), given in zip(member.runs(), drawn.runs))
+        save_model(ModelBundle(member), tmp_path / "m.isotn")
+        loaded = load_model(tmp_path / "m.isotn").net
+        for made in (net, member, loaded):
+            assert any(len(verts) > 1 for verts, *_ in made.runs())
+            for verts, _, _, run in made.runs():
+                assert all(np.shares_memory(made.vertex_tensor[v], run) for v in verts)
+        assert all(np.array_equal(loaded.vertex_tensor[v], drawn[v]) for v in drawn)
+        seqs = [(0,) * 8, (1, 2, 0, 1, 2, 0, 1, 2)]
+        assert np.array_equal(amplitudes(loaded, seqs), amplitudes(member, seqs))
 
 
 def test_two_site_helper_builds_bell_state():

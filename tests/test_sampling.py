@@ -171,7 +171,7 @@ class TestExactness:
 def memo_bytes(net):
     """Bytes of the arrays the tree sampler keeps on ``net``."""
     memo = net.__dict__.get("_tree_memo", {})
-    return sum(entry[1].nbytes for key, entry in memo.items() if key is not None)
+    return sum(fold.nbytes for key, fold in memo.items() if key is not None)
 
 
 def tensor_bytes(net):
@@ -201,18 +201,18 @@ class TestMemo:
         assert draws == reference_sample(net, 60, philox(14))
         assert sample(net, 60, philox(14)) == draws and memo_bytes(net) <= tensor_bytes(net)
 
-    def test_memo_follows_replaced_tensors(self):
-        # the memo is checked against the tensors themselves, not the network;
-        # the fold of a replaced tensor is dropped and its bytes are free again
+    def test_tensors_cannot_be_replaced_under_the_memo(self):
+        # the memo keys folds by vertex alone: a network's tensors are read-only
         a = random_network("tree", 8, 3, 3, philox(41))
         sample(a, 5, philox(1))
-        for seed in (42, 43):
-            b = random_network("tree", 8, 3, 3, philox(seed))
+        b = random_network("tree", 8, 3, 3, philox(42))
+        with pytest.raises(TypeError):
             a.vertex_tensor.update(b.vertex_tensor)
-            assert sample(a, 40, philox(15)) == sample(b, 40, philox(15))
-            memo = a.__dict__["_tree_memo"]
-            assert all(entry[0] is a.vertex_tensor[key[0]] for key, entry in memo.items() if key is not None)
-            assert 0 < memo_bytes(a) <= tensor_bytes(a)
+        with pytest.raises(TypeError):
+            a.vertex_tensor[0] = np.zeros_like(a.vertex_tensor[0])
+        fresh = random_network("tree", 8, 3, 3, philox(41))
+        assert sample(a, 40, philox(15)) == sample(fresh, 40, philox(15))
+        assert 0 < memo_bytes(a) <= tensor_bytes(a)
 
 
 def test_negative_weight_names_position_and_row(monkeypatch):

@@ -99,7 +99,7 @@ class TestGradient:
 class TestSgdStep:
     def test_zero_learning_rate_keeps_parameters(self, rng):
         net = random_network("tree", 4, 2, 2, rng)
-        out = sgd_step(net, [((0, 0, 1, 1), 1)], 0.0)
+        out = sgd_step(net, np.array([[0, 0, 1, 1]]), np.array([1]), 0.0)
         for v in net.quiver.vertices:
             np.testing.assert_allclose(out.vertex_tensor[v], net.vertex_tensor[v], atol=1e-12)
 
@@ -108,34 +108,48 @@ class TestSgdStep:
         net = single_vertex_net(random_isometry(1, 2, gen).ravel())
         s = (0,)
         before = objective(net, s)
-        after = objective(sgd_step(net, [(s, 1)], 1e-2), s)
+        after = objective(sgd_step(net, np.array([s]), np.array([1]), 1e-2), s)
         assert after < before
 
     def test_preserves_isometry(self, rng):
         net = random_network("mera", 4, 2, 2, rng)
-        batch = [((0, 1, 0, 1), 2), ((1, 1, 0, 0), 1)]
-        out = sgd_step(net, batch, 0.1)
+        rows, counts = np.array([[0, 1, 0, 1], [1, 1, 0, 0]]), np.array([2, 1])
+        out = sgd_step(net, rows, counts, 0.1)
         assert out.max_isometry_violation() < 1e-10
 
     def test_overflowing_step_warns_nothing(self, rng):
         # the Gram matrices of a 1e300 move overflow; the SVD takes over
         net = random_network("tree", 4, 2, 2, rng)
-        batch = [((0, 1, 0, 1), 2), ((1, 1, 0, 0), 1)]
+        rows, counts = np.array([[0, 1, 0, 1], [1, 1, 0, 0]]), np.array([2, 1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = sgd_step(net, batch, 1e300)
+            out = sgd_step(net, rows, counts, 1e300)
         assert out.max_isometry_violation() < 1e-10
 
     def test_descent_property_full_batch(self):
         # with a small fixed step the full-batch objective never increases
         gen = philox(9)
         net = single_vertex_net(random_isometry(1, 3, gen).ravel())
-        batch = [((0,), 3), ((1,), 1)]
+        rows, counts = np.array([[0], [1]]), np.array([3, 1])
         losses = []
         for _ in range(50):
-            losses.append(mean_gradient(net, batch)[1])
-            net = sgd_step(net, batch, 0.05)
+            losses.append(mean_gradient(net, rows, counts)[1])
+            net = sgd_step(net, rows, counts, 0.05)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+@pytest.mark.parametrize("counts, message", [
+    ([2, 0], "count 0 of row 1 is not a positive whole number"),
+    ([-1, 1], "count -1 of row 0 is not a positive whole number"),
+    ([1, 0.5], "count 0.5 of row 1 is not a positive whole number"),
+    ([np.nan, 1], "count nan of row 0 is not a positive whole number"),
+    ([1], "1 counts given for 2 rows"),
+    ([1, 1, 1], "3 counts given for 2 rows"),
+], ids=["zero", "negative", "fraction", "nan", "fewer", "more"])
+def test_counts_must_be_positive_whole_numbers_one_per_row(counts, message):
+    net = random_network("tree", 4, 2, 2, philox(3))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sgd_step(net, np.array([[0, 1, 0, 1], [1, 1, 0, 0]]), np.array(counts), 0.1)
 
 
 class TestTrain:
@@ -182,11 +196,11 @@ class TestTrain:
     def test_failing_step_is_named(self, rng, monkeypatch, error):
         calls = []
 
-        def third_call_fails(net, batch):
-            calls.append(batch)
+        def third_call_fails(net, rows, counts):
+            calls.append(rows)
             if len(calls) == 3:
                 raise error
-            return mean_gradient(net, batch)
+            return mean_gradient(net, rows, counts)
 
         monkeypatch.setattr(training, "mean_gradient", third_call_fails)
         net = random_network("tree", 4, 2, 2, rng)
@@ -222,10 +236,12 @@ class TestTrain:
             expected.append(sorted(Counter(expanded[i] for i in take).items()))
 
         seen = []
-        monkeypatch.setattr(training, "mean_gradient",
-                            lambda net, batch: seen.append(batch) or mean_gradient(net, batch))
+        monkeypatch.setattr(training, "mean_gradient", lambda net, rows, counts: seen.append((rows, counts))
+                            or mean_gradient(net, rows, counts))
         train(random_network("tree", 4, 2, 2, rng), sample, cfg)
-        assert seen == expected
+        assert len(seen) == len(expected)
+        for (rows, counts), batch in zip(seen, expected):
+            assert np.array_equal(rows, [s for s, _ in batch]) and np.array_equal(counts, [m for _, m in batch])
 
     def test_checkpoint_callback_invoked(self, rng):
         net = random_network("tree", 4, 2, 2, rng)
