@@ -283,7 +283,7 @@ def compare_decay(
                 np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
             )
             runs = random_tensors(net.quiver, net.edge_dim, rng).runs
-            member = TensorNetwork.from_runs(net.quiver, net.edge_dim, runs, net.isometry_tol)
+            member = TensorNetwork.from_runs(net.quiver, net.edge_dim, runs)
             vals = decay_curve(member, l_max).values()
             acc = vals if acc is None else acc + vals
         acc = acc / ensemble_size

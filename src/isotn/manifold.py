@@ -77,7 +77,7 @@ def retract(net: TensorNetwork, xi: Mapping[int, np.ndarray], step: float) -> Te
             moved = _stack(xi, groups, j) * step
             moved += u
         runs.append(project_to_isometry(moved, split))
-    return TensorNetwork.from_runs(net.quiver, net.edge_dim, runs, net.isometry_tol)
+    return TensorNetwork.from_runs(net.quiver, net.edge_dim, runs)
 
 
 def moduli_dimension(net: TensorNetwork) -> int:

@@ -137,6 +137,9 @@ def empirical_distribution(sample: SampleMultiset) -> Distribution:
 def log_likelihood(net: TensorNetwork, sample: SampleMultiset) -> float:
     """Free energy F(u|S) = −Σ_s m(s) log μ(s). Lower is better.
 
+    Each row scores −log μ(s) = −2·log|A(s)|, the rule of
+    :func:`~isotn.training.mean_gradient`, so a row is scored exactly while
+    its amplitude is a nonzero double, even where μ = |A|² would underflow.
     The sample's rows are scored in order, :data:`_EVAL_ROWS` at a time, so
     memory stays flat in the sample's size. A zero-amplitude sample row
     makes the objective infinite; this is reported as ``inf`` together with
@@ -145,16 +148,17 @@ def log_likelihood(net: TensorNetwork, sample: SampleMultiset) -> float:
     total = 0.0
     for start in range(0, len(sample.rows), _EVAL_ROWS):
         part = slice(start, start + _EVAL_ROWS)
-        probs = np.abs(amplitudes(net, sample.rows[part])) ** 2
-        for s, m, p in zip(sample.rows[part].tolist(), sample.counts[part].tolist(), probs.tolist()):
-            if p == 0.0:
-                warnings.warn(
-                    f"sequence {_brief(tuple(s))} has zero model probability; objective is infinite",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return math.inf
-            total -= m * math.log(p)
+        moduli = np.abs(amplitudes(net, sample.rows[part]))
+        zero = np.flatnonzero(moduli == 0.0)
+        if zero.size:
+            warnings.warn(
+                f"sequence {_brief(tuple(sample.rows[start + zero[0]].tolist()))} has zero model "
+                "probability; objective is infinite",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return math.inf
+        total -= 2.0 * float(sample.counts[part] @ np.log(moduli))
     return total
 
 

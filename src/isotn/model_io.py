@@ -9,6 +9,10 @@ trailing 8-byte BLAKE2b checksum of the header length, header and binary
 section, so any corrupted byte is rejected. Format version 1 files, whose
 checksum covers the binary section only, still load. Round-trips are
 bit-exact.
+
+The header holds no isometry tolerance, so a file cannot loosen its own
+check; a key the reader does not use, such as the tolerance line of older
+files, is ignored. A bundle's vocabulary must fit every site's dimension.
 """
 
 from __future__ import annotations
@@ -42,6 +46,14 @@ class ModelBundle:
     seed: int = 0
     prng: str = PRNG_NAME
 
+    def __post_init__(self):
+        if self.symbols is None:
+            return
+        for k, d in enumerate(self.net.site_dims):
+            if d != self.symbols.size:
+                raise ValueError(f"a vocabulary of {self.symbols.size} symbols does not fit "
+                                 f"site {k} of dimension {d}")
+
 
 def _header_text(bundle: ModelBundle) -> str:
     net = bundle.net
@@ -52,7 +64,6 @@ def _header_text(bundle: ModelBundle) -> str:
         f"n {net.n_sites}",
         f"prng {bundle.prng}",
         f"seed {bundle.seed}",
-        f"isometry_tol {net.isometry_tol!r}",
     ]
     if bundle.symbols is not None:
         lines.append(f"scheme {bundle.symbols.scheme}")
@@ -161,8 +172,7 @@ def load_model(path) -> ModelBundle:
         raw_header = fh.read(header_len)
         try:  # UnicodeDecodeError is a ValueError
             meta, symbols, quiver, edge_dim = _parse_header(raw_header.decode("utf-8"))
-            tol, seed = float(meta.get("isometry_tol", "1e-08")), int(meta.get("seed", "0"))
-            version = int(meta["format_version"])
+            seed, version = int(meta.get("seed", "0")), int(meta["format_version"])
         except ValueError as exc:
             raise ModelFileError(f"{path}: bad header: {str(exc)[:200]}") from exc
         try:
@@ -188,8 +198,8 @@ def load_model(path) -> ModelBundle:
         raise ModelFileError(f"{path}: checksum mismatch (file corrupted or truncated)")
 
     try:
-        net = TensorNetwork.from_runs(quiver, edge_dim, runs, tol)
+        net = TensorNetwork.from_runs(quiver, edge_dim, runs)
         symbol_set = SymbolSet(tuple(symbols), meta.get("scheme", "chars")) if symbols else None
+        return ModelBundle(net, symbol_set, meta.get("kind", "custom"), seed, meta.get("prng", PRNG_NAME))
     except (ValueError, TypeError) as exc:
         raise ModelFileError(f"{path}: invalid model: {str(exc)[:200]}") from exc
-    return ModelBundle(net, symbol_set, meta.get("kind", "custom"), seed, meta.get("prng", PRNG_NAME))

@@ -18,7 +18,9 @@ runs; :meth:`TensorNetwork.from_runs` takes whole runs as the storage, and
 it is the one way in for every producer of runs: a random draw
 (:func:`random_tensors` fills fresh runs vertex by vertex), a retraction's
 polar-factor stacks and a loaded model file. Either way every run is
-checked once, by one path.
+checked once, by one path, against one fixed tolerance
+(:data:`~isotn.tensor_core.DEFAULT_ISOMETRY_TOL`) that neither a caller nor
+a model file can change.
 
 This module holds the runtime kernels only. The dense layer-map path
 (full evaluation, the state, the operator flow) is the reference they are
@@ -111,7 +113,7 @@ class _Runs(tuple):
     """Runs handed to :meth:`TensorNetwork.from_runs`: taken, not copied."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TensorNetwork:
     """Quiver + edge dimensions + isometric vertex tensors.
 
@@ -121,13 +123,14 @@ class TensorNetwork:
     Tensors given as a mapping are always copied into fresh runs, one
     ``np.array`` per run; :meth:`from_runs` takes whole runs as they are.
     Either way the edge dims are checked, and the runs once each, by
-    :meth:`_check`.
+    :meth:`_check`, against :data:`~isotn.tensor_core.DEFAULT_ISOMETRY_TOL`.
+    Two networks are equal only if they are the same object, and the repr
+    does not print the tensors.
     """
 
     quiver: Quiver
     edge_dim: Mapping[int, int]
     vertex_tensor: Mapping[int, np.ndarray]
-    isometry_tol: float = DEFAULT_ISOMETRY_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "edge_dim", MappingProxyType(dict(self.edge_dim)))
@@ -152,14 +155,14 @@ class TensorNetwork:
         self._check(tensors)
 
     @classmethod
-    def from_runs(cls, quiver: Quiver, edge_dim: Mapping[int, int], runs: Sequence[np.ndarray],
-                  isometry_tol: float = DEFAULT_ISOMETRY_TOL) -> "TensorNetwork":
+    def from_runs(cls, quiver: Quiver, edge_dim: Mapping[int, int],
+                  runs: Sequence[np.ndarray]) -> "TensorNetwork":
         """The network whose tensors are ``runs``, one (k, *shape) array per
         run of :func:`group_vertices` of ``quiver`` and ``edge_dim``: taken as
         they are, with no per-vertex copy, and checked as the constructor
         checks a mapping. The caller hands the arrays over and no longer
         writes to them."""
-        return cls(quiver, edge_dim, _Runs(runs), isometry_tol)
+        return cls(quiver, edge_dim, _Runs(runs))
 
     def _check(self, runs: Sequence[np.ndarray]) -> None:
         """Check ``runs``, one (k, *shape) array per run of :meth:`shape_groups`,
@@ -195,10 +198,10 @@ class TensorNetwork:
                                      f"finite (found NaN or Inf)")
             violation.update(zip(verts, worst.tolist()))
         for v in self.quiver.vertices:
-            if not violation[v] <= self.isometry_tol:
+            if not violation[v] <= DEFAULT_ISOMETRY_TOL:
                 raise ValueError(
                     f"vertex {v} tensor is not isometric "
-                    f"(violation {violation[v]:.3e} > tol {self.isometry_tol:g})"
+                    f"(violation {violation[v]:.3e} > tol {DEFAULT_ISOMETRY_TOL:g})"
                 )
         for run in runs:
             run.setflags(write=False)
@@ -223,7 +226,7 @@ class TensorNetwork:
     def with_tensors(self, tensors: Mapping[int, np.ndarray]) -> "TensorNetwork":
         """Same quiver and dims with replaced vertex tensors, copied into fresh
         runs and revalidated."""
-        return TensorNetwork(self.quiver, self.edge_dim, tensors, self.isometry_tol)
+        return TensorNetwork(self.quiver, self.edge_dim, tensors)
 
     def runs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], IndexSplit, np.ndarray], ...]:
         """(vertices, shape, split, tensors) for each run of :meth:`shape_groups`,

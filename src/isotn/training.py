@@ -12,7 +12,8 @@ then backwards from the multiplicity-over-amplitude weights, and folds
 mean gradient to the Stiefel tangent space, moves one learning rate
 against it and retracts by the polar factor, so every iterate is exactly
 isometric; the retracted network's construction rejects any violation
-above its tolerance, and the step records the violation measured there.
+above the fixed isometry tolerance, and the step records the violation
+measured there.
 """
 
 from __future__ import annotations

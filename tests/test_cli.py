@@ -410,6 +410,62 @@ class TestModelFile:
         with pytest.raises(ModelFileError, match="bad header: edge 0 has dimension -1"):
             load_model(path)
 
+    @staticmethod
+    def rewrite(path, edit, version=2, entry=None):
+        """Rewrite the model file at ``path`` as format ``version`` with its
+        header passed through ``edit``, its first tensor entry set to
+        ``entry`` if one is given, and a valid checksum."""
+        raw = path.read_bytes()
+        start = len(MAGIC) + 8
+        (size,) = struct.unpack("<Q", raw[len(MAGIC):start])
+        header = edit(raw[start:start + size].replace(b"format_version 2\n",
+                                                      f"format_version {version}\n".encode()))
+        binary = bytearray(raw[start + size:-8])
+        if entry is not None:
+            binary[:16] = np.array([entry], dtype="<c16").tobytes()
+        body = struct.pack("<Q", len(header)) + header + bytes(binary)
+        checked = body if version != 1 else bytes(binary)  # version 1 checksums the tensors only
+        path.write_bytes(MAGIC + body + hashlib.blake2b(checked, digest_size=8).digest())
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_a_file_cannot_loosen_its_isometry_check(self, tmp_path, rng, version):
+        path = tmp_path / "m.isotn"
+        save_model(ModelBundle(random_network("tree", 4, 2, 2, rng), None, "tree", 0), path)
+        self.rewrite(path, lambda h: h.replace(b"\nend\n", b"\nisometry_tol 1e300\nend\n"),
+                     version, entry=5.0)
+        with pytest.raises(ModelFileError, match=re.escape(
+                "vertex 0 tensor is not isometric (violation 2.491e+01 > tol 1e-08)")):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_an_older_tolerance_line_is_ignored(self, tmp_path, rng, version):
+        net = random_network("tree", 8, 2, 3, rng)
+        bundle = ModelBundle(net, SymbolSet(("a", "b"), "chars"), "tree", 4)
+        path, again = tmp_path / "old.isotn", tmp_path / "again.isotn"
+        save_model(bundle, path)
+        written = path.read_bytes()
+        # older files carry this line after the seed
+        self.rewrite(path, lambda h: re.sub(rb"(seed \d+\n)", rb"\1isometry_tol 1e-08\n", h), version)
+        loaded = load_model(path)
+        for v in net.quiver.vertices:
+            assert loaded.net.vertex_tensor[v].tobytes() == net.vertex_tensor[v].tobytes()
+        assert (loaded.symbols, loaded.kind, loaded.seed) == (bundle.symbols, "tree", 4)
+        save_model(loaded, again)
+        assert again.read_bytes() == written
+
+    def test_a_vocabulary_must_fit_the_sites(self, tmp_path, rng, capsys):
+        net = random_network("chain", 4, 5, 2, rng)
+        with pytest.raises(ValueError, match="vocabulary of 2 symbols does not fit site 0 of dimension 5"):
+            save_model(ModelBundle(net, SymbolSet(("a", "b"), "chars"), "chain", 0), tmp_path / "m.isotn")
+        path = tmp_path / "crafted.isotn"
+        save_model(ModelBundle(net, SymbolSet(tuple("abcde"), "chars"), "chain", 0), path)
+        self.rewrite(path, lambda h: re.sub(rb'symbol "[c-e]"\n', b"", h))
+        with pytest.raises(ModelFileError, match="vocabulary of 2 symbols does not fit"):
+            load_model(path)
+        assert main(["sample", "--model", str(path), "--count", "20"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_magic_detected(self, tmp_path):
         from isotn.errors import ModelFileError
 

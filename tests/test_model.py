@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from isotn import model
+from isotn import model, sampling
 from isotn.manifold import gauge_transform
 from isotn.model import (
     SampleMultiset,
@@ -19,7 +19,7 @@ from isotn.model import (
     kl_divergence,
     log_likelihood,
 )
-from isotn.network import amplitudes, random_network
+from isotn.network import amplitude, amplitudes, random_network
 from isotn.tensor_core import random_isometry
 
 from conftest import deterministic_chain_net, enumerate_sequences, philox, single_vertex_net
@@ -186,6 +186,16 @@ class TestLogLikelihood:
             assert log_likelihood(net, SampleMultiset(256, {(1,) * 256: 1})) == math.inf
         message = str(record[0].message)
         assert len(message) <= 200 and "length 256" in message
+
+    def test_long_rows_score_where_probabilities_underflow(self):
+        # at n=256 every |A| is below 1e-160, so |A|² is 0.0; −2·log|A| is exact
+        gen = philox(3)
+        net = random_network("chain", 256, 27, 4, gen)
+        sample = SampleMultiset(256, np.array(sampling.sample(net, 16, gen)))
+        moduli = [abs(amplitude(net, s)) for s in sample.rows.tolist()]
+        assert 0.0 < min(moduli) and max(moduli) ** 2 == 0.0
+        expected = -2.0 * math.fsum(m * math.log(a) for m, a in zip(sample.counts.tolist(), moduli))
+        assert abs(log_likelihood(net, sample) - expected) <= 1e-12 * abs(expected)
 
     def test_memory_is_flat_in_the_number_of_windows(self):
         net = random_network("mera", 8, 5, 4, philox(46))

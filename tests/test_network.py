@@ -600,6 +600,13 @@ class TestReadOnlyStorage:
         seqs = [(0,) * 8, (1, 2, 0, 1, 2, 0, 1, 2)]
         assert np.array_equal(amplitudes(loaded, seqs), amplitudes(member, seqs))
 
+    def test_networks_compare_by_identity_and_print_briefly(self):
+        net = random_network("tree", 32, 27, 8, philox(53))
+        same = net.with_tensors(net.vertex_tensor)
+        assert net == net and net != same  # no elementwise array comparison
+        assert len({net, same}) == 2
+        assert len(repr(net)) < 200
+
 
 def test_two_site_helper_builds_bell_state():
     bell = two_site_net(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
