@@ -19,7 +19,7 @@ from .diagnostics import (
     pairwise_mutual_information_model,
 )
 from .dense import evaluate, intermediate_state, layer_map, operator_descend, operator_flow, state
-from .graph import Layering, Quiver, build_binary_tree, build_chain, build_mera, topological_layers
+from .graph import Quiver, build_binary_tree, build_chain, build_mera, topological_layers
 from .manifold import (
     gauge_orbit_rank,
     gauge_transform,

@@ -18,16 +18,7 @@ from .errors import IsotnError, UnsupportedTopologyError
 from .manifold import gauge_orbit_rank, moduli_dimension, real_stiefel_dim
 from .model_io import ModelBundle, load_model, save_model
 from .network import random_network
-
-# per-purpose stream ids, so e.g. data shuffling never replays init draws
-_STREAM_INIT = 0
-_STREAM_SAMPLE = 2
-
-
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
-    )
+from .tensor_core import _STREAM_INIT, _STREAM_SAMPLE, _rng
 
 
 def _read_text(path: str) -> str:
@@ -160,13 +151,12 @@ def cmd_inspect(args) -> int:
     bundle = load_model(args.model)
     net = bundle.net
     q = net.quiver
-    layering = q.plan.layering
     print(f"kind               {bundle.kind}")
     print(f"sites              {net.n_sites}")
     print(f"site dims          {sorted(set(net.site_dims))}")
     print(f"vertices           {len(q.vertices)}")
     print(f"internal edges     {len(q.internal_edges)}")
-    print(f"layers             {[len(l) for l in layering.layers]}")
+    print(f"layers             {[len(l) for l in q.plan.layers]}")
     print(f"bond dims          {sorted(set(net.edge_dim[e] for e in q.internal_edges)) or '-'}")
     print(f"max iso violation  {net.max_isometry_violation():.3e}")
     print(f"prng / seed        {bundle.prng} / {bundle.seed}")

@@ -2,10 +2,12 @@
 
 A network evaluates as the ordered composition of its layer maps, each the
 tensor product of one layer's vertex tensors and identities on the edges
-that pass it. The same maps carry operators between boundaries, the
-coarse-graining flow of Evenbly & Vidal, PRB 79, 144108 (2009). A layer
-map is as large as the square of its boundary space, so this path is for
-small networks: the tests check the runtime kernels of
+that pass it. The layers are those of the quiver's plan
+(``net.quiver.plan.layers``), the one layering the runtime kernels use
+too; no caller supplies another. The same maps carry operators between
+boundaries, the coarse-graining flow of Evenbly & Vidal, PRB 79, 144108
+(2009). A layer map is as large as the square of its boundary space, so
+this path is for small networks: the tests check the runtime kernels of
 :mod:`isotn.network` against it, and no runtime module imports it.
 """
 
@@ -17,12 +19,11 @@ from functools import reduce
 import numpy as np
 
 from .errors import ShapeError
-from .graph import Layering
 from .network import TensorNetwork, _require_model
 from .tensor_core import astensor
 
 
-def layer_boundaries(net: TensorNetwork, layering: Layering) -> tuple[tuple[int, ...], ...]:
+def layer_boundaries(net: TensorNetwork) -> tuple[tuple[int, ...], ...]:
     """Edge sets (sorted by id) between consecutive layers.
 
     ``boundaries[0]`` is the In edges; ``boundaries[l+1]`` is the boundary
@@ -31,36 +32,32 @@ def layer_boundaries(net: TensorNetwork, layering: Layering) -> tuple[tuple[int,
     q = net.quiver
     bounds = [tuple(q.in_edges)]
     current = set(q.in_edges)
-    for verts in layering.layers:
+    for verts in q.plan.layers:
         consumed = {e for v in verts for e in q.vertex_in_edges(v)}
-        missing = consumed - current
-        if missing:
-            raise ShapeError(f"layering is not causal: edges {sorted(missing)} not yet produced")
         produced = {e for v in verts for e in q.vertex_out_edges(v)}
         current = (current - consumed) | produced
         bounds.append(tuple(sorted(current)))
-    if set(bounds[-1]) != set(q.out_edges):
-        raise ShapeError("layering does not terminate on the Out edges")
     return tuple(bounds)
 
 
-def layer_map(net: TensorNetwork, layering: Layering, level: int) -> np.ndarray:
+def layer_map(net: TensorNetwork, level: int) -> np.ndarray:
     """Tensor-product map of layer ``l`` extended by identities.
 
     Returns a tensor whose axes are the outgoing boundary edges (sorted by
     id) followed by the incoming boundary edges (sorted by id); composing
     all layer maps in order reproduces :func:`evaluate`.
     """
-    if not 0 <= level < len(layering.layers):
-        raise ValueError(f"layer index {level} outside [0,{len(layering.layers)})")
     q = net.quiver
-    bounds = layer_boundaries(net, layering)
+    layers = q.plan.layers
+    if not 0 <= level < len(layers):
+        raise ValueError(f"layer index {level} outside [0,{len(layers)})")
+    bounds = layer_boundaries(net)
     b_in, b_out = bounds[level], bounds[level + 1]
-    consumed = {e for v in layering.layers[level] for e in q.vertex_in_edges(v)}
+    consumed = {e for v in layers[level] for e in q.vertex_in_edges(v)}
 
     parts: list[np.ndarray] = []
     labels: list[tuple[str, int]] = []
-    for v in layering.layers[level]:
+    for v in layers[level]:
         parts.append(net.vertex_tensor[v])
         labels += [("in", e) for e in q.vertex_in_edges(v)]
         labels += [("out", e) for e in q.vertex_out_edges(v)]
@@ -80,23 +77,26 @@ def _dim(net: TensorNetwork, edges) -> int:
     return math.prod(net.edge_dim[e] for e in edges)
 
 
-def _compose(net: TensorNetwork, layering: Layering, start: int, stop: int, x=None):
+def _compose(net: TensorNetwork, start: int, stop: int, x=None) -> np.ndarray:
     """Apply the layer maps from boundary ``start`` to ``stop``, in order, to ``x``.
 
     Each map is grouped as a (prod out dims, prod in dims) matrix. Without
-    ``x`` the result is their product, or None when the range is empty.
+    ``x`` the result is their product, the identity on boundary ``start``
+    when the range is empty.
     """
-    bounds = layer_boundaries(net, layering)
+    bounds = layer_boundaries(net)
+    if x is None:
+        x = np.eye(_dim(net, bounds[start]), dtype=np.complex128)
     for level in range(start, stop):
-        m = layer_map(net, layering, level).reshape(
-            _dim(net, bounds[level + 1]), _dim(net, bounds[level]))
-        x = m if x is None else m @ x
+        m = layer_map(net, level).reshape(_dim(net, bounds[level + 1]), _dim(net, bounds[level]))
+        x = m @ x
     return x
 
 
-def _check_boundary(layering: Layering, level: int) -> None:
-    if not 0 <= level <= len(layering.layers):
-        raise ValueError(f"boundary index {level} outside [0,{len(layering.layers)}]")
+def _check_boundary(net: TensorNetwork, level: int) -> None:
+    n_layers = len(net.quiver.plan.layers)
+    if not 0 <= level <= n_layers:
+        raise ValueError(f"boundary index {level} outside [0,{n_layers}]")
 
 
 def _square(op: np.ndarray, d: int) -> np.ndarray:
@@ -114,10 +114,8 @@ def evaluate(net: TensorNetwork) -> np.ndarray:
     for a closed network the result is a scalar. Computed as the ordered
     composition of the layer maps.
     """
-    layering = net.quiver.plan.layering
     in_dims = [net.edge_dim[e] for e in net.quiver.in_edges]
-    eye = np.eye(_dim(net, net.quiver.in_edges), dtype=np.complex128)
-    mat = _compose(net, layering, 0, len(layering.layers), eye)
+    mat = _compose(net, 0, len(net.quiver.plan.layers))
     return astensor(mat.reshape(list(net.site_dims) + in_dims))
 
 
@@ -131,14 +129,14 @@ def state(net: TensorNetwork) -> np.ndarray:
     return astensor(evaluate(net)[..., 0])
 
 
-def intermediate_state(net: TensorNetwork, layering: Layering, level: int) -> np.ndarray:
+def intermediate_state(net: TensorNetwork, level: int) -> np.ndarray:
     """State vector on boundary ``l`` (0 = In side, len(layers) = Out side)."""
     _require_model(net)
-    _check_boundary(layering, level)
-    return astensor(_compose(net, layering, 0, level, np.ones(1, dtype=np.complex128)))
+    _check_boundary(net, level)
+    return astensor(_compose(net, 0, level, np.ones(1, dtype=np.complex128)))
 
 
-def operator_flow(net: TensorNetwork, layering: Layering, op: np.ndarray, level: int) -> np.ndarray:
+def operator_flow(net: TensorNetwork, op: np.ndarray, level: int) -> np.ndarray:
     """Pull a base-layer operator back to boundary ``l``.
 
     ``op`` is a square matrix on the full Out space. The result is
@@ -147,24 +145,20 @@ def operator_flow(net: TensorNetwork, layering: Layering, op: np.ndarray, level:
     Its expectation in the intermediate state there equals the expectation
     of ``op`` in the full state.
     """
-    _check_boundary(layering, level)
+    _check_boundary(net, level)
     op = _square(op, _dim(net, net.quiver.out_edges))
-    c = _compose(net, layering, level, len(layering.layers))
-    if c is None:
-        return astensor(op)
+    c = _compose(net, level, len(net.quiver.plan.layers))
     return astensor(c.conj().T @ op @ c)
 
 
-def operator_descend(net: TensorNetwork, layering: Layering, op: np.ndarray, level: int) -> np.ndarray:
+def operator_descend(net: TensorNetwork, op: np.ndarray, level: int) -> np.ndarray:
     """Push a boundary-``level`` operator down to the base layer: c op c†.
 
     The inverse direction of :func:`operator_flow` up to the projector onto
     the image of c; expectations in the network state are preserved, since
     the state lies in that image.
     """
-    _check_boundary(layering, level)
-    op = _square(op, _dim(net, layer_boundaries(net, layering)[level]))
-    c = _compose(net, layering, level, len(layering.layers))
-    if c is None:
-        return astensor(op)
+    _check_boundary(net, level)
+    op = _square(op, _dim(net, layer_boundaries(net)[level]))
+    c = _compose(net, level, len(net.quiver.plan.layers))
     return astensor(c @ op @ c.conj().T)

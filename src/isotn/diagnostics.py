@@ -17,7 +17,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import FitError
-from .network import TensorNetwork, random_tensors, site_marginal, whole_array
+from .network import TensorNetwork, random_tensors, site_marginal, whole_array, whole_number
+from .tensor_core import _rng
 
 _NEG_TOL = -1e-12
 _I_FLOOR = 1e-12
@@ -34,7 +35,7 @@ class DecayCurve:
         pts = []
         last = 0
         for l, value in self.points:
-            l = int(l)
+            l = whole_number(l, "distance")
             if l <= last:
                 raise ValueError("distances must be strictly increasing positive ints")
             if not math.isfinite(value) or value < _NEG_TOL:
@@ -43,9 +44,6 @@ class DecayCurve:
             last = l
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "meta", dict(self.meta))
-
-    def distances(self) -> np.ndarray:
-        return np.array([l for l, _ in self.points], dtype=float)
 
     def values(self) -> np.ndarray:
         return np.array([v for _, v in self.points], dtype=float)
@@ -279,10 +277,7 @@ def compare_decay(
     for net in (net_a, net_b):
         acc = None
         for k in range(ensemble_size):
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-            )
-            runs = random_tensors(net.quiver, net.edge_dim, rng).runs
+            runs = random_tensors(net.quiver, net.edge_dim, _rng(seed, k)).runs
             member = TensorNetwork.from_runs(net.quiver, net.edge_dim, runs)
             vals = decay_curve(member, l_max).values()
             acc = vals if acc is None else acc + vals

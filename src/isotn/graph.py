@@ -7,9 +7,10 @@ follow in construction order, and Out edges get the highest ids in
 left-to-right observable order (so sorting Out edges by id yields sequence
 position order).
 
-Everything a contraction needs to know about the graph alone (layering,
-tree test, Out positions, and the schedules compiled from them) is kept in
-one :class:`Plan`, cached on the immutable quiver.
+Everything a contraction needs to know about the graph alone (the layers
+of :func:`topological_layers`, tree test, Out positions, and the schedules
+compiled from them) is kept in one :class:`Plan`, cached on the immutable
+quiver; every module, the dense reference included, reads the layers there.
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ class Quiver:
         self._check()
 
     def _check(self):
+        for what, ids in (("vertex", self.vertices), ("internal edge", self.internal_edges),
+                          ("In edge", self.in_edges), ("Out edge", self.out_edges)):
+            # the ids are sorted, so a repeat sits next to itself
+            repeated = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+            if repeated is not None:
+                raise ValueError(f"{what} {repeated} is repeated")
         internal = set(self.internal_edges)
         ins = set(self.in_edges)
         outs = set(self.out_edges)
@@ -96,25 +103,13 @@ class Quiver:
         return plan
 
 
-@dataclass(frozen=True)
-class Layering:
-    """Ordered partition of vertices: source side (fed by In) first."""
-
-    layers: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(tuple(l) for l in self.layers))
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-
-def topological_layers(q: Quiver) -> Layering:
+def topological_layers(q: Quiver) -> tuple[tuple[int, ...], ...]:
     """Slice a quiver into layers by longest path from the In side.
 
-    Vertices with no incoming internal edge form the first layer; every
-    internal edge then points from an earlier layer to a strictly later
-    one. Ordering within a layer is by vertex id, so the result is
+    Returns one tuple of vertices per layer, the source side (fed by In)
+    first. Vertices with no incoming internal edge form the first layer;
+    every internal edge then points from an earlier layer to a strictly
+    later one. Ordering within a layer is by vertex id, so the result is
     deterministic. Raises CycleError (listing one offending edge sequence)
     if the internal edges contain a directed cycle.
     """
@@ -146,20 +141,21 @@ def topological_layers(q: Quiver) -> Layering:
     layers = [[] for _ in range(n_layers)]
     for v in sorted(q.vertices):
         layers[depth[v]].append(v)
-    return Layering(tuple(tuple(l) for l in layers))
+    return tuple(map(tuple, layers))
 
 
 @dataclass(frozen=True)
 class Plan:
     """Graph-only data shared by every contraction of one quiver.
 
-    ``paths`` caches the contraction schedules :mod:`isotn.network` compiles
-    for this quiver, keyed by edge dimensions and leg roles, ``groups`` its
-    vertices grouped by tensor shape, keyed by edge dimensions, and
-    ``tree_steps`` the tree sampler's steps (:mod:`isotn.sampling`).
+    ``layers`` is :func:`topological_layers` of the quiver. ``paths``
+    caches the contraction schedules :mod:`isotn.network` compiles for this
+    quiver, keyed by edge dimensions and leg roles, ``groups`` its vertices
+    grouped by tensor shape, keyed by edge dimensions, and ``tree_steps``
+    the tree sampler's steps (:mod:`isotn.sampling`).
     """
 
-    layering: Layering
+    layers: tuple[tuple[int, ...], ...]
     is_tree: bool
     out_position: Mapping[int, int]
     paths: dict = field(default_factory=dict, compare=False, repr=False)

@@ -459,7 +459,7 @@ def _doubled_path(net: TensorNetwork, roles: str) -> tuple:
     q = net.quiver
     traced = {e for e, r in zip(q.out_edges, roles) if r == "t"}
     kept = []
-    for verts in reversed(q.plan.layering.layers):
+    for verts in reversed(q.plan.layers):
         for v in verts:
             if traced.issuperset(q.vertex_out_edges(v)):
                 traced.update(q.vertex_in_edges(v))
@@ -765,7 +765,7 @@ def _bond_dims(q: Quiver, kind: str, n: int, w: int, bond: int | Sequence[int]) 
         if b < 1:
             raise ValueError(f"bond dimension must be positive, got {b}")
     row, dims = {q.in_edges[0]: 0}, {q.in_edges[0]: 1}
-    for verts in q.plan.layering.layers:
+    for verts in q.plan.layers:
         for v in verts:
             ins = q.vertex_in_edges(v)
             r = row[ins[0]] + (len(ins) == 1)

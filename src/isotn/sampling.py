@@ -224,7 +224,7 @@ class _Replay:
         self.q, self.pos, self.up, self.path = q, q.plan.out_position, {}, dict.fromkeys(q.in_edges)
         self.in_edge = {v: q.vertex_in_edges(v)[0] for v in q.vertices}
         self.below = {e: (p,) for e, p in self.pos.items()}
-        for v in [v for layer in q.plan.layering.layers for v in layer][::-1]:  # children first
+        for v in [v for layer in q.plan.layers for v in layer][::-1]:  # children first
             self.below[self.in_edge[v]] = tuple(sorted(p for e in q.vertex_out_edges(v) for p in self.below[e]))
 
     def step(self, k: int) -> tuple:

@@ -165,6 +165,21 @@ def isometry_violation(tensor: np.ndarray, split: IndexSplit) -> float | np.ndar
     return worst.reshape(lead) if lead else float(worst[0])
 
 
+# per-purpose stream ids of one seed, so e.g. data shuffling never replays
+# init draws
+_STREAM_INIT = 0
+_STREAM_DATA_ORDER = 1
+_STREAM_SAMPLE = 2
+
+
+def _rng(seed: int, stream: int) -> np.random.Generator:
+    """Philox generator of stream ``stream`` of ``seed``; streams of one seed
+    are independent."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+    )
+
+
 def random_isometries(k: int, in_dim: int, out_dim: int, rng: np.random.Generator) -> np.ndarray:
     """``k`` independent Haar-random isometries as a (k, out_dim, in_dim)
     stack, each with M†M = I.

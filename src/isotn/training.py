@@ -34,6 +34,7 @@ from .network import (
     environments,
     sequence_array,
 )
+from .tensor_core import _STREAM_DATA_ORDER, _rng
 
 Gradient = dict[int, np.ndarray]
 
@@ -169,9 +170,7 @@ def train(
         sequence_array(net, sample.rows)
     ends = np.cumsum(sample.counts)
 
-    shuffle_rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
-    )
+    shuffle_rng = _rng(cfg.seed, _STREAM_DATA_ORDER)
     order = np.empty(0, dtype=np.int64)
     records: list[LossRecord] = []
     t0 = time.perf_counter()

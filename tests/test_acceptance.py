@@ -174,9 +174,9 @@ def test_criterion_08_operator_flow_preserves_expectations():
     for _ in range(10):
         op = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / math.sqrt(d)
         reference = complex(np.vdot(psi, op @ psi))
-        for l in range(len(layering.layers) + 1):
-            psi_l = intermediate_state(net, layering, l)
-            o_l = operator_flow(net, layering, op, l)
+        for l in range(len(layering) + 1):
+            psi_l = intermediate_state(net, l)
+            o_l = operator_flow(net, op, l)
             worst = max(worst, abs(complex(np.vdot(psi_l, o_l @ psi_l)) - reference))
     report(8, worst <= 1e-10,
            f"max |<psi_l o_l psi_l> - <Psi op Psi>| = {worst:.2e} (10 ops x all layers)")

@@ -152,6 +152,12 @@ class TestSampleCommand:
         assert main(["sample", "--model", str(path), "--count", "0", "--seed", "1"]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_negative_count_is_one_error_line(self, tmp_path, capsys):
+        path = self._deterministic_model(tmp_path)
+        assert main(["sample", "--model", str(path), "--count", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: count must be nonnegative\n"
+
     def test_blocks_print_as_they_complete(self, tmp_path, capsys, monkeypatch):
         path = self._deterministic_model(tmp_path)
         monkeypatch.setattr(sampling, "_BLOCK_ROWS", 2)
@@ -194,6 +200,15 @@ class TestEvalCommand:
         line = next(l for l in out.splitlines() if l.startswith("cross-entropy"))
         assert float(line.split()[-1]) == 0.0
 
+    def test_model_without_vocabulary_is_one_error_line(self, tmp_path, capsys):
+        model_path = tmp_path / "bare.isotn"
+        save_model(ModelBundle(deterministic_chain_net((0, 1), 2), None, "chain", 0), model_path)
+        data = tmp_path / "data.txt"
+        data.write_text("abab", encoding="utf-8")
+        assert main(["eval", "--model", str(model_path), "--data", str(data)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: model file carries no vocabulary; cannot tokenize data\n"
+
 
 class TestMiCommand:
     def test_product_model_degenerate_fits(self, tmp_path, capsys):
@@ -225,6 +240,11 @@ class TestMiCommand:
 
     def test_requires_exactly_one_source(self, capsys):
         assert main(["mi", "--lmax", "3"]) == 1
+
+    def test_data_mode_needs_a_vocabulary(self, corpus_file, capsys):
+        assert main(["mi", "--data", str(corpus_file), "--lmax", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --data mode needs --vocab\n"
 
 
 class TestDimCommand:
@@ -463,6 +483,19 @@ class TestModelFile:
         with pytest.raises(ModelFileError, match="vocabulary of 2 symbols does not fit"):
             load_model(path)
         assert main(["sample", "--model", str(path), "--count", "20"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line,message", [(rb"vertex 1\n", "vertex 1 is repeated"),
+                                              (rb"edge internal 1 [^\n]*\n", "internal edge 1 is repeated")],
+                             ids=["vertex", "internal_edge"])
+    def test_a_repeated_id_is_a_bad_header(self, tmp_path, rng, capsys, line, message):
+        path = tmp_path / "m.isotn"
+        save_model(ModelBundle(random_network("chain", 3, 2, 2, rng), None, "chain", 0), path)
+        self.rewrite(path, lambda h: re.sub(rb"(" + line + rb")", rb"\1\1", h, count=1))
+        with pytest.raises(ModelFileError, match=f"bad header: {message}"):
+            load_model(path)
+        assert main(["inspect", "--model", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 

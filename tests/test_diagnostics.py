@@ -207,6 +207,11 @@ class TestDecayCurve:
         with pytest.raises(ValueError):
             DecayCurve(((1, -1e-6),))
 
+    def test_curve_rejects_fractional_distance(self):
+        with pytest.raises(ValueError, match="distance 1.5 is not a finite whole number"):
+            DecayCurve(((1.5, 0.1), (2.7, 0.05)))
+        assert DecayCurve(((1, 0.1), (2.0, 0.05))).points == ((1, 0.1), (2, 0.05))
+
     def test_curve_clips_tiny_negative(self):
         curve = DecayCurve(((1, -5e-13), (2, 1.0)))
         assert curve.points[0][1] == 0.0

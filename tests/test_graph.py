@@ -27,7 +27,7 @@ def test_chain_counts():
 
 def test_chain_layers_are_singletons():
     layering = topological_layers(build_chain(4))
-    assert [len(l) for l in layering.layers] == [1, 1, 1, 1]
+    assert [len(l) for l in layering] == [1, 1, 1, 1]
 
 
 def test_chain_rejects_zero():
@@ -46,12 +46,12 @@ def test_tree_eight_leaves():
     q = build_binary_tree(8)
     assert len(q.vertices) == 7
     assert len(q.internal_edges) == 6
-    assert [len(l) for l in topological_layers(q).layers] == [1, 2, 4]
+    assert [len(l) for l in topological_layers(q)] == [1, 2, 4]
 
 
 def test_tree_sixteen_layer_sizes():
     layering = topological_layers(build_binary_tree(16))
-    assert [len(l) for l in layering.layers] == [1, 2, 4, 8]
+    assert [len(l) for l in layering] == [1, 2, 4, 8]
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
@@ -94,7 +94,7 @@ def test_mera_four_disentangler_count():
 def test_mera_acyclic(n):
     q = build_mera(n)
     layering = topological_layers(q)  # raises on a cycle
-    assert sum(len(l) for l in layering.layers) == len(q.vertices)
+    assert sum(len(l) for l in layering) == len(q.vertices)
 
 
 def test_mera_is_not_a_tree():
@@ -108,7 +108,7 @@ def test_mera_is_not_a_tree():
 
 def test_single_vertex_one_layer():
     q = Quiver((0,), (), (0,), (1, 2), {1: 0, 2: 0}, {0: 0})
-    assert [len(l) for l in topological_layers(q).layers] == [1]
+    assert [len(l) for l in topological_layers(q)] == [1]
 
 
 def test_two_cycle_detected():
@@ -167,7 +167,7 @@ def test_constructors_deterministic():
 def test_layering_respects_edge_direction():
     q = build_mera(8)
     layering = topological_layers(q)
-    index = {v: i for i, layer in enumerate(layering.layers) for v in layer}
+    index = {v: i for i, layer in enumerate(layering) for v in layer}
     for e in q.internal_edges:
         assert index[q.source[e]] < index[q.target[e]]
 
@@ -175,6 +175,25 @@ def test_layering_respects_edge_direction():
 def test_quiver_rejects_overlapping_edge_ids():
     with pytest.raises(ValueError):
         Quiver((0,), (1,), (1,), (2,), {1: 0, 2: 0}, {0: 0, 1: 0})
+
+
+def test_plan_holds_the_layers():
+    for q in (build_chain(5), build_binary_tree(8), build_mera(8)):
+        layers = topological_layers(q)
+        assert type(layers) is tuple and all(type(l) is tuple for l in layers)
+        assert q.plan.layers == layers
+
+
+@pytest.mark.parametrize("args,message", [
+    (((0, 0, 1), (1,), (0,), (2, 3), {1: 0, 2: 0, 3: 1}, {0: 0, 1: 1}), "vertex 0 is repeated"),
+    (((0, 1), (1, 1), (0,), (2, 3), {1: 0, 2: 0, 3: 1}, {0: 0, 1: 1}), "internal edge 1 is repeated"),
+    (((0,), (), (0, 0), (1,), {1: 0}, {0: 0}), "In edge 0 is repeated"),
+    (((0,), (), (0,), (2, 1, 2), {1: 0, 2: 0}, {0: 0}), "Out edge 2 is repeated"),
+], ids=["vertex", "internal", "in", "out"])
+def test_quiver_rejects_repeated_ids(args, message):
+    # a repeated vertex once fell through Kahn's count to a bare StopIteration
+    with pytest.raises(ValueError, match=message):
+        Quiver(*args)
 
 
 def test_quiver_rejects_isolated_vertex():

@@ -8,6 +8,7 @@ from isotn.graph import Quiver, build_chain
 from isotn.manifold import (
     _antihermitian_basis,
     gauge_orbit_rank,
+    gauge_transform,
     moduli_dimension,
     real_stiefel_dim,
     retract,
@@ -256,6 +257,15 @@ class TestGaugeOrbitRank:
         net = TensorNetwork(q, dims, tensors)
         assert gauge_orbit_rank(net) == 8  # 4 (In edge) + 4 (bond)
         assert (real_stiefel_dim(net) - 8) // 2 == moduli_dimension(net)
+
+    def test_gauge_transform_checks_its_unitaries(self, rng):
+        net = random_network("tree", 4, 2, 2, rng)
+        out = net.quiver.out_edges[0]
+        with pytest.raises(ValueError, match=f"edge {out} is not an internal or In edge"):
+            gauge_transform(net, {out: np.eye(2)})
+        bond = net.quiver.internal_edges[0]
+        with pytest.raises(ValueError, match=f"unitary for edge {bond} has wrong shape"):
+            gauge_transform(net, {bond: np.eye(3)})
 
     def test_consistency_on_random_tree(self, rng):
         net = random_network("tree", 4, 2, 2, rng)

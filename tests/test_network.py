@@ -113,21 +113,25 @@ class TestAmplitude:
         with pytest.raises(ValueError):
             amplitude(net, (0, 0, 0))
 
+    def test_ragged_rows_rejected(self, rng):
+        net = random_network("tree", 4, 2, 2, rng)
+        with pytest.raises(ValueError, match="sequence length 2 != number of sites 4"):
+            amplitudes(net, [[0, 1, 0, 1], [0, 1]])
+
 
 class TestLayerMap:
     def test_single_layer_equals_evaluate(self, rng):
         net = random_network("tree", 2, 3, 2, rng)
-        layering = topological_layers(net.quiver)
-        np.testing.assert_allclose(layer_map(net, layering, 0), evaluate(net), atol=1e-12)
+        np.testing.assert_allclose(layer_map(net, 0), evaluate(net), atol=1e-12)
 
     @pytest.mark.parametrize("kind,n,tol", [("chain", 3, 1e-12), ("tree", 8, 1e-10), ("mera", 4, 1e-10)])
     def test_composition_reproduces_evaluate(self, kind, n, tol, rng):
         net = random_network(kind, n, 2, 2, rng)
         layering = topological_layers(net.quiver)
         mat = None
-        for l in range(len(layering.layers)):
-            t = layer_map(net, layering, l)
-            d_in = int(np.prod([1] + [net.edge_dim[e] for e in _bounds(net, layering)[l]]))
+        for l in range(len(layering)):
+            t = layer_map(net, l)
+            d_in = int(np.prod([1] + [net.edge_dim[e] for e in _bounds(net)[l]]))
             m = t.reshape(-1, d_in)
             mat = m if mat is None else m @ mat
         ev = evaluate(net)
@@ -135,15 +139,14 @@ class TestLayerMap:
 
     def test_bad_layer_index(self, rng):
         net = random_network("tree", 4, 2, 2, rng)
-        layering = topological_layers(net.quiver)
         with pytest.raises(ValueError):
-            layer_map(net, layering, 5)
+            layer_map(net, 5)
 
 
-def _bounds(net, layering):
+def _bounds(net):
     from isotn.dense import layer_boundaries
 
-    return layer_boundaries(net, layering)
+    return layer_boundaries(net)
 
 
 class TestOperatorFlow:
@@ -151,8 +154,8 @@ class TestOperatorFlow:
         net = random_network("tree", 8, 2, 2, rng)
         layering = topological_layers(net.quiver)
         d = int(np.prod(net.site_dims))
-        for l in range(len(layering.layers) + 1):
-            o_l = operator_flow(net, layering, np.eye(d), l)
+        for l in range(len(layering) + 1):
+            o_l = operator_flow(net, np.eye(d), l)
             np.testing.assert_allclose(o_l, np.eye(o_l.shape[0]), atol=1e-12)
 
     def test_projector_expectation_equals_born(self, rng):
@@ -164,24 +167,22 @@ class TestOperatorFlow:
         op = np.zeros((16, 16), dtype=np.complex128)
         op[flat, flat] = 1.0
         born = abs(amplitude(net, s)) ** 2
-        for l in range(len(layering.layers) + 1):
-            psi_l = intermediate_state(net, layering, l)
-            o_l = operator_flow(net, layering, op, l)
+        for l in range(len(layering) + 1):
+            psi_l = intermediate_state(net, l)
+            o_l = operator_flow(net, op, l)
             assert abs(np.vdot(psi_l, o_l @ psi_l) - born) < 1e-10
 
     def test_projector_completeness(self, rng):
         net = random_network("tree", 4, 2, 2, rng)
-        layering = topological_layers(net.quiver)
         op = np.eye(16)  # sum of all basis projectors
-        o_top = operator_flow(net, layering, op, 0)
+        o_top = operator_flow(net, op, 0)
         assert o_top.shape == (1, 1)
         assert abs(o_top[0, 0] - 1.0) < 1e-10
 
     def test_operator_shape_checked(self, rng):
         net = random_network("tree", 4, 2, 2, rng)
-        layering = topological_layers(net.quiver)
         with pytest.raises(ShapeError):
-            operator_flow(net, layering, np.eye(7), 1)
+            operator_flow(net, np.eye(7), 1)
 
 
 class TestSiteOperators:
@@ -195,6 +196,10 @@ class TestSiteOperators:
         expected = np.vdot(psi, b)
         got = site_operator_expectation(net, ops)
         assert abs(got - expected) < 1e-12
+
+    def test_no_operators_give_the_norm(self, rng):
+        net = random_network("tree", 8, 2, 3, rng)
+        assert site_operator_expectation(net, {}) == 1
 
     def test_marginal_matches_projector_calls(self, rng):
         # every topology; MERA runs the dense branch of both entry points
@@ -652,12 +657,12 @@ def test_operator_descend_preserves_expectation(rng):
     gen = philox(33)
     from isotn.dense import layer_boundaries
 
-    bounds = layer_boundaries(net, layering)
-    for l in range(len(layering.layers) + 1):
+    bounds = layer_boundaries(net)
+    for l in range(len(layering) + 1):
         d_l = int(np.prod([net.edge_dim[e] for e in bounds[l]]))
         op_l = gen.standard_normal((d_l, d_l)) + 1j * gen.standard_normal((d_l, d_l))
-        psi_l = intermediate_state(net, layering, l)
-        descended = operator_descend(net, layering, op_l, l)
+        psi_l = intermediate_state(net, l)
+        descended = operator_descend(net, op_l, l)
         lhs = np.vdot(psi, descended @ psi)
         rhs = np.vdot(psi_l, op_l @ psi_l)
         assert abs(lhs - rhs) < 1e-10
