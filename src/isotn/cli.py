@@ -16,7 +16,7 @@ import numpy as np
 from . import corpus, diagnostics, model, sampling, training
 from .errors import IsotnError, UnsupportedTopologyError
 from .manifold import gauge_orbit_rank, moduli_dimension, real_stiefel_dim
-from .model_io import ModelBundle, load_model, save_model
+from .model_io import PRNG_NAME, ModelBundle, load_model, save_model
 from .network import random_network
 from .tensor_core import _STREAM_INIT, _STREAM_SAMPLE, _rng
 
@@ -45,15 +45,15 @@ def cmd_vocab(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = training.TrainConfig(
+        learning_rate=args.eta, steps=args.steps, batch_size=args.batch, seed=args.seed,
+        checkpoint_every=args.checkpoint_every,
+    )
     vocab = corpus.load_vocab(args.vocab, args.scheme)
     tokens = corpus.tokenize(_read_text(args.data), vocab)
     sample_set = corpus.windows(tokens, args.n, args.stride)
     net = random_network(args.graph, args.n, vocab.size, _parse_bond(args.bond_dims),
                          _rng(args.seed, _STREAM_INIT))
-    cfg = training.TrainConfig(
-        learning_rate=args.eta, steps=args.steps, batch_size=args.batch, seed=args.seed,
-        checkpoint_every=args.checkpoint_every,
-    )
 
     def checkpoint(step, snapshot):
         save_model(ModelBundle(snapshot, vocab, args.graph, args.seed), f"{args.out}.step{step}")
@@ -159,7 +159,7 @@ def cmd_inspect(args) -> int:
     print(f"layers             {[len(l) for l in q.plan.layers]}")
     print(f"bond dims          {sorted(set(net.edge_dim[e] for e in q.internal_edges)) or '-'}")
     print(f"max iso violation  {net.max_isometry_violation():.3e}")
-    print(f"prng / seed        {bundle.prng} / {bundle.seed}")
+    print(f"prng / seed        {PRNG_NAME} / {bundle.seed}")
     if bundle.symbols is not None:
         print(f"symbols            {bundle.symbols.size} ({bundle.symbols.scheme})")
     return 0

@@ -13,6 +13,7 @@ from collections import Counter
 
 import numpy as np
 
+from .errors import _brief_value
 from .model import SampleMultiset, SymbolSet
 from .network import whole_array
 
@@ -90,7 +91,7 @@ def tokenize(text: str, vocab: SymbolSet) -> list[int]:
         k = index.get(tok)
         if k is None:
             if fallback is None:
-                raise ValueError(f"token {tok!r} not in vocabulary and no OOV symbol present")
+                raise ValueError(f"token {_brief_value(repr(tok))} not in vocabulary and no OOV symbol present")
             k = fallback
         out.append(k)
     return out

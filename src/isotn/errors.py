@@ -1,15 +1,31 @@
 """Exception types shared across the package."""
 
+import math
+
 # symbols of a sequence or prefix that an error message shows
 _SHOWN_SYMBOLS = 16
+# characters of one value that an error message shows
+_SHOWN_CHARS = 40
 
 
 def _brief(symbols: tuple) -> str:
-    """The tuple as text, cut after its first 16 symbols with its length stated."""
-    if len(symbols) <= _SHOWN_SYMBOLS:
-        return str(symbols)
-    head = ", ".join(str(x) for x in symbols[:_SHOWN_SYMBOLS])
-    return f"({head}, …) of length {len(symbols)}"
+    """The tuple as text, each symbol as :func:`_brief_value` shows it, cut
+    after its first 16 symbols with its length stated."""
+    head = ", ".join(_brief_value(x) for x in symbols[:_SHOWN_SYMBOLS])
+    if len(symbols) > _SHOWN_SYMBOLS:
+        return f"({head}, …) of length {len(symbols)}"
+    return f"({head},)" if len(symbols) == 1 else f"({head})"
+
+
+def _brief_value(x) -> str:
+    """``str(x)``, cut after 40 characters; an integer of more digits is
+    shown by its digit count, as it may be too long to print at all."""
+    if isinstance(x, int) and abs(x) >= 10 ** _SHOWN_CHARS:
+        digits = int((abs(x).bit_length() - 1) * math.log10(2)) + 1  # those of 2**(bits - 1)
+        digits += abs(x) >= 10 ** digits
+        return f"(an integer of {digits} digits)"
+    text = str(x)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "…"
 
 
 class IsotnError(Exception):

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import _brief
+from .errors import _brief, _brief_value
 from .network import SequenceState, TensorNetwork, amplitude, amplitudes, whole_array, whole_number
 
 Distribution = dict[SequenceState, float]
@@ -72,9 +72,9 @@ class SampleMultiset:
                            for s, m in entries.items())
             for s, m in items:
                 if len(s) != n:
-                    raise ValueError(f"sequence {s} has length {len(s)}, expected {n}")
+                    raise ValueError(f"sequence {_brief(s)} has length {len(s)}, expected {n}")
                 if m < 1:
-                    raise ValueError(f"multiplicity of {s} must be >= 1, got {m}")
+                    raise ValueError(f"multiplicity of {_brief(s)} must be >= 1, got {_brief_value(m)}")
             rows = np.array([s for s, _ in items], dtype=np.int64).reshape(len(items), n)
             counts = np.array([m for _, m in items], dtype=np.int64)
         else:

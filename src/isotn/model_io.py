@@ -6,8 +6,8 @@ edge tables, symbol list, PRNG name, seed), then the binary section - for
 each vertex in ascending id its tensor as row-major complex values, each
 component a little-endian IEEE-754 double (real then imaginary) - and a
 trailing 8-byte BLAKE2b checksum of the header length, header and binary
-section, so any corrupted byte is rejected. Format version 1 files, whose
-checksum covers the binary section only, still load. Round-trips are
+section, so any corrupted byte is rejected. Only this format, version 2,
+is read; every file names the one PRNG, ``philox``. Round-trips are
 bit-exact.
 
 The header holds no isometry tolerance, so a file cannot loosen its own
@@ -44,7 +44,6 @@ class ModelBundle:
     symbols: SymbolSet | None = None
     kind: str = "custom"
     seed: int = 0
-    prng: str = PRNG_NAME
 
     def __post_init__(self):
         if self.symbols is None:
@@ -62,7 +61,7 @@ def _header_text(bundle: ModelBundle) -> str:
         f"format_version {FORMAT_VERSION}",
         f"kind {bundle.kind}",
         f"n {net.n_sites}",
-        f"prng {bundle.prng}",
+        f"prng {PRNG_NAME}",
         f"seed {bundle.seed}",
     ]
     if bundle.symbols is not None:
@@ -144,8 +143,10 @@ def _parse_header(text: str):
             meta[key] = rest
     if not saw_end:
         raise ValueError("header missing 'end' marker")
-    if int(meta.get("format_version", "-1")) not in (1, FORMAT_VERSION):
+    if meta.get("format_version") != str(FORMAT_VERSION):
         raise ValueError(f"unsupported format version {meta.get('format_version')}")
+    if meta.get("prng") != PRNG_NAME:
+        raise ValueError(f"unsupported PRNG {meta.get('prng')}")
     quiver = Quiver(
         tuple(vertices), tuple(internal_edges), tuple(in_edges), tuple(out_edges), source, target
     )
@@ -172,7 +173,7 @@ def load_model(path) -> ModelBundle:
         raw_header = fh.read(header_len)
         try:  # UnicodeDecodeError is a ValueError
             meta, symbols, quiver, edge_dim = _parse_header(raw_header.decode("utf-8"))
-            seed, version = int(meta.get("seed", "0")), int(meta["format_version"])
+            seed = int(meta.get("seed", "0"))
         except ValueError as exc:
             raise ModelFileError(f"{path}: bad header: {str(exc)[:200]}") from exc
         try:
@@ -184,10 +185,8 @@ def load_model(path) -> ModelBundle:
             raise ModelFileError(f"{path}: binary section of {binary_len} bytes does not hold "
                                  f"the header's {entries} complex entries")
         runs = [np.empty((len(verts),) + shape, dtype="<c16") for verts, shape, _ in groups]
-        digest = hashlib.blake2b(digest_size=8)
-        if version != 1:  # version 1 checksums the binary section only
-            digest.update(prefix[len(MAGIC):])
-            digest.update(raw_header)
+        digest = hashlib.blake2b(prefix[len(MAGIC):], digest_size=8)
+        digest.update(raw_header)
         for slot in VertexStacks(groups, runs, quiver.vertices).values():
             if fh.readinto(slot) != slot.nbytes:
                 raise ModelFileError(f"{path}: file truncated while reading")
@@ -200,6 +199,6 @@ def load_model(path) -> ModelBundle:
     try:
         net = TensorNetwork.from_runs(quiver, edge_dim, runs)
         symbol_set = SymbolSet(tuple(symbols), meta.get("scheme", "chars")) if symbols else None
-        return ModelBundle(net, symbol_set, meta.get("kind", "custom"), seed, meta.get("prng", PRNG_NAME))
+        return ModelBundle(net, symbol_set, meta.get("kind", "custom"), seed)
     except (ValueError, TypeError) as exc:
         raise ModelFileError(f"{path}: invalid model: {str(exc)[:200]}") from exc

@@ -62,7 +62,7 @@ from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import IsometryImpossibleError, ShapeError
+from .errors import IsometryImpossibleError, ShapeError, _brief_value
 from .graph import (
     Quiver,
     build_binary_tree,
@@ -295,7 +295,8 @@ def _require_model(net: TensorNetwork) -> int:
 
 def whole_number(x, what: str, where: str = "") -> int:
     """``x`` as an int if it is a finite whole number (``2.0`` passes), else a
-    ValueError "<what> <x><where> is not a finite whole number"."""
+    ValueError "<what> <x><where> is not a finite whole number", with x as
+    :func:`~isotn.errors._brief_value` shows it."""
     if type(x) is int:
         return x
     try:
@@ -303,7 +304,7 @@ def whole_number(x, what: str, where: str = "") -> int:
             return int(x)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValueError(f"{what} {x}{where} is not a finite whole number")
+    raise ValueError(f"{what} {_brief_value(x)}{where} is not a finite whole number")
 
 
 def whole_array(values, what: str, where: str = "") -> np.ndarray:
@@ -313,7 +314,8 @@ def whole_array(values, what: str, where: str = "") -> np.ndarray:
         arr = np.array([whole_number(x, what, where) for x in arr.ravel().tolist()]).reshape(arr.shape)
     big = arr.dtype.kind != "i" and (arr >= 2**63) | (arr < -2**63)  # the cast would wrap them
     if np.any(big):
-        raise ValueError(f"{what} {arr.ravel()[np.argmax(big.ravel())]}{where} does not fit in int64")
+        value = _brief_value(arr.ravel()[np.argmax(big.ravel())])
+        raise ValueError(f"{what} {value}{where} does not fit in int64")
     return arr.astype(np.int64, copy=False)
 
 
@@ -382,7 +384,7 @@ def _path(net: TensorNetwork, roles: str | tuple[str, ...] | None = None) -> tup
         else:
             if roles is None:  # the ket network, every Out leg gathered: one amplitude per row
                 leaves = {v: _leaf(net, v, range(net.n_sites)) for v in net.quiver.vertices}
-                steps, final, axes = _compile(leaves, {**net.edge_dim, _ROWS: 1}, (_ROWS,), max(leaves) + 1)
+                steps, final, axes = _compile(leaves, {**net.edge_dim, _ROWS: 1}, (_ROWS,))
             else:
                 steps, final, axes = _doubled_path(net, roles)
             ids, made_here = {}, []
@@ -453,8 +455,7 @@ def _doubled_path(net: TensorNetwork, roles: str) -> tuple:
     and bra). A vertex whose out legs are all traced drops out with its
     bra, exactly, as it is an isometry, and its in legs become traced, so
     only the causal cone of the other legs is left. Vertex v is ket item v
-    and bra item V + v; steps make items 2V on, whatever drops out, so
-    that paths of one network share equal steps.
+    and bra item V + v.
     """
     q = net.quiver
     traced = {e for e, r in zip(q.out_edges, roles) if r == "t"}
@@ -473,24 +474,25 @@ def _doubled_path(net: TensorNetwork, roles: str) -> tuple:
     leaves.update({bra + v: _leaf(net, v, gathered, shift, one) for v in kept})
     leaves.update({-1 - p: ([e + shift, e], None) for p, e in enumerate(q.out_edges) if roles[p] == "x"})
     dim = {**net.edge_dim, **{e + shift: d for e, d in net.edge_dim.items()}, _ROWS: 1}
-    return _compile(leaves, dim, [_ROWS] * bool(gathered) + opened, 2 * bra)
+    return _compile(leaves, dim, [_ROWS] * bool(gathered) + opened)
 
 
 def _compile(leaves: Mapping[int, tuple[list[int], tuple | None]], dim: Mapping[int, int],
-             out: Sequence[int], base: int) -> tuple:
+             out: Sequence[int]) -> tuple:
     """The greedy pairwise contraction path over the items in ``leaves``.
 
     ``leaves`` maps each leaf's id to its legs in axis order and its spec
     (None: the caller supplies the item), ``dim`` gives leg dimensions (the
-    rows count 1), ``out`` the legs the result keeps, and steps make items
-    ``base`` on. A leg two items share is summed if no other item and not
-    the result holds it; else it is a batch axis of their matmul. Each step
-    joins the two items that share a summed leg and give the smallest
-    result, in entries per row, ties going to the smaller ids, so trees and
-    chains contract from their leaves; items sharing none are then
-    multiplied out in id order. An item that alone has rows goes first and
-    its rows join the matrix rows; else the order that transposes fewer
-    entries goes.
+    rows count 1) and ``out`` the legs the result keeps. Steps number the
+    items they make from one past the largest leaf id, in order; :func:`_path`
+    renumbers them by how each is made. A leg two items share is summed if
+    no other item and not the result holds it; else it is a batch axis of
+    their matmul. Each step joins the two items that share a summed leg and
+    give the smallest result, in entries per row, ties going to the smaller
+    ids, so trees and chains contract from their leaves; items sharing none
+    are then multiplied out in id order. An item that alone has rows goes
+    first and its rows join the matrix rows; else the order that transposes
+    fewer entries goes.
 
     Returns (steps, final item, its axes in ``out`` order); a leaf is named
     by its spec. Step (a, b, c, (lperm, lshape, rperm, rshape, shape, linv,
@@ -498,6 +500,7 @@ def _compile(leaves: Mapping[int, tuple[list[int], tuple | None]], dim: Mapping[
     kept, summed legs; b: batch, summed, kept legs) and reshaped.
     """
     legs = {i: list(ls) for i, (ls, _) in leaves.items()}
+    base = max(legs) + 1  # the id of the first item a step makes
     holders, steps = defaultdict(set), []  # the items holding each leg
     for i, ls in legs.items():
         for e in ls:

@@ -18,6 +18,7 @@ measured there.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -33,6 +34,7 @@ from .network import (
     contract,
     environments,
     sequence_array,
+    whole_number,
 )
 from .tensor_core import _STREAM_DATA_ORDER, _rng
 
@@ -48,8 +50,11 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning rate {self.learning_rate} is not a finite positive number")
+        for field, what in (("steps", "step count"), ("batch_size", "batch size"),
+                            ("checkpoint_every", "checkpoint_every")):
+            object.__setattr__(self, field, whole_number(getattr(self, field), what))
         if self.steps < 0:
             raise ValueError("step count must be nonnegative")
         if self.batch_size < 1:

@@ -88,6 +88,22 @@ class TestTrainCommand:
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: bond dimension must be positive, got {bad}\n"
 
+    def test_an_empty_bond_list_is_one_error_line(self, tmp_path, corpus_file, vocab_file, capsys):
+        args = train_args(corpus_file, vocab_file, tmp_path / "m.isotn", steps=1)
+        args[args.index("--bond-dims") + 1] = ","
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --bond-dims must name at least one dimension\n"
+
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_a_learning_rate_that_is_not_finite_is_one_error_line(self, tmp_path, corpus_file,
+                                                                  vocab_file, capsys, eta):
+        out_path = tmp_path / "m.isotn"
+        assert main(train_args(corpus_file, vocab_file, out_path, steps=1, extra=("--eta", eta))) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: learning rate {eta} is not a finite positive number\n"
+        assert not out_path.exists()
+
     def test_unreadable_data_path_fails_with_message(self, tmp_path, vocab_file, capsys):
         missing = tmp_path / "no-such-file.txt"
         code = main(train_args(missing, vocab_file, tmp_path / "m.isotn"))
@@ -208,6 +224,16 @@ class TestEvalCommand:
         assert main(["eval", "--model", str(model_path), "--data", str(data)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == "error: model file carries no vocabulary; cannot tokenize data\n"
+
+    def test_a_window_of_zero_probability_reads_infinite_perplexity(self, tmp_path, capsys):
+        model_path = tmp_path / "det.isotn"
+        save_model(ModelBundle(deterministic_chain_net((0, 1), 2), SymbolSet(("a", "b"), "chars"),
+                               "chain", 0), model_path)
+        data = tmp_path / "held_out.txt"
+        data.write_text("abba", encoding="utf-8")  # the window "bb" has probability 0
+        with pytest.warns(RuntimeWarning, match=r"^sequence \(1, 0\) has zero model probability"):
+            assert main(["eval", "--model", str(model_path), "--data", str(data)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "perplexity         inf"
 
 
 class TestMiCommand:
@@ -394,28 +420,32 @@ class TestModelFile:
         with pytest.raises(ModelFileError):
             load_model(path)
 
-    def test_version_1_file_loads(self, tmp_path, rng):
+    @pytest.mark.parametrize("edit", [
+        lambda h: h,
+        lambda h: h.replace(b'symbol "a"', b'symbol "c"'),
+        lambda h: h.replace(b"seed 4\n", b"seed 5\n"),
+        lambda h: h.replace(b"kind tree\n", b"kind mera\n"),
+    ], ids=["as_written", "symbol", "seed", "kind"])
+    def test_a_version_1_file_is_rejected(self, tmp_path, rng, capsys, edit):
+        path = tmp_path / "v1.isotn"
         net = random_network("tree", 8, 2, 3, rng)
-        bundle = ModelBundle(net, SymbolSet(("a", "b"), "chars"), "tree", 4)
-        p1, p2, p3 = tmp_path / "v1.isotn", tmp_path / "v2.isotn", tmp_path / "again.isotn"
-        save_model(bundle, p2)
-        raw = p2.read_bytes()
-        assert b"format_version 2\n" in raw
-        start = len(MAGIC) + 8
-        (size,) = struct.unpack("<Q", raw[len(MAGIC):start])
-        header = raw[start:start + size].replace(b"format_version 2\n", b"format_version 1\n")
-        binary = raw[start + size:-8]
-        # version 1 checksums the binary section only
-        p1.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + binary
-                       + hashlib.blake2b(binary, digest_size=8).digest())
-        loaded = load_model(p1)
-        for v in net.quiver.vertices:
-            np.testing.assert_array_equal(loaded.net.vertex_tensor[v], net.vertex_tensor[v])
-        assert loaded.net.edge_dim == net.edge_dim
-        assert (loaded.symbols, loaded.kind, loaded.seed) == (bundle.symbols, "tree", 4)
-        save_model(loaded, p1)
-        save_model(load_model(p1), p3)
-        assert p1.read_bytes() == p3.read_bytes() == raw
+        save_model(ModelBundle(net, SymbolSet(("a", "b"), "chars"), "tree", 4), path)
+        before = path.read_bytes()
+        # version 1 checksummed its tensors only, so these header edits kept a valid checksum
+        self.rewrite(path, edit, version=1)
+        assert path.read_bytes() != before
+        with pytest.raises(ModelFileError, match="bad header: unsupported format version 1$"):
+            load_model(path)
+        assert main(["inspect", "--model", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {path}: bad header: unsupported format version 1\n"
+
+    def test_another_prng_is_rejected(self, tmp_path, rng):
+        path = tmp_path / "m.isotn"
+        save_model(ModelBundle(random_network("tree", 4, 2, 2, rng), None, "tree", 0), path)
+        self.rewrite(path, lambda h: h.replace(b"prng philox\n", b"prng pcg64\n"))
+        with pytest.raises(ModelFileError, match="bad header: unsupported PRNG pcg64$"):
+            load_model(path)
 
     def test_nonpositive_dimension_is_a_bad_header(self, tmp_path, rng):
         path = tmp_path / "m.isotn"
@@ -447,7 +477,7 @@ class TestModelFile:
         checked = body if version != 1 else bytes(binary)  # version 1 checksums the tensors only
         path.write_bytes(MAGIC + body + hashlib.blake2b(checked, digest_size=8).digest())
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [2])
     def test_a_file_cannot_loosen_its_isometry_check(self, tmp_path, rng, version):
         path = tmp_path / "m.isotn"
         save_model(ModelBundle(random_network("tree", 4, 2, 2, rng), None, "tree", 0), path)
@@ -457,7 +487,7 @@ class TestModelFile:
                 "vertex 0 tensor is not isometric (violation 2.491e+01 > tol 1e-08)")):
             load_model(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [2])
     def test_an_older_tolerance_line_is_ignored(self, tmp_path, rng, version):
         net = random_network("tree", 8, 2, 3, rng)
         bundle = ModelBundle(net, SymbolSet(("a", "b"), "chars"), "tree", 4)

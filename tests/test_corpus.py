@@ -50,6 +50,14 @@ class TestBuildVocab:
             with pytest.raises(ValueError):
                 build_vocab("", scheme)
 
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown scheme 'syllables'; expected one of "):
+            build_vocab("ab", "syllables")
+
+    def test_nonpositive_max_size_rejected(self):
+        with pytest.raises(ValueError, match=r"^max_size must be positive$"):
+            build_vocab("ab", "chars", max_size=0)
+
     def test_frequency_then_lexicographic_order(self):
         vocab = build_vocab("bb aa aa bb cc", "words")
         assert vocab.symbols == ("aa", "bb", "cc")
@@ -75,6 +83,11 @@ class TestTokenizeRoundTrip:
         vocab = build_vocab("aaa", "chars")
         with pytest.raises(ValueError):
             tokenize("b", vocab)
+
+    def test_a_long_unknown_token_is_named_briefly(self):
+        with pytest.raises(ValueError, match=r"^token 'yyy.*…") as info:
+            tokenize("y" * 100_000, build_vocab("a", "words"))
+        assert len(str(info.value)) < 200
 
     def test_unknown_token_maps_to_oov(self):
         vocab = build_vocab("aab", "chars", max_size=1)
@@ -104,6 +117,11 @@ class TestWindows:
     def test_non_whole_tokens_rejected(self, tokens, value):
         with pytest.raises(ValueError, match=rf"^token {value} is not a finite whole number$"):
             windows(tokens, 2)
+
+    def test_a_long_string_token_is_named_briefly(self):
+        with pytest.raises(ValueError, match=r"^token xxx.*… is not a finite whole number$") as info:
+            windows(["x" * 100_000, 1], 1)
+        assert len(str(info.value)) < 200
 
     def test_unsigned_tokens_past_int64_rejected(self):
         with pytest.raises(ValueError, match=r"^token 18446744073709551615 does not fit in int64$"):
@@ -153,6 +171,12 @@ class TestWindows:
 
 
 class TestVocabFile:
+    def test_unknown_scheme_rejected(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        save_vocab(build_vocab("ab", "chars"), path)
+        with pytest.raises(ValueError, match=r"^unknown scheme 'syllables'; expected one of "):
+            load_vocab(path, "syllables")
+
     def test_round_trip_words(self, tmp_path):
         vocab = build_vocab("alpha beta alpha gamma", "words")
         path = tmp_path / "vocab.txt"

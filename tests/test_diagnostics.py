@@ -212,6 +212,10 @@ class TestDecayCurve:
             DecayCurve(((1.5, 0.1), (2.7, 0.05)))
         assert DecayCurve(((1, 0.1), (2.0, 0.05))).points == ((1, 0.1), (2, 0.05))
 
+    def test_curve_rejects_decreasing_distances(self):
+        with pytest.raises(ValueError, match=r"^distances must be strictly increasing positive ints$"):
+            DecayCurve(((2, 0.1), (1, 0.2)))
+
     def test_curve_clips_tiny_negative(self):
         curve = DecayCurve(((1, -5e-13), (2, 1.0)))
         assert curve.points[0][1] == 0.0
@@ -260,6 +264,11 @@ class TestFitDecay:
 
 
 class TestCompareDecay:
+    def test_an_empty_ensemble_is_rejected(self, rng):
+        net = random_network("tree", 8, 2, 2, rng)
+        with pytest.raises(ValueError, match=r"^ensemble size must be >= 1$"):
+            compare_decay(net, net, 4, ensemble_size=0)
+
     def test_network_against_itself_identical(self, rng):
         net = random_network("tree", 8, 2, 2, rng)
         report = compare_decay(net, net, 4, ensemble_size=3, seed=5)

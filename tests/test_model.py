@@ -123,6 +123,35 @@ def test_unsigned_symbols_past_int64_rejected():
     np.testing.assert_array_equal(SampleMultiset(1, np.array([[5], [2]], dtype=np.uint8)).rows, [[2], [5]])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SampleMultiset(1, {("x" * 100_000,): 1}),
+    lambda: amplitudes(random_network("chain", 4, 2, 2, philox(1)), [[0, "x" * 100_000, 0, 0]]),
+    lambda: SampleMultiset(1, [[10**5000]]),  # too long for str()
+    lambda: SampleMultiset(1, [[10**3999]]),
+    lambda: SampleMultiset(2, {tuple(range(100_000)): 1}),
+    lambda: SampleMultiset(100_000, {tuple(range(100_000)): 0}),
+], ids=["string_symbol", "string_symbol_index", "integer_of_5001_digits", "integer_of_4000_digits",
+        "long_key_of_wrong_length", "long_key_of_multiplicity_0"])
+def test_error_messages_stay_short(make):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert len(str(info.value)) < 200
+
+
+def test_long_values_are_shown_briefly():
+    with pytest.raises(ValueError, match=r"^symbol \(an integer of 5001 digits\) does not fit in int64$"):
+        SampleMultiset(1, [[10**5000]])
+    with pytest.raises(ValueError, match=r"^sequence \(0, 1, 2, .*, 15, …\) of length 100000 has length"):
+        SampleMultiset(2, {tuple(range(100_000)): 1})
+
+
+def test_an_empty_sample_has_no_empirical_distribution():
+    with pytest.raises(ValueError, match=r"^sequence length must be positive$"):
+        SampleMultiset(0, {})
+    with pytest.raises(ValueError, match=r"^empty sample$"):
+        empirical_distribution(SampleMultiset(2, {}))
+
+
 class TestBornProbability:
     def test_uniform_single_vertex(self):
         net = single_vertex_net([1 / np.sqrt(2), 1 / np.sqrt(2)])

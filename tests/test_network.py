@@ -1,5 +1,6 @@
 import ast
 import operator
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -84,6 +85,11 @@ class TestState:
         net = TensorNetwork(q, {0: 2, 1: 2}, {0: random_isometry(2, 2, philox(0)).T})
         with pytest.raises(ValueError):
             state(net)
+
+    def test_intermediate_state_rejects_a_negative_boundary(self, rng):
+        net = random_network("tree", 8, 2, 2, rng)
+        with pytest.raises(ValueError, match=r"^boundary index -1 outside \[0,"):
+            intermediate_state(net, -1)
 
 
 class TestAmplitude:
@@ -186,6 +192,14 @@ class TestOperatorFlow:
 
 
 class TestSiteOperators:
+    @pytest.mark.parametrize("op, shape", [(np.ones((2, 3)), "(2, 3)"), (np.eye(3), "(3, 3)")],
+                             ids=["not_square", "wrong_size"])
+    def test_an_operator_must_be_square_on_its_site(self, rng, op, shape):
+        net = random_network("chain", 4, 2, 2, rng)
+        with pytest.raises(ShapeError, match=re.escape(f"operator at position 1 has shape {shape}, "
+                                                       "expected square 2")):
+            site_operator_expectation(net, {1: op})
+
     def test_expectation_matches_dense(self, rng):
         net = random_network("tree", 8, 2, 3, rng)
         psi = state(net)
@@ -456,6 +470,20 @@ def test_random_tensors_read_the_stream_vertex_by_vertex(kind, n, w, bond):
 
 
 class TestValidation:
+    def test_a_vertex_without_a_tensor_is_rejected(self, rng):
+        net = random_network("chain", 4, 2, 2, rng)
+        tensors = {v: net.vertex_tensor[v] for v in net.quiver.vertices[1:]}
+        with pytest.raises(ShapeError, match=f"^vertex {net.quiver.vertices[0]} has no tensor assigned$"):
+            TensorNetwork(net.quiver, net.edge_dim, tensors)
+
+    @pytest.mark.parametrize("args, message", [
+        (("chain", 4, 0, 2), "symbol dimension must be positive, got 0"),
+        (("ring", 4, 2, 2), "unknown network kind 'ring'"),
+    ], ids=["zero_symbol_dimension", "unknown_kind"])
+    def test_random_network_rejects(self, rng, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_network(*args, rng)
+
     def test_shape_mismatch_rejected(self, rng):
         q = Quiver((0,), (), (0,), (1,), {1: 0}, {0: 0})
         with pytest.raises(ShapeError):

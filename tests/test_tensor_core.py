@@ -9,6 +9,7 @@ from isotn.tensor_core import (
     is_isometry,
     isometry_violation,
     project_to_isometry,
+    random_isometries,
     random_isometry,
 )
 
@@ -34,6 +35,10 @@ class TestIsIsometry:
         with pytest.raises(IsometryImpossibleError):
             is_isometry(np.zeros((2, 4)), IndexSplit((1,), (0,)), 1e-8)
 
+    def test_a_split_that_is_not_a_partition_is_rejected(self):
+        with pytest.raises(ShapeError, match=r"^index split in=\(0,\) out=\(0,\) does not partition the 2 axes$"):
+            is_isometry(np.eye(2), IndexSplit((0,), (0,)))
+
 
 class TestRandomIsometry:
     def test_one_by_one_is_unimodular(self):
@@ -56,6 +61,11 @@ class TestRandomIsometry:
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             random_isometry(4, 2, philox(0))
+
+    @pytest.mark.parametrize("in_dim, out_dim", [(0, 2), (1, 0)])
+    def test_a_zero_dimension_is_rejected(self, in_dim, out_dim):
+        with pytest.raises(ValueError, match=r"^dimensions must be positive$"):
+            random_isometries(3, in_dim, out_dim, philox(0))
 
 
 class TestProjectToIsometry:

@@ -1,4 +1,5 @@
 import math
+import re
 import string
 import warnings
 from collections import Counter
@@ -302,3 +303,24 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0, steps=1)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.1, steps=1, batch_size=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("learning_rate", math.nan, "learning rate nan is not a finite positive number"),
+    ("learning_rate", math.inf, "learning rate inf is not a finite positive number"),
+    ("learning_rate", -0.5, "learning rate -0.5 is not a finite positive number"),
+    ("steps", 2.5, "step count 2.5 is not a finite whole number"),
+    ("steps", -1, "step count must be nonnegative"),
+    ("batch_size", 2.5, "batch size 2.5 is not a finite whole number"),
+    ("checkpoint_every", 2.5, "checkpoint_every 2.5 is not a finite whole number"),
+    ("checkpoint_every", -1, "checkpoint_every must be nonnegative"),
+])
+def test_train_config_names_the_field_it_rejects(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrainConfig(**{"learning_rate": 0.1, "steps": 1, field: value})
+
+
+def test_train_config_keeps_whole_floats_as_ints():
+    cfg = TrainConfig(learning_rate=0.1, steps=2.0, batch_size=3.0, checkpoint_every=1.0)
+    assert (cfg.steps, cfg.batch_size, cfg.checkpoint_every) == (2, 3, 1)
+    assert all(type(x) is int for x in (cfg.steps, cfg.batch_size, cfg.checkpoint_every))
