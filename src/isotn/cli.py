@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -84,7 +85,11 @@ def cmd_eval(args) -> int:
         raise IsotnError("model file carries no vocabulary; cannot tokenize data")
     tokens = corpus.tokenize(_read_text(args.data), bundle.symbols)
     sample_set = corpus.windows(tokens, bundle.net.n_sites, args.stride)
-    free_energy = model.log_likelihood(bundle.net, sample_set)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        free_energy = model.log_likelihood(bundle.net, sample_set)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     per_seq = free_energy / sample_set.cardinality
     per_token = per_seq / bundle.net.n_sites
     print(f"sequences          {sample_set.cardinality}")

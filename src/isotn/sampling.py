@@ -15,17 +15,18 @@ the doubled up-message of every edge with a fixed leaf below it and the
 reduced density along the current root-to-leaf path, both as (B, d, d)
 arrays rescaled to unit trace, so the step from position k-1 to k
 recontracts only the edges between those two leaves and their lowest
-common ancestor, each vertex by one ket-bra step. Those steps are
-compiled once per quiver (:func:`_steps`). A vertex with no row data is
-folded with its conjugate once and kept on the network, whose tensors are
-read-only, in a memo of at most the tensors' bytes.
+common ancestor, each vertex by one ket-bra step. An up-message changes
+only while the path runs through its edge, so it is remade when the path
+leaves that edge. Those steps are compiled once per quiver
+(:func:`_steps`). A vertex with no row data is folded with its conjugate
+once and kept on the network, whose tensors are read-only, in a memo of
+at most the tensors' bytes.
 Other DAGs (MERA) run the doubled network's compiled path with the prefix
 gathered per row and position k open, over the causal cone of those legs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -209,66 +210,57 @@ def _fold(t: np.ndarray, leaf: bool) -> np.ndarray:
 
 def _steps(q: Quiver) -> tuple:
     """The tree kernel's steps on ``q`` from position k-1 to k for every k,
-    cached on its plan. A step is (stale up-messages, children first, each
-    with those it ends; ρ's kept; ρ's to redo, then the leaf). Up-messages
-    go stale as fixed positions below grow."""
+    cached on its plan. A step is (up-messages to remake, deepest first,
+    each with the children's messages it ends; ρ's kept; ρ's to redo, then
+    the leaf).
+    An up-message changes only when a leaf below its edge is fixed, and the
+    path is then inside its subtree, so it is remade when the path leaves
+    its edge and stays fresh until the path comes back."""
     if not q.plan.tree_steps:
         q.plan.tree_steps[None] = tuple(map(_Replay(q).step, range(len(q.out_edges))))
     return q.plan.tree_steps[None]
 
 
 class _Replay:
-    """The tree kernel's bookkeeping, on the graph alone."""
+    """The tree kernel's bookkeeping, on the graph alone: the current path,
+    root first, and each edge's first and last position below it."""
 
     def __init__(self, q: Quiver):
-        self.q, self.pos, self.up, self.path = q, q.plan.out_position, {}, dict.fromkeys(q.in_edges)
+        self.q, self.pos, self.path = q, q.plan.out_position, dict.fromkeys(q.in_edges)
         self.in_edge = {v: q.vertex_in_edges(v)[0] for v in q.vertices}
-        self.below = {e: (p,) for e, p in self.pos.items()}
+        self.span = {e: (p, p) for e, p in self.pos.items()}
         for v in [v for layer in q.plan.layers for v in layer][::-1]:  # children first
-            self.below[self.in_edge[v]] = tuple(sorted(p for e in q.vertex_out_edges(v) for p in self.below[e]))
+            firsts, lasts = zip(*(self.span[e] for e in q.vertex_out_edges(v)))
+            self.span[self.in_edge[v]] = min(firsts), max(lasts)
 
     def step(self, k: int) -> tuple:
         """The step from position k-1 to k, after those to every earlier k."""
-        self.msgs, src, leaf = [], self.q.source, self.q.out_edges[k]
+        msgs, src, leaf = [], self.q.source, self.q.out_edges[k]
         edge, new = self.in_edge[src[leaf]], []
         while edge not in self.path:
             new.append(edge)
             edge = self.in_edge[src[edge]]
-        while next(reversed(self.path)) != edge:
-            self.path.popitem()
+        while next(reversed(self.path)) != edge:  # the edges holding leaf k-1, not k
+            left = self.path.popitem()[0]
+            ket = self._at(self.q.target[left], k)[0]
+            done = self.span[left][1] < k  # then no later step reads the children
+            msgs.append((left, ket, tuple(c for c, _ in ket[3]) if done else ()))
         keep = len(self.path)
         self.path.update(dict.fromkeys(reversed(new)))
         descents = tuple(self._at(src[e], k, e) for e in (*reversed(new), leaf))
-        return tuple(self.msgs), keep, descents
+        return tuple(msgs), keep, descents
 
     def _at(self, v: int, k: int, edge: int | None = None) -> tuple:
-        """:meth:`_TreePaths._descend`'s arguments at ``v`` to ``edge`` at k."""
+        """:meth:`_TreePaths._descend`'s arguments at ``v`` to ``edge`` at k;
+        an internal edge off the path with a fixed leaf below is read as its
+        up-message, else it is the identity."""
         legs = list(enumerate(self.q.vertex_out_edges(v), start=1))
         fixed = [(ax, self.pos[e]) for ax, e in legs if self.pos.get(e, k) < k]
         kept = [(ax, e) for ax, e in legs if self.pos.get(e, k) >= k]
         axis = {e: i for i, (_, e) in enumerate(kept, start=2)}
-        mats = tuple((e, i) for e, i in axis.items() if e not in self.pos and e != edge and self._message(e, k))
+        mats = tuple((e, i) for e, i in axis.items() if e != edge and self.span[e][0] < k)
         ket = v, tuple(ax for ax, _ in [*fixed, (0, None), *kept]), tuple(p for _, p in fixed), mats
         return ket, axis.get(edge), edge in self.pos, not (fixed or mats)
-
-    def _message(self, edge: int, k: int) -> bool:
-        """Whether ``edge`` has a fixed leaf below it (else its up-message is
-        the identity); its stale up-messages are made, children first."""
-        if self._stale(edge, k):
-            todo, order = [edge], []
-            while todo:
-                order.append(todo.pop())
-                todo += [c for c in self.q.vertex_out_edges(self.q.target[order[-1]]) if self._stale(c, k)]
-            for e in reversed(order):
-                ket = self._at(self.q.target[e], k)[0]
-                self.up[e] = bisect_left(self.below[e], k)
-                final = self.up[e] == len(self.below[e])  # then no later step reads the children
-                self.msgs.append((e, ket, tuple(c for c, _ in ket[3] if final and self.up.pop(c))))
-        return bisect_left(self.below[edge], k) > 0
-
-    def _stale(self, edge: int, k: int) -> bool:
-        count = edge not in self.pos and bisect_left(self.below[edge], k)
-        return count and self.up.get(edge) != count
 
 
 def _unit_trace(m: np.ndarray) -> np.ndarray:

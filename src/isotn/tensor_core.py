@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import IsometryImpossibleError, ShapeError, SingularMatrixError
+from .errors import IsometryImpossibleError, ShapeError, SingularMatrixError, _brief_value
 
 DEFAULT_ISOMETRY_TOL = 1e-8
 
@@ -173,8 +174,10 @@ _STREAM_SAMPLE = 2
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    """Philox generator of stream ``stream`` of ``seed``; streams of one seed
-    are independent."""
+    """Philox generator of stream ``stream`` of ``seed``, a nonnegative
+    integer; streams of one seed are independent."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed {_brief_value(seed)} is not a nonnegative integer")
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
     )

@@ -52,13 +52,15 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning rate {self.learning_rate} is not a finite positive number")
-        for field, what in (("steps", "step count"), ("batch_size", "batch size"),
+        for field, what in (("steps", "step count"), ("batch_size", "batch size"), ("seed", "seed"),
                             ("checkpoint_every", "checkpoint_every")):
             object.__setattr__(self, field, whole_number(getattr(self, field), what))
         if self.steps < 0:
             raise ValueError("step count must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is not a nonnegative integer")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be nonnegative")
 

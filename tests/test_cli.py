@@ -95,6 +95,12 @@ class TestTrainCommand:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: --bond-dims must name at least one dimension\n"
 
+    def test_a_negative_seed_is_one_error_line(self, tmp_path, corpus_file, vocab_file, capsys):
+        out_path = tmp_path / "m.isotn"
+        assert main(train_args(corpus_file, vocab_file, out_path, steps=1, seed=-1)) == 1
+        assert capsys.readouterr() == ("", "error: seed -1 is not a nonnegative integer\n")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("eta", ["nan", "inf"])
     def test_a_learning_rate_that_is_not_finite_is_one_error_line(self, tmp_path, corpus_file,
                                                                   vocab_file, capsys, eta):
@@ -162,6 +168,11 @@ class TestSampleCommand:
         first = capsys.readouterr().out
         main(["sample", "--model", str(out), "--count", "10", "--seed", "7"])
         assert capsys.readouterr().out == first
+
+    def test_a_negative_seed_is_one_error_line(self, tmp_path, capsys):
+        path = self._deterministic_model(tmp_path)
+        assert main(["sample", "--model", str(path), "--count", "4", "--seed", "-1"]) == 1
+        assert capsys.readouterr() == ("", "error: seed -1 is not a nonnegative integer\n")
 
     def test_zero_count_empty_output(self, tmp_path, capsys):
         path = self._deterministic_model(tmp_path)
@@ -231,9 +242,10 @@ class TestEvalCommand:
                                "chain", 0), model_path)
         data = tmp_path / "held_out.txt"
         data.write_text("abba", encoding="utf-8")  # the window "bb" has probability 0
-        with pytest.warns(RuntimeWarning, match=r"^sequence \(1, 0\) has zero model probability"):
-            assert main(["eval", "--model", str(model_path), "--data", str(data)]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "perplexity         inf"
+        assert main(["eval", "--model", str(model_path), "--data", str(data)]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "perplexity         inf"
+        assert err == "warning: sequence (1, 0) has zero model probability; objective is infinite\n"
 
 
 class TestMiCommand:

@@ -295,6 +295,11 @@ class TestCompareDecay:
         keys = [k for k, _ in records]
         assert "mps.verdict" in keys and "tree.delta_r2" in keys
 
+    def test_a_negative_seed_is_named(self, rng):
+        net = random_network("tree", 8, 2, 2, rng)
+        with pytest.raises(ValueError, match=r"^seed -1 is not a nonnegative integer$"):
+            compare_decay(net, net, 4, ensemble_size=1, seed=-1)
+
     def test_mismatched_shapes_rejected(self, rng):
         a = random_network("tree", 8, 2, 2, rng)
         b = random_network("tree", 16, 2, 2, rng)

@@ -248,6 +248,10 @@ class TestGaugeOrbitRank:
         assert real_stiefel_dim(net) == 3  # 2·2·1 − 1
         assert (real_stiefel_dim(net) - gauge_orbit_rank(net)) // 2 == moduli_dimension(net) == 1
 
+    def test_no_gauged_edge_no_orbit(self):
+        q = Quiver((0,), (), (), (1,), {1: 0}, {})  # no In or internal edge to gauge
+        assert gauge_orbit_rank(TensorNetwork(q, {1: 2}, {0: np.array([0.6, 0.8])})) == 0
+
     def test_two_vertex_chain_all_dims_two(self):
         q = build_chain(2)
         dims = {e: 2 for e in list(q.internal_edges) + list(q.in_edges) + list(q.out_edges)}

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import isotn.network as network
 import isotn.sampling as sampling
 from isotn.errors import ConditioningError
-from isotn.graph import Quiver
+from isotn.graph import Quiver, build_binary_tree, build_chain
 from isotn.model import born_probability
 from isotn.dense import state
 from isotn.network import TensorNetwork, random_network, random_tensors, site_marginal
@@ -229,6 +230,76 @@ def test_negative_weight_names_position_and_row(monkeypatch):
     with pytest.raises(ValueError, match=r"^negative conditional weight -2.500e-01 at position 2 in row 1, "
                                          r"prefix \([01], [01]\); numerical bug$"):
         sample(random_network("tree", 4, 2, 2, philox(0)), 3, philox(0))
+
+
+def test_a_negative_weight_within_rounding_is_clipped_to_zero(monkeypatch):
+    def kernel(net):
+        return lambda seqs: lambda k: np.tile([-1e-13, 0.25, 0.75], (len(seqs), 1))
+
+    monkeypatch.setattr(sampling, "_kernel", kernel)
+    p = conditional_distribution(random_network("tree", 4, 2, 2, philox(0)), [0])
+    assert p[0] == 0.0 and p.sum() == 1.0
+
+
+def tree_quivers():
+    """Chains, binary trees and 60 seeded random trees of 1–40 vertices,
+    half of them hung as deep as a chain, whose edge ids are shuffled so
+    that the positions below an edge need not be contiguous."""
+    yield from map(build_chain, (1, 2, 5, 33))
+    yield from map(build_binary_tree, (2, 8, 32))
+    gen = philox(50)
+    for _ in range(60):
+        n_v = int(gen.integers(1, 41))
+        parent = {v: v - 1 if gen.random() < 0.5 else int(gen.integers(v)) for v in range(1, n_v)}
+        owners = [v for v in range(n_v) if v not in parent.values()]
+        owners += gen.integers(n_v, size=int(gen.integers(n_v + 1))).tolist()
+        ids = (1 + gen.permutation(n_v - 1 + len(owners))).tolist()
+        bond, outs = dict(zip(parent, ids)), ids[n_v - 1:]  # vertex v hangs on edge bond[v]
+        yield Quiver(tuple(range(n_v)), tuple(bond.values()), (0,), tuple(outs),
+                     {**{e: parent[v] for v, e in bond.items()}, **dict(zip(outs, owners))},
+                     {0: 0, **{e: v for v, e in bond.items()}})
+
+
+class TestSteps:
+    @pytest.mark.parametrize("q", tree_quivers())
+    def test_each_step_remakes_the_messages_the_path_leaves(self, q):
+        above = []  # per position, the internal edges above its leaf, deepest first
+        for leaf in q.out_edges:
+            above.append([])
+            v = q.source[leaf]
+            while (e := q.vertex_in_edges(v)[0]) in q.source:
+                above[-1].append(e)
+                v = q.source[e]
+        made, kept = {}, set()  # the step each message was last made at; those not yet dropped
+
+        def check_reads(ket, k):  # the internal edges off the path with a fixed leaf below, made since
+            assert [e for e, _ in ket[3]] == [e for e in q.vertex_out_edges(ket[0]) if e in q.target
+                                              and e not in above[k] and any(e in a for a in above[:k])]
+            for e, _ in ket[3]:
+                fixed = [p for p in range(k) if e in above[p]]
+                assert e in kept and fixed and made[e] > fixed[-1]
+
+        for k, (msgs, _, descents) in enumerate(sampling._steps(q)):
+            left = [e for e in above[k - 1] if e not in above[k]] if k else []
+            assert [e for e, _, _ in msgs] == left
+            for e, ket, drop in msgs:
+                check_reads(ket, k)
+                made[e] = k
+                kept = kept - set(drop) | {e}
+            for ket, *_ in descents:
+                check_reads(ket, k)
+
+    def test_compiling_a_long_chain_stays_small(self):
+        # O(n) bookkeeping: sorted positions below every edge would be n²/2 ints, ~17 MiB
+        q = build_chain(2048)
+        q.plan
+        tracemalloc.start()
+        try:
+            sampling._steps(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestRealisticLengths:

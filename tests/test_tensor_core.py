@@ -4,6 +4,7 @@ import pytest
 from isotn.errors import IsometryImpossibleError, ShapeError, SingularMatrixError
 from isotn.tensor_core import (
     IndexSplit,
+    _rng,
     as_matrix,
     astensor,
     is_isometry,
@@ -180,6 +181,16 @@ class TestProjectStack:
     def test_violation_per_member(self):
         t = np.stack([np.eye(3), 2.0 * np.eye(3)])
         np.testing.assert_allclose(isometry_violation(t, IndexSplit((1,), (0,))), [0.0, 3.0])
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, 2.0, "1"])
+def test_rng_names_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match=f"^seed {seed} is not a nonnegative integer$"):
+        _rng(seed, 0)
+
+
+def test_rng_takes_numpy_integer_seeds():
+    assert _rng(np.int64(3), 1).random() == _rng(3, 1).random()
 
 
 def test_astensor_rejects_nonfinite():

@@ -314,6 +314,8 @@ def test_train_config_validation():
     ("batch_size", 2.5, "batch size 2.5 is not a finite whole number"),
     ("checkpoint_every", 2.5, "checkpoint_every 2.5 is not a finite whole number"),
     ("checkpoint_every", -1, "checkpoint_every must be nonnegative"),
+    ("seed", 2.5, "seed 2.5 is not a finite whole number"),
+    ("seed", -1, "seed -1 is not a nonnegative integer"),
 ])
 def test_train_config_names_the_field_it_rejects(field, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
