@@ -93,14 +93,17 @@ def pairwise_mutual_information_model(net: TensorNetwork, i: int, j: int) -> flo
     open, over their causal cone only, on every topology. MI is symmetric,
     so (i, j) and (j, i) make the same call.
     """
-    _check_pair(net.n_sites, i, j)
+    i, j = _pair(net.n_sites, i, j)
     return float(_mi_from_joint(site_marginal(net, {}, (min(i, j), max(i, j)))))
 
 
-def _check_pair(n: int, i: int, j: int) -> None:
-    """Raise ValueError unless i and j are distinct positions in [0, n)."""
+def _pair(n: int, i: int, j: int) -> tuple[int, int]:
+    """(i, j) read as whole numbers (``2.0`` is 2); ValueError unless they
+    are distinct positions in [0, n)."""
+    i, j = whole_number(i, "position"), whole_number(j, "position")
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"positions ({i},{j}) must be distinct and within [0,{n})")
+    return i, j
 
 
 def _sample_array(samples: Sequence[Sequence[int]]) -> np.ndarray:
@@ -124,7 +127,7 @@ def pairwise_mutual_information_data(
     N samples (no debiasing is applied).
     """
     arr = _sample_array(samples)
-    _check_pair(arr.shape[1], i, j)
+    i, j = _pair(arr.shape[1], i, j)
     return float(_mi_from_joint(_data_joints(arr, int(arr.max()) + 1, [i], [j]))[0])
 
 
@@ -143,21 +146,25 @@ def decay_curve(source, l_max: int) -> DecayCurve:
     estimator and its bias order). A model's pair joints come from one
     :func:`~isotn.network.site_marginal` call, one merged schedule, pairs
     by first position, then distance, so the items of one open leg are
-    dropped before the next leg opens.
+    dropped before the next leg opens. Either way the joints are held as
+    one real (pairs, w, w) stack by distance, then first position, and one
+    :func:`_mi_from_joint` call gives every pair's value.
     """
     model = isinstance(source, TensorNetwork)
     arr = None if model else _sample_array(source)
     n = source.n_sites if model else arr.shape[1]
+    l_max = whole_number(l_max, "l_max")
     if not 1 <= l_max < n:
         raise ValueError(f"l_max must be in [1,{n}), got {l_max}")
     distances = range(1, l_max + 1)
     if model:
         meta: dict[str, object] = {"source": "model"}
-        pairs = sorted((i, i + l) for l in distances for i in range(n - l))
-        joint = dict(zip(pairs, site_marginal(source, {}, pairs)))
-        w = max(source.site_dims)  # a zero weight adds no information, so smaller joints are padded
-        pad = lambda j: j if j.shape == (w, w) else np.pad(j, [(0, w - d) for d in j.shape])
-        stacks = (np.array([pad(joint[i, i + l]) for i in range(n - l)]) for l in distances)
+        pairs = [(i, i + l) for i in range(n - 1) for l in distances if i + l < n]
+        joints = site_marginal(source, {}, pairs)
+        w = max(source.site_dims)
+        if min(source.site_dims) < w:  # a zero weight adds no information, so smaller joints are padded
+            joints = [np.pad(j, [(0, w - d) for d in j.shape]) for j in joints]
+        stack = np.array(joints)[np.argsort([j - i for i, j in pairs], kind="stable")]
     else:
         w = int(arr.max()) + 1
         meta = {
@@ -165,8 +172,10 @@ def decay_curve(source, l_max: int) -> DecayCurve:
             "estimator": "plug-in",
             "positive_bias_order": w * w / arr.shape[0],
         }
-        stacks = (_data_joints(arr, w, range(n - l), range(l, n)) for l in distances)
-    points = tuple((l, float(np.mean(_mi_from_joint(s)))) for l, s in zip(distances, stacks))
+        stack = np.concatenate([_data_joints(arr, w, range(n - l), range(l, n)) for l in distances])
+    values = _mi_from_joint(stack)
+    ends = np.cumsum([n - l for l in distances]).tolist()
+    points = tuple((l, float(np.mean(values[end - n + l:end]))) for l, end in zip(distances, ends))
     return DecayCurve(points, meta)
 
 
@@ -271,6 +280,7 @@ def compare_decay(
     """
     if net_a.site_dims != net_b.site_dims:
         raise ValueError("networks must share sequence length and symbol dimensions")
+    ensemble_size = whole_number(ensemble_size, "ensemble size")
     if ensemble_size < 1:
         raise ValueError("ensemble size must be >= 1")
     curves = []

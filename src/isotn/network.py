@@ -42,19 +42,23 @@ causal cone of the operators, open and gathered legs drop out before
 compiling, so the cost follows the cone, not the state.
 
 Each item a path makes is numbered by how it is made, not by its place in
-the path: the triple (operand a, operand b, step) gets one id per quiver
-and edge dims, so equal items of different paths share an id. Several
-paths then run as one merged schedule (:func:`_merge`) that makes each
-shared item once and drops every item after its last use; a single path
-is the one-member case of the same executor (:func:`_execute`). All the
-pair joints of a mutual-information curve come from one such schedule
-(``site_marginal`` given a list of positions).
+the path: a leaf by its spec, a step's item by the triple (operand a,
+operand b, step), one id per quiver and edge dims, so equal items of
+different paths share an id. Several paths then run as one merged
+schedule (:func:`_merge`) that makes each leaf and each shared item once
+and drops each after its last use; a single path is the one-member case
+of the same executor (:func:`_execute`). All the pair joints of a
+mutual-information curve come from one such schedule (``site_marginal``
+given a list of positions). Every operand's shape is known when a path
+is compiled, so a transpose or reshape that would change nothing is
+compiled to None and skipped.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -363,56 +367,74 @@ def amplitudes(net: TensorNetwork, sequences: Sequence[Sequence[int]]) -> np.nda
     return contract(net, sequence_array(net, sequences))
 
 
-def _path(net: TensorNetwork, roles: str | tuple[str, ...] | None = None) -> tuple:
-    """The compiled schedule of ``net`` for ``roles``, cached on its quiver's
-    plan by edge dims and roles: None is the ket network, a string
-    :func:`_doubled_path`'s doubled network, and a tuple of strings every
-    member's path merged into one schedule (:func:`_merge`).
+def _path(net: TensorNetwork, key: tuple | None = None) -> tuple:
+    """The compiled schedule of ``net`` for ``key``, cached on its quiver's
+    plan by edge dims and key: None is the ket network, and (ops, opened,
+    k) the doubled network (:func:`_doubled_path`) with operators at the
+    sorted positions ``ops`` and the first k positions gathered, one member
+    per tuple of open positions in ``opened``, every member's path merged
+    into one schedule (:func:`_merge`).
 
-    A schedule is (steps, results). Step (a, b, c, spec, done) makes item c
-    from items a and b as :func:`_compile` says, and ``done`` lists the
-    operands it uses for the last time; each result is (item, axes), one
-    per member. A step's item is numbered by how it is made: the triple
-    (a, b, spec) gets one id for all the paths of those dims, so equal items
-    of different paths have one id, and equal parts are stored once.
+    A schedule is (steps, results). Step (a, b, c, spec, make, done) makes
+    item c from items a and b as :func:`_compile` says; ``make`` lists the
+    (id, spec) of the leaves it uses first, made just before it, and
+    ``done`` the operands it uses for the last time. Each result is (item,
+    axes), one per member; an item named by a leaf spec is a path of no
+    steps. A leaf is numbered by its spec and a step's item by how it is
+    made, the triple (a, b, spec): one id for all the paths of those dims,
+    so equal items of different paths have one id, and equal parts are
+    stored once.
     """
-    by_roles, parts, made = net.quiver.plan.paths.setdefault(net._dims, ({}, {}, {}))
-    if roles not in by_roles:
+    by_key, parts, made = net.quiver.plan.paths.setdefault(net._dims, ({}, {}, {}))
+    if key not in by_key:
         share = lambda t: parts.setdefault(t, t) if type(t) is tuple else t
-        if type(roles) is tuple:
-            members = [_path(net, r) for r in roles]
+        if key is not None and len(key[1]) > 1:
+            ops, opened, k = key
+            members = [_path(net, (ops, (p,), k)) for p in opened]
         else:
-            if roles is None:  # the ket network, every Out leg gathered: one amplitude per row
+            if key is None:  # the ket network, every Out leg gathered: one amplitude per row
                 leaves = {v: _leaf(net, v, range(net.n_sites)) for v in net.quiver.vertices}
                 steps, final, axes = _compile(leaves, {**net.edge_dim, _ROWS: 1}, (_ROWS,))
             else:
-                steps, final, axes = _doubled_path(net, roles)
+                ops, (p,), k = key
+                steps, final, axes = _doubled_path(net, _roles(net.n_sites, ops, p, k))
             ids, made_here = {}, []
-            for a, b, c, spec in steps:
-                a, b, spec = key = (share(ids.get(a, a)), share(ids.get(b, b)), share(spec))
-                ids[c] = made.setdefault(key, len(made))
-                made_here.append((a, b, ids[c], spec))
+            for a, b, c, spec in steps:  # in one path each leaf is used once
+                used = [share(i) for i in (a, b) if type(i) is tuple]
+                make = share(tuple(share((made.setdefault(leaf, len(made)), leaf)) for leaf in used))
+                ids.update((leaf, i) for i, leaf in make)
+                a, b, spec = item = (ids.get(a, a), ids.get(b, b), share(spec))
+                ids[c] = made.setdefault(item, len(made))
+                made_here.append((a, b, ids[c], spec, make))
             members = [(made_here, ((ids.get(final, share(final)), axes),))]
         steps, results = _merge(members)
-        by_roles[roles] = tuple(map(share, steps)), results
-    return by_roles[roles]
+        by_key[key] = tuple(map(share, steps)), results
+    return by_key[key]
 
 
 def _merge(schedules: Sequence[tuple]) -> tuple:
     """One schedule of the steps of ``schedules`` in order, each item made
-    once, and every member's results; an item is dropped after its last use
-    unless it is a result."""
+    once, and every member's results. A leaf is made at its first use, and
+    a leaf or an item is dropped after its last use unless it is a
+    result."""
     steps, results, seen = [], [], set()
     for member_steps, member_results in schedules:
-        for a, b, c, spec, *_ in member_steps:
+        for a, b, c, spec, make, *_ in member_steps:  # make: the leaves among a and b
             if c not in seen:
                 seen.add(c)
-                steps.append((a, b, c, spec))
+                steps.append((a, b, c, spec, make))
         results += member_results
-    last = {i: k for k, step in enumerate(steps) for i in step[:2] if type(i) is int}
+    first = {}
+    for k, (*_, make) in enumerate(steps):
+        for i, _ in make:
+            first.setdefault(i, k)
+    last = {i: k for k, step in enumerate(steps) for i in step[:2]}
     last.update((i, -1) for i, _ in results)
-    return (tuple((a, b, c, spec, tuple(i for i in (a, b) if type(i) is int and last[i] == k))
-                  for k, (a, b, c, spec) in enumerate(steps)), tuple(results))
+    # a member's own tuple when every leaf in it is used first here, as on a single path
+    firsts = lambda make, k: (make if all(first[i] == k for i, _ in make)
+                              else tuple(leaf for leaf in make if first[leaf[0]] == k))
+    return (tuple((a, b, c, spec, firsts(make, k), tuple(i for i in (a, b) if last[i] == k))
+                  for k, (a, b, c, spec, make) in enumerate(steps)), tuple(results))
 
 
 def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -497,7 +519,11 @@ def _compile(leaves: Mapping[int, tuple[list[int], tuple | None]], dim: Mapping[
     Returns (steps, final item, its axes in ``out`` order); a leaf is named
     by its spec. Step (a, b, c, (lperm, lshape, rperm, rshape, shape, linv,
     rinv)) makes item c by one matmul of a and b, transposed (a: batch,
-    kept, summed legs; b: batch, summed, kept legs) and reshaped.
+    kept, summed legs; b: batch, summed, kept legs) and reshaped. Every
+    item's shape is known here (-1: the rows), so a permutation that is the
+    identity (with its inverse), a reshape of an operand to the shape it
+    has and a reshape of the product to the shape the matmul gives are
+    None, and the executor skips them.
     """
     legs = {i: list(ls) for i, (ls, _) in leaves.items()}
     base = max(legs) + 1  # the id of the first item a step makes
@@ -509,6 +535,7 @@ def _compile(leaves: Mapping[int, tuple[list[int], tuple | None]], dim: Mapping[
     name = lambda i: (leaves[i][1] or i) if i in leaves else i
     entries = lambda es: math.prod(dim[e] for e in es)
     group = lambda es: -1 if _ROWS in es else entries(es)
+    shape_of = lambda es: tuple(-1 if e == _ROWS else dim[e] for e in es)  # an item's shape
 
     def split(a: int, b: int) -> tuple[list[int], ...]:
         """The batch, a's kept, summed and b's kept legs of joining a and b."""
@@ -539,12 +566,17 @@ def _compile(leaves: Mapping[int, tuple[list[int], tuple | None]], dim: Mapping[
             holders[e] -= {a, b}
         for e in legs[c]:
             holders[e].add(c)
-        lperm = tuple(la.index(e) for e in batch + ka + summed)
-        rperm = tuple(lb.index(e) for e in batch + summed + kb)
+        lt, rt = batch + ka + summed, batch + summed + kb
+        lperm = None if lt == la else tuple(map(la.index, lt))
+        rperm = None if rt == lb else tuple(map(lb.index, rt))
         lead = (group(batch),) * bool(batch)
+        lshape, rshape = lead + (group(ka), group(summed)), lead + (group(summed), group(kb))
+        shape = shape_of(legs[c])
         steps.append((name(a), name(b), c, (
-            lperm, lead + (group(ka), group(summed)), rperm, lead + (group(summed), group(kb)),
-            tuple(-1 if e == _ROWS else dim[e] for e in legs[c]), _inverse(lperm), _inverse(rperm))))
+            lperm, None if lshape == shape_of(lt) else lshape,
+            rperm, None if rshape == shape_of(rt) else rshape,
+            None if shape == lshape[:-1] + rshape[-1:] else shape,
+            None if lperm is None else _inverse(lperm), None if rperm is None else _inverse(rperm))))
         return c
 
     heap = sorted({(size(*p), *p) for p in {tuple(sorted(h)) for e, h in holders.items() if is_summed(e)}})
@@ -570,26 +602,35 @@ def contract(net: TensorNetwork, seqs: np.ndarray, saved: dict | None = None) ->
 
 def _execute(net: TensorNetwork, path: tuple, seqs: np.ndarray | None, items: dict,
              keep: bool = False) -> list[np.ndarray]:
-    """Run a compiled schedule ``path`` on ``net`` in one pass, gathering
-    leaves at ``seqs`` as their step needs them, and return one result per
-    member. ``items`` holds the items made so far and those the caller
-    supplies; each is dropped after its last use, unless ``keep``."""
+    """Run a compiled schedule ``path`` on ``net`` in one pass and return one
+    result per member. Each leaf is made once, gathered at ``seqs``, just
+    before its first use; a transpose or reshape the schedule holds as None
+    is skipped. ``items`` holds the leaves and items made so far and those
+    the caller supplies; each is dropped after its last use, unless
+    ``keep``."""
     steps, results = path
-    for a, b, c, (lperm, lshape, rperm, rshape, shape, _, _), done in steps:
-        x = _item(net, items, seqs, a).transpose(lperm).reshape(lshape)
-        y = _item(net, items, seqs, b).transpose(rperm).reshape(rshape)
-        items[c] = (x @ y).reshape(shape)
+    for a, b, c, (lperm, lshape, rperm, rshape, shape, _, _), make, done in steps:
+        for i, leaf in make:
+            items[i] = _item(net, seqs, leaf)
+        x, y = items[a], items[b]
+        if lperm is not None:
+            x = x.transpose(lperm)
+        if lshape is not None:
+            x = x.reshape(lshape)
+        if rperm is not None:
+            y = y.transpose(rperm)
+        if rshape is not None:
+            y = y.reshape(rshape)
+        items[c] = x @ y if shape is None else (x @ y).reshape(shape)
         if not keep:
             for i in done:
                 del items[i]
-    return [_item(net, items, seqs, i).transpose(axes) for i, axes in results]
+    return [(items[i] if type(i) is int else _item(net, seqs, i)).transpose(axes) for i, axes in results]
 
 
-def _item(net: TensorNetwork, items: dict, seqs: np.ndarray | None, i: tuple | int) -> np.ndarray:
-    """Item ``i``: a leaf made now from its spec, or one from ``items``."""
-    if type(i) is int:
-        return items[i]
-    v, conj, perm, _, positions, shape = i
+def _item(net: TensorNetwork, seqs: np.ndarray | None, leaf: tuple) -> np.ndarray:
+    """The leaf of spec ``leaf`` (:func:`_leaf`), gathered at ``seqs``."""
+    v, conj, perm, _, positions, shape = leaf
     t = net.vertex_tensor[v].transpose(perm)
     t = (t[tuple(seqs[:, p] for p in positions)] if positions else t).reshape(shape)
     return t.conj() if conj else t
@@ -599,20 +640,22 @@ def environments(
     net: TensorNetwork, seqs: np.ndarray, saved: dict, weights: np.ndarray
 ) -> dict[int, np.ndarray]:
     """Σ_b weights[b]·∂A(s_b)/∂t_v for every vertex v: the compiled path run
-    backwards over the items :func:`contract` saved for ``seqs``.
+    backwards over the leaves and items :func:`contract` saved for ``seqs``.
 
     An operand without rows gets its adjoint summed over the batch by one
     matmul; a vertex folds its rows into its tensor as soon as its adjoint
     is known, by a segment sum over the joint code of its symbols.
     """
     steps, ((final, axes),) = _path(net)
+    leaves = {i: leaf for *_, make, _ in steps for i, leaf in make}
     adj, envs = {}, {}
 
     def put(i: tuple | int, g: np.ndarray) -> None:
-        if type(i) is int:
+        leaf = leaves.get(i) if type(i) is int else i
+        if leaf is None:
             adj[i] = g
             return
-        v, _, perm, inverse, positions, _ = i
+        v, _, perm, inverse, positions, _ = leaf
         shape = net.vertex_tensor[v].transpose(perm).shape
         if positions:
             dims = shape[:len(positions)]
@@ -621,14 +664,24 @@ def environments(
         envs[v] = g.reshape(shape).transpose(inverse)
 
     put(final, weights if axes else weights.sum())
-    for a, b, c, (lperm, lshape, rperm, rshape, _, linv, rinv), _ in reversed(steps):
-        x = _item(net, saved, seqs, a).transpose(lperm)
-        y = _item(net, saved, seqs, b).transpose(rperm)
-        xm, ym = x.reshape(lshape), y.reshape(rshape)
-        g = adj.pop(c).reshape(xm.shape[:-1] + ym.shape[-1:])
+    for a, b, c, (lperm, lshape, rperm, rshape, shape, linv, rinv), _, _ in reversed(steps):
+        x, y = saved[a], saved[b]
+        if lperm is not None:
+            x = x.transpose(lperm)
+        if rperm is not None:
+            y = y.transpose(rperm)
+        xm = x if lshape is None else x.reshape(lshape)
+        ym = y if rshape is None else y.reshape(rshape)
+        g = adj.pop(c)
+        if shape is not None:
+            g = g.reshape(xm.shape[:-1] + ym.shape[-1:])
         gx, gy = g @ np.swapaxes(ym, -1, -2), np.swapaxes(xm, -1, -2) @ g
-        put(a, gx.reshape(x.shape).transpose(linv))
-        put(b, gy.reshape(y.shape).transpose(rinv))
+        if lshape is not None:
+            gx = gx.reshape(x.shape)
+        if rshape is not None:
+            gy = gy.reshape(y.shape)
+        put(a, gx if linv is None else gx.transpose(linv))
+        put(b, gy if rinv is None else gy.transpose(rinv))
     return envs
 
 
@@ -666,7 +719,8 @@ def site_marginal(
     projector at ``position``, but one doubled-network contraction whose
     leg there is open. Returns a real vector of length
     ``site_dims[position]``; a strictly increasing tuple of positions gives
-    the real joint diagonal, one axis per position.
+    the real joint diagonal, one axis per position. Positions, open or
+    fixed, must be whole numbers (``2.0`` reads as 2).
 
     A list of such positions gives a list of their results, equal bit for
     bit, from one merged schedule (:func:`_path`): an item two of them
@@ -675,26 +729,30 @@ def site_marginal(
     """
     many = isinstance(position, list)
     opened = [p if isinstance(p, tuple) else (p,) for p in (position if many else [position])]
+    if not all(type(p) is int for ps in opened for p in ps):
+        opened = [tuple(whole_number(p, "position") for p in ps) for ps in opened]
     if many and not all(opened):
         raise ValueError("no open position")
+    ops, n = _site_ops(net, fixed_ops), net.n_sites
     for ps in opened:
         for p in ps:
-            if not 0 <= p < net.n_sites:
-                raise ValueError(f"position {p} outside [0,{net.n_sites})")
-            if p in fixed_ops:
+            if not 0 <= p < n:
+                raise ValueError(f"position {p} outside [0,{n})")
+            if p in ops:
                 raise ValueError(f"position {p} is both fixed and open")
-        if any(a >= b for a, b in zip(ps, ps[1:])):
+        if not all(map(operator.lt, ps, ps[1:])):
             raise ValueError(f"open positions {ps} are not strictly increasing")
-    out = [np.real(x) for x in _doubled(net, _site_ops(net, fixed_ops), opened)]
+    out = [x.real for x in _doubled(net, ops, opened)]
     return out if many else out[0]
 
 
 def _site_ops(net: TensorNetwork, site_ops: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Validate a position -> operator map against a pure-state model."""
+    """Validate a position -> operator map against a pure-state model; each
+    position must be a whole number (``2.0`` reads as 2)."""
     dims = net.site_dims
     ops: dict[int, np.ndarray] = {}
     for p, o in site_ops.items():
-        p = int(p)
+        p = whole_number(p, "position")
         if not 0 <= p < len(dims):
             raise ValueError(f"position {p} outside [0,{len(dims)})")
         o = np.asarray(o, dtype=np.complex128)
@@ -719,8 +777,8 @@ def _doubled(
     k = 0 if seqs is None else seqs.shape[1]
     if not (ops or k or any(opened)):
         return [np.array(1.0 + 0.0j)] * len(opened)  # ⟨Ψ|Ψ⟩: every vertex drops out
-    roles = tuple(_roles(net.n_sites, ops, p, k) for p in opened)
-    out = _execute(net, _path(net, roles), seqs, {-1 - p: o for p, o in ops.items()})
+    out = _execute(net, _path(net, (tuple(sorted(ops)), tuple(opened), k)), seqs,
+                   {-1 - p: o for p, o in ops.items()})
     return out if seqs is None or k else [np.broadcast_to(x, (len(seqs),) + x.shape) for x in out]
 
 

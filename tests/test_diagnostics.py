@@ -18,7 +18,7 @@ from isotn.diagnostics import (
 from isotn.errors import FitError
 from isotn.dense import state
 from isotn.graph import build_chain
-from isotn.network import TensorNetwork, random_network, random_tensors
+from isotn.network import TensorNetwork, random_network, random_tensors, site_marginal
 
 from conftest import philox, two_site_net
 
@@ -75,6 +75,17 @@ class TestModelMI:
             pairwise_mutual_information_model(net, 1, 1)
         with pytest.raises(ValueError):
             pairwise_mutual_information_model(net, 0, 9)
+
+    def test_pair_ends_are_read_as_whole_numbers(self, rng):
+        net = random_network("tree", 8, 2, 3, rng)
+        assert pairwise_mutual_information_model(net, 1.0, 3.0) == pairwise_mutual_information_model(net, 1, 3)
+        samples = philox(5).integers(0, 2, size=(50, 8))
+        assert (pairwise_mutual_information_data(samples, np.int64(2), 6.0)
+                == pairwise_mutual_information_data(samples, 2, 6))
+        for call in (lambda: pairwise_mutual_information_model(net, 1.5, 3),
+                     lambda: pairwise_mutual_information_data(samples, 0, 1.5)):
+            with pytest.raises(ValueError, match=r"^position 1\.5 is not a finite whole number$"):
+                call()
 
 
 class TestJointStack:
@@ -168,6 +179,24 @@ class TestDecayCurve:
         curve = decay_curve(net, 31)
         assert len(curve.points) == 31
 
+    @pytest.mark.parametrize("kind", ["chain", "tree", "mera", "unequal_sites"])
+    def test_one_stack_gives_the_per_distance_means(self, kind):
+        # the curve's one joint stack against a mean per distance of each
+        # pair's own joint, padded to w x w where its sites are smaller
+        if kind == "unequal_sites":
+            q = build_chain(8)
+            dims = {**dict.fromkeys(q.in_edges, 1), **dict.fromkeys(q.internal_edges, 2),
+                    **dict(zip(q.out_edges, (2, 3) * 4))}
+            net = TensorNetwork.from_runs(q, dims, random_tensors(q, dims, philox(14)).runs)
+        else:
+            net = random_network(kind, 16, 2, 4, philox(14))
+        n, w = net.n_sites, max(net.site_dims)
+        curve = decay_curve(net, n - 1)
+        for l, value in curve.points:
+            joints = [site_marginal(net, {}, (i, i + l)) for i in range(n - l)]
+            stack = np.array([np.pad(j, [(0, w - d) for d in j.shape]) for j in joints])
+            assert value == float(np.mean(_mi_from_joint(stack))), (kind, l)
+
     def test_sites_of_unequal_dimension(self):
         q = build_chain(4)
         dims = {**dict.fromkeys(q.in_edges, 1), **dict.fromkeys(q.internal_edges, 2),
@@ -202,6 +231,12 @@ class TestDecayCurve:
         net = random_network("tree", 4, 2, 2, rng)
         with pytest.raises(ValueError):
             decay_curve(net, 4)
+
+    def test_lmax_is_read_as_a_whole_number(self, rng):
+        net = random_network("tree", 8, 2, 2, rng)
+        assert decay_curve(net, 3.0) == decay_curve(net, 3)
+        with pytest.raises(ValueError, match=r"^l_max 2\.5 is not a finite whole number$"):
+            decay_curve(net, 2.5)
 
     def test_curve_rejects_large_negative(self):
         with pytest.raises(ValueError):
@@ -268,6 +303,16 @@ class TestCompareDecay:
         net = random_network("tree", 8, 2, 2, rng)
         with pytest.raises(ValueError, match=r"^ensemble size must be >= 1$"):
             compare_decay(net, net, 4, ensemble_size=0)
+
+    def test_ensemble_size_is_read_as_a_whole_number(self, rng):
+        net = random_network("tree", 8, 2, 2, rng)
+        report = compare_decay(net, net, 3, ensemble_size=2.0)
+        assert report.ensemble_size == 2 and type(report.ensemble_size) is int
+        assert report.curve_a == compare_decay(net, net, 3, ensemble_size=2).curve_a
+        with pytest.raises(ValueError, match=r"^ensemble size 2\.5 is not a finite whole number$"):
+            compare_decay(net, net, 3, ensemble_size=2.5)
+        with pytest.raises(ValueError, match=r"^l_max 2\.5 is not a finite whole number$"):
+            compare_decay(net, net, 2.5, ensemble_size=2)
 
     def test_network_against_itself_identical(self, rng):
         net = random_network("tree", 8, 2, 2, rng)

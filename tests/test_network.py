@@ -416,6 +416,94 @@ class TestMergedSchedule:
         assert again == first and peak < 8 * 2**20
 
 
+# the benchmark's MI models: n=32, w=2, with these bonds, and l_max=16
+BENCHMARK_MI_MODELS = [("chain", 4), ("tree", 8)]
+
+
+def _curve_schedule(net, monkeypatch):
+    """The one merged schedule a decay curve of ``net`` runs, l_max=16."""
+    runs = []
+    real = network._execute
+    monkeypatch.setattr(network, "_execute", lambda net, path, *args: runs.append(path) or real(net, path, *args))
+    decay_curve(net, 16)
+    monkeypatch.setattr(network, "_execute", real)
+    (path,) = runs
+    return path
+
+
+class TestCompiledSchedule:
+    """No-op transforms compiled away; each leaf made once per run."""
+
+    @pytest.mark.parametrize("kind, bond", BENCHMARK_MI_MODELS)
+    def test_no_step_transposes_or_reshapes_to_the_same_shape(self, kind, bond, monkeypatch):
+        steps, _ = _curve_schedule(random_network(kind, 32, 2, bond, philox(48)), monkeypatch)
+        shapes, perms, skipped = {}, 0, 0  # each item's shape, followed through the schedule
+        for a, b, c, (lperm, lshape, rperm, rshape, shape, linv, rinv), make, _ in steps:
+            for i, leaf in make:
+                shapes[i] = leaf[-1]
+            mats = []
+            for i, perm, inverse, reshape in ((a, lperm, linv, lshape), (b, rperm, rinv, rshape)):
+                have = shapes[i]
+                assert perm != tuple(range(len(have))) and (perm is None) == (inverse is None)
+                have = have if perm is None else tuple(have[ax] for ax in perm)
+                assert reshape != have
+                mats.append(have if reshape is None else reshape)
+            product = mats[0][:-1] + mats[1][-1:]
+            assert shape != product
+            shapes[c] = product if shape is None else shape
+            perms += 2
+            skipped += (lperm, rperm).count(None)
+        assert skipped >= perms // 4  # chain: 743 of 1 984; tree: 668 of 1 564
+
+    @pytest.mark.parametrize("kind, bond", BENCHMARK_MI_MODELS)
+    def test_each_leaf_is_made_once_per_run(self, kind, bond, monkeypatch):
+        net = random_network(kind, 32, 2, bond, philox(48))
+        path = _curve_schedule(net, monkeypatch)  # compiled; the next run is warm
+        made = []
+        real = network._item
+        monkeypatch.setattr(network, "_item", lambda net, seqs, leaf: made.append(leaf) or real(net, seqs, leaf))
+        assert network._execute(net, path, None, {}) and made
+        leaves = {leaf for *_, make, _ in path[0] for _, leaf in make}
+        assert len(made) == len(set(made)) == len(leaves) == 2 * len(net.quiver.vertices)  # ket and bra
+
+    @pytest.mark.parametrize("kind, bond", BENCHMARK_MI_MODELS)
+    def test_environments_read_the_leaves_contract_saved(self, kind, bond, monkeypatch):
+        net = random_network(kind, 32, 2, bond, philox(48))
+        seqs = philox(49).integers(0, 2, size=(16, 32))
+        made = []
+        real = network._item
+        monkeypatch.setattr(network, "_item", lambda net, seqs, leaf: made.append(leaf) or real(net, seqs, leaf))
+        saved = {}
+        amps = network.contract(net, seqs, saved)
+        assert len(made) == len(set(made)) == len(net.quiver.vertices)
+        made.clear()
+        envs = network.environments(net, seqs, saved, 1.0 / amps)
+        assert made == [] and set(envs) == set(net.quiver.vertices)
+
+
+class TestWholePositions:
+    def test_whole_numbers_read_as_positions(self, rng):
+        net = random_network("mera", 8, 2, 2, rng)
+        x = np.array([[0.2, 0.1j], [-0.1j, 0.8]])
+        assert site_operator_expectation(net, {2.0: x, np.int64(5): x}) == site_operator_expectation(net, {2: x, 5: x})
+        assert np.array_equal(site_marginal(net, {1.0: x}, 2.0), site_marginal(net, {1: x}, 2))
+        assert np.array_equal(site_marginal(net, {}, (2.0, np.int64(6))), site_marginal(net, {}, (2, 6)))
+        for got, want in zip(site_marginal(net, {}, [3.0, (1, 4.0)]), site_marginal(net, {}, [3, (1, 4)])):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("call", [
+        lambda net: site_operator_expectation(net, {1.5: np.eye(2)}),
+        lambda net: site_marginal(net, {1.5: np.eye(2)}, 3),
+        lambda net: site_marginal(net, {}, 1.5),
+        lambda net: site_marginal(net, {}, (0, 1.5)),
+        lambda net: site_marginal(net, {}, [2, (0, 1.5)]),
+    ], ids=["operator", "fixed", "open", "open_pair", "list_entry"])
+    def test_a_fractional_position_is_named(self, rng, call):
+        net = random_network("tree", 8, 2, 2, rng)
+        with pytest.raises(ValueError, match=r"^position 1\.5 is not a finite whole number$"):
+            call(net)
+
+
 def _imported_modules(path: Path):
     """Dotted names of the modules an import statement in ``path`` may bind."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
