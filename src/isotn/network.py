@@ -52,17 +52,31 @@ mutual-information curve come from one such schedule (``site_marginal``
 given a list of positions). Every operand's shape is known when a path
 is compiled, so a transpose or reshape that would change nothing is
 compiled to None and skipped.
+
+A schedule without rows runs its like small steps as one matmul
+(:func:`_stack`, compiled once per schedule at its first run). A step
+whose operands and item each hold at most :data:`STACK_BYTES` runs as
+late as the steps reading its item allow; three or more such steps that
+land together with one spec and operand shapes form a :class:`Group`,
+whose items live in slots of one stack per shape, and run as one gather
+per operand side, one stacked matmul and one scatter of the items. Every
+other step runs alone, as before. The benchmark's chain curve (n=32,
+w=2, D=4, l_max=16) runs its 992 steps in 156 calls and the tree's
+(D=8) 782 steps in 56, each pair joint bit for bit as step by step;
+schedules of large items, such as w=27 curves, stack nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,6 +105,18 @@ SequenceState = tuple[int, ...]
 # and they keep a training step's peak memory level with a loop over
 # single vertices.
 GROUP_BYTES = 2**18
+
+# The most bytes each operand and the product of a step may hold for the
+# step to run stacked with like steps (:func:`_stack`): about what numpy
+# copies in the ~2 µs overhead of one call, so stacking smaller steps saves
+# calls and stacking larger ones only adds copies.
+STACK_BYTES = 2**14
+
+# The most bytes one side of a stacked matmul (the operands it takes, or
+# the items it makes) may hold. Larger arrays come from fresh pages of the
+# C allocator on each run, and their page faults cost more than the calls
+# they save (~500 faults a tree curve at 2**18).
+GATHER_BYTES = 2**17
 
 
 class VertexStacks(dict):
@@ -367,7 +393,55 @@ def amplitudes(net: TensorNetwork, sequences: Sequence[Sequence[int]]) -> np.nda
     return contract(net, sequence_array(net, sequences))
 
 
-def _path(net: TensorNetwork, key: tuple | None = None) -> tuple:
+class Step(NamedTuple):
+    """One step of a compiled schedule (:func:`_path`): item c made from items
+    a and b by one matmul, as ``spec`` (:func:`_compile`) says; ``make``
+    lists the (id, spec) of the leaves made just before it, ``done`` the
+    items dropped after it."""
+
+    a: int
+    b: int
+    c: int
+    spec: tuple
+    make: tuple
+    done: tuple
+
+
+class Group(NamedTuple):
+    """Like small steps of a schedule run as one matmul (:func:`_stack`).
+
+    ``a``, ``b`` and ``c`` are (stack, slots): member m reads its operands
+    from slot ``a[1][m]`` and ``b[1][m]`` of their stacks and writes its
+    item to slot ``c[1][m]``; slots are an index array, or a slice where
+    they are consecutive. ``spec`` is (lperm, lshape, rperm, rshape, shape)
+    of the members' step spec with the stack axis in front. ``make`` and
+    ``done`` are a step's, for plain arrays; ``load`` lists the (item,
+    stack, slot) of the plain arrays copied into their slots first, and
+    ``show`` those of the items a step or a result reads as plain arrays
+    after it.
+    """
+
+    spec: tuple
+    a: tuple
+    b: tuple
+    c: tuple
+    make: tuple
+    load: tuple
+    show: tuple
+    done: tuple
+
+
+class Schedule(tuple):
+    """A compiled schedule, the pair (steps, results) of :func:`_path`, and
+    ``plan``, the (runs, stacks) :func:`_execute` runs it by
+    (:func:`_stack`), compiled at its first run."""
+
+    @functools.cached_property
+    def plan(self) -> tuple[tuple, tuple]:
+        return _stack(*self)
+
+
+def _path(net: TensorNetwork, key: tuple | None = None) -> Schedule:
     """The compiled schedule of ``net`` for ``key``, cached on its quiver's
     plan by edge dims and key: None is the ket network, and (ops, opened,
     k) the doubled network (:func:`_doubled_path`) with operators at the
@@ -375,19 +449,19 @@ def _path(net: TensorNetwork, key: tuple | None = None) -> tuple:
     per tuple of open positions in ``opened``, every member's path merged
     into one schedule (:func:`_merge`).
 
-    A schedule is (steps, results). Step (a, b, c, spec, make, done) makes
-    item c from items a and b as :func:`_compile` says; ``make`` lists the
-    (id, spec) of the leaves it uses first, made just before it, and
-    ``done`` the operands it uses for the last time. Each result is (item,
-    axes), one per member; an item named by a leaf spec is a path of no
-    steps. A leaf is numbered by its spec and a step's item by how it is
-    made, the triple (a, b, spec): one id for all the paths of those dims,
-    so equal items of different paths have one id, and equal parts are
-    stored once.
+    A schedule is (steps, results), each step a :class:`Step`. Step (a, b,
+    c, spec, make, done) makes item c from items a and b as
+    :func:`_compile` says; ``make`` lists the (id, spec) of the leaves it
+    uses first, made just before it, and ``done`` the operands it uses for
+    the last time. Each result is (item, axes), one per member; an item
+    named by a leaf spec is a path of no steps. A leaf is numbered by its
+    spec and a step's item by how it is made, the triple (a, b, spec): one
+    id for all the paths of those dims, so equal items of different paths
+    have one id, and equal parts are stored once.
     """
     by_key, parts, made = net.quiver.plan.paths.setdefault(net._dims, ({}, {}, {}))
     if key not in by_key:
-        share = lambda t: parts.setdefault(t, t) if type(t) is tuple else t
+        share = lambda t: parts.setdefault(t, t) if isinstance(t, tuple) else t
         if key is not None and len(key[1]) > 1:
             ops, opened, k = key
             members = [_path(net, (ops, (p,), k)) for p in opened]
@@ -405,10 +479,10 @@ def _path(net: TensorNetwork, key: tuple | None = None) -> tuple:
                 ids.update((leaf, i) for i, leaf in make)
                 a, b, spec = item = (ids.get(a, a), ids.get(b, b), share(spec))
                 ids[c] = made.setdefault(item, len(made))
-                made_here.append((a, b, ids[c], spec, make))
+                made_here.append(Step(a, b, ids[c], spec, make, ()))
             members = [(made_here, ((ids.get(final, share(final)), axes),))]
         steps, results = _merge(members)
-        by_key[key] = tuple(map(share, steps)), results
+        by_key[key] = Schedule((tuple(map(share, steps)), results))
     return by_key[key]
 
 
@@ -419,22 +493,201 @@ def _merge(schedules: Sequence[tuple]) -> tuple:
     result."""
     steps, results, seen = [], [], set()
     for member_steps, member_results in schedules:
-        for a, b, c, spec, make, *_ in member_steps:  # make: the leaves among a and b
-            if c not in seen:
-                seen.add(c)
-                steps.append((a, b, c, spec, make))
+        for step in member_steps:
+            if step.c not in seen:
+                seen.add(step.c)
+                steps.append(step)
         results += member_results
     first = {}
-    for k, (*_, make) in enumerate(steps):
-        for i, _ in make:
+    for k, step in enumerate(steps):
+        for i, _ in step.make:  # the leaves among a and b
             first.setdefault(i, k)
     last = {i: k for k, step in enumerate(steps) for i in step[:2]}
     last.update((i, -1) for i, _ in results)
     # a member's own tuple when every leaf in it is used first here, as on a single path
     firsts = lambda make, k: (make if all(first[i] == k for i, _ in make)
                               else tuple(leaf for leaf in make if first[leaf[0]] == k))
-    return (tuple((a, b, c, spec, firsts(make, k), tuple(i for i in (a, b) if last[i] == k))
-                  for k, (a, b, c, spec, make) in enumerate(steps)), tuple(results))
+    return (tuple(Step(a, b, c, spec, firsts(make, k), tuple(i for i in (a, b) if last[i] == k))
+                  for k, (a, b, c, spec, make, _) in enumerate(steps)), tuple(results))
+
+
+def _stack(steps: Sequence[Step], results: Sequence[tuple]) -> tuple[tuple, tuple]:
+    """The runs :func:`_execute` makes of a schedule's ``steps``, and the
+    (slots, item shape) of each stack they use.
+
+    A step is small when both its operands and its item hold at most
+    :data:`STACK_BYTES` each and neither operand is the caller's. A small
+    step runs as late as the steps that read its item allow, at the end if
+    none does; every other step keeps its place. Three or more small steps
+    that land on one place with one spec and operand shapes run as one
+    :class:`Group` (two save one call but cost their copies), cut so that
+    no operand side or product holds more than :data:`GATHER_BYTES`; a
+    step on its own runs as a :class:`Step` on plain arrays. Groups that
+    land before one step run as soon as their operands are made, which
+    frees slots early. A schedule with rows, whose sizes are known only
+    when it runs, or with nothing to stack runs its steps as they are.
+    """
+    shapes = {}  # of every item whose shape is known here: not the caller's
+
+    def operand(i: int, perm: tuple | None, reshape: tuple | None) -> tuple | None:
+        if reshape is not None or shapes.get(i) is None:
+            return reshape
+        return shapes[i] if perm is None else tuple(shapes[i][ax] for ax in perm)
+
+    for a, b, c, (lperm, lshape, rperm, rshape, shape, _, _), make, _ in steps:
+        shapes.update((i, leaf[-1]) for i, leaf in make)
+        x, y = operand(a, lperm, lshape), operand(b, rperm, rshape)
+        shapes[c] = shape if shape is not None or None in (x, y) else x[:-1] + y[-1:]
+    if any(s is not None and -1 in s for s in shapes.values()):
+        return tuple(steps), ()
+    size = lambda i: 16 * math.prod(shapes[i]) if shapes.get(i) is not None else math.inf
+    small = [max(map(size, step[:3])) <= STACK_BYTES for step in steps]
+
+    # when step k runs: (k, 0) in its place, or (t, -d) for a small step, d
+    # places before step t, the first to read its item (t = len(steps): the end)
+    readers = defaultdict(list)
+    for k, step in enumerate(steps):
+        readers[step.a].append(k)
+        readers[step.b].append(k)
+    when = [(k, 0) for k in range(len(steps))]
+    for k in reversed(range(len(steps))):
+        if small[k]:
+            when[k] = min(((t, d - 1) for t, d in map(when.__getitem__, readers[steps[k].c])),
+                          default=(len(steps), -1))
+    together = defaultdict(list)
+    for k, (a, b, _, spec, *_) in enumerate(steps):
+        together[(when[k], spec, shapes[a], shapes[b]) if small[k] else when[k]].append(k)
+    runs = []
+    for ks in sorted(together.values(), key=lambda ks: (when[ks[0]], ks[0])):
+        if len(ks) < 3:
+            runs += [[k] for k in ks]
+        else:
+            per = max(1, GATHER_BYTES // max(map(size, steps[ks[0]][:3])))
+            runs += [ks[i:i + per] for i in range(0, len(ks), per)]
+    if len(runs) == len(steps):
+        return tuple(steps), ()
+    return _place(steps, results, _soonest(steps, runs, [when[ks[0]][0] for ks in runs]), shapes)
+
+
+def _soonest(steps: Sequence[Step], runs: list[list[int]], places: list[int]) -> list[list[int]]:
+    """``runs`` (lists of step numbers, in order) reordered so that among
+    the runs of one place each runs as soon as the runs that make its
+    operands have run: the order of a depth-first walk from the runs that
+    read only earlier items, which ends each run's items sooner."""
+    maker = {steps[k].c: g for g, ks in enumerate(runs) for k in ks}
+    needs = [{maker[i] for k in ks for i in steps[k][:2] if i in maker} for ks in runs]
+    users = defaultdict(list)
+    for g, need in enumerate(needs):
+        for h in sorted(need):
+            users[h].append(g)
+    order, start = [], 0
+    while start < len(runs):
+        end = next((g for g in range(start, len(runs)) if places[g] != places[start]), len(runs))
+        waiting = {g: sum(h >= start for h in needs[g]) for g in range(start, end)}
+        ready = [g for g in reversed(range(start, end)) if not waiting[g]]
+        while ready:
+            g = ready.pop()
+            order.append(g)
+            for h in reversed(users[g]):
+                if h < end:
+                    waiting[h] -= 1
+                    if not waiting[h]:
+                        ready.append(h)
+        start = end
+    return [runs[g] for g in order]
+
+
+def _place(steps: Sequence[Step], results: Sequence[tuple], runs: list[list[int]],
+           shapes: Mapping[int, tuple]) -> tuple[tuple, tuple]:
+    """The :class:`Step` or :class:`Group` of each of ``runs`` (lists of step
+    numbers, in the order they run) and the (slots, item shape) of each
+    stack, for :func:`_stack`.
+
+    A group's operands and items live in slots of the stack of their shape,
+    and everything else as plain arrays. A plain array a group reads is
+    loaded into a slot at its first such read, and a group's item that a
+    step or a result reads is shown as a plain view of its slot. A slot is
+    free again after its last read, and a plain array is dropped then;
+    results are never dropped.
+    """
+    leaves = {i: leaf for step in steps for i, leaf in step.make}
+    grouped = {steps[k].c for ks in runs if len(ks) > 1 for k in ks}
+    made, loaded, plain_last, slot_last = defaultdict(list), defaultdict(list), {}, {}
+    for t, ks in enumerate(runs):
+        for k in ks:
+            for i in steps[k][:2]:
+                if i in leaves:  # made before its first run
+                    made[t].append((i, leaves.pop(i)))
+                if len(ks) == 1:
+                    plain_last[i] = t
+                    if i in grouped:
+                        slot_last[i] = t
+                    continue
+                if i not in grouped and i not in slot_last:
+                    loaded[t].append(i)
+                    plain_last[i] = t
+                slot_last[i] = t
+    for i, _ in results:
+        if type(i) is int:
+            plain_last[i] = slot_last[i] = len(runs)
+    ends, drops = defaultdict(list), defaultdict(list)
+    for i, t in slot_last.items():
+        ends[t].append(i)
+    for i, t in plain_last.items():
+        drops[t].append(i)
+
+    stack, count, free, slot = {}, [], [], {}
+
+    def take(i: int) -> None:
+        j = stack.setdefault(shapes[i], len(stack))
+        if j == len(count):
+            count.append(0)
+            free.append([])
+        if free[j]:
+            slot[i] = j, heapq.heappop(free[j])
+        else:
+            slot[i] = j, count[j]
+            count[j] += 1
+
+    def release(t: int) -> None:
+        for i in ends[t]:
+            heapq.heappush(free[slot[i][0]], slot[i][1])
+
+    plan = []
+    for t, ks in enumerate(runs):
+        members = [steps[k] for k in ks]
+        if len(ks) == 1:
+            release(t)
+            step, make, done = members[0], tuple(made[t]), tuple(drops[t])
+            plan.append(step if (make, done) == step[4:] else step._replace(make=make, done=done))
+            continue
+        for i in loaded[t]:
+            take(i)
+        release(t)  # the operands are read before the items are written
+        for step in members:
+            take(step.c)
+        lperm, lshape, rperm, rshape, shape, _, _ = members[0].spec
+        lift = lambda perm: None if perm is None else (0, *(ax + 1 for ax in perm))
+        grow = lambda shape: None if shape is None else (len(ks), *shape)
+        plan.append(Group(
+            (lift(lperm), grow(lshape), lift(rperm), grow(rshape), grow(shape)),
+            *(_slots([slot[step[m]] for step in members]) for m in range(3)),
+            tuple(made[t]), tuple((i, *slot[i]) for i in loaded[t]),
+            tuple((step.c, *slot[step.c]) for step in members if step.c in plain_last),
+            tuple(drops[t])))
+    return tuple(plan), tuple((n, shape) for n, shape in zip(count, stack))
+
+
+def _slots(where: Sequence[tuple[int, int]]) -> tuple:
+    """(stack, slots) of items at ``where``, (stack, slot) each, all in one
+    stack: a slice if the slots are consecutive, else an index array."""
+    (j, first), *_ = where
+    slots = [s for _, s in where]
+    if slots == list(range(first, first + len(slots))):
+        return j, slice(first, first + len(slots))
+    slots = np.array(slots, dtype=np.intp)
+    slots.setflags(write=False)  # held by a cached plan
+    return j, slots
 
 
 def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -600,19 +853,34 @@ def contract(net: TensorNetwork, seqs: np.ndarray, saved: dict | None = None) ->
     return out if out.ndim else np.full(len(seqs), out)  # no Out leg: one amplitude serves every row
 
 
-def _execute(net: TensorNetwork, path: tuple, seqs: np.ndarray | None, items: dict,
+def _execute(net: TensorNetwork, path: Schedule, seqs: np.ndarray | None, items: dict,
              keep: bool = False) -> list[np.ndarray]:
-    """Run a compiled schedule ``path`` on ``net`` in one pass and return one
-    result per member. Each leaf is made once, gathered at ``seqs``, just
-    before its first use; a transpose or reshape the schedule holds as None
-    is skipped. ``items`` holds the leaves and items made so far and those
-    the caller supplies; each is dropped after its last use, unless
-    ``keep``."""
+    """Run a compiled schedule ``path`` on ``net`` in one pass, by its plan
+    (:func:`_stack`), and return one result per member. Each leaf is made
+    once, gathered at ``seqs``, just before its first use; a transpose or
+    reshape the schedule holds as None is skipped. ``items`` holds the
+    plain arrays made so far and those the caller supplies; each is dropped
+    after its last use. With ``keep`` the steps run as they are and every
+    item stays in ``items``."""
     steps, results = path
-    for a, b, c, (lperm, lshape, rperm, rshape, shape, _, _), make, done in steps:
-        for i, leaf in make:
-            items[i] = _item(net, seqs, leaf)
-        x, y = items[a], items[b]
+    runs, stacks = (steps, ()) if keep else path.plan
+    if stacks:
+        stacks = [np.empty((n, *shape), dtype=np.complex128) for n, shape in stacks]
+    for run in runs:
+        alone = type(run) is Step
+        if alone:
+            a, b, c, (lperm, lshape, rperm, rshape, shape, _, _), make, done = run
+            for i, leaf in make:
+                items[i] = _item(net, seqs, leaf)
+            x, y = items[a], items[b]
+        else:
+            spec, (ja, sa), (jb, sb), (jc, sc), make, load, show, done = run
+            lperm, lshape, rperm, rshape, shape = spec
+            for i, leaf in make:
+                items[i] = _item(net, seqs, leaf)
+            for i, j, s in load:
+                stacks[j][s] = items[i]
+            x, y = stacks[ja][sa], stacks[jb][sb]
         if lperm is not None:
             x = x.transpose(lperm)
         if lshape is not None:
@@ -621,7 +889,13 @@ def _execute(net: TensorNetwork, path: tuple, seqs: np.ndarray | None, items: di
             y = y.transpose(rperm)
         if rshape is not None:
             y = y.reshape(rshape)
-        items[c] = x @ y if shape is None else (x @ y).reshape(shape)
+        z = x @ y if shape is None else (x @ y).reshape(shape)
+        if alone:
+            items[c] = z
+        else:
+            stacks[jc][sc] = z
+            for i, j, s in show:
+                items[i] = stacks[j][s]
         if not keep:
             for i in done:
                 del items[i]
@@ -734,6 +1008,30 @@ def site_marginal(
     if many and not all(opened):
         raise ValueError("no open position")
     ops, n = _site_ops(net, fixed_ops), net.n_sites
+    _check_open(opened, n, ops)
+    out = [x.real for x in _doubled(net, ops, opened)]
+    return out if many else out[0]
+
+
+def _check_open(opened: Sequence[tuple[int, ...]], n: int, ops: Container[int]) -> None:
+    """Check tuples of open positions: each position within [0, n) and not
+    fixed, each tuple strictly increasing. Several tuples are checked at
+    once by array operations; the entries are walked one by one only for a
+    single tuple or to raise for the first bad one."""
+    if len(opened) > 1:
+        ends = np.cumsum(np.fromiter(map(len, opened), dtype=np.intp, count=len(opened)))
+        try:
+            flat = np.fromiter(chain.from_iterable(opened), dtype=np.int64)
+        except OverflowError:  # a position beyond int64, named below
+            flat = None
+        if flat is not None:
+            at = np.minimum(flat.view(np.uint64), n)  # n: outside [0, n), a negative position wraps past it
+            fixed = np.zeros(n + 1, dtype=bool)
+            fixed[[n, *ops]] = True
+            rising = flat[1:] > flat[:-1]
+            rising[ends[:-1] - 1] = True  # the last position of an entry and the first of the next
+            if not fixed[at].any() and rising.all():
+                return
     for ps in opened:
         for p in ps:
             if not 0 <= p < n:
@@ -742,8 +1040,6 @@ def site_marginal(
                 raise ValueError(f"position {p} is both fixed and open")
         if not all(map(operator.lt, ps, ps[1:])):
             raise ValueError(f"open positions {ps} are not strictly increasing")
-    out = [x.real for x in _doubled(net, ops, opened)]
-    return out if many else out[0]
 
 
 def _site_ops(net: TensorNetwork, site_ops: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:

@@ -1,4 +1,5 @@
 import ast
+import math
 import operator
 import re
 import tracemalloc
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isotn import dense, network
 from isotn.dense import evaluate, intermediate_state, layer_map, operator_descend, operator_flow, state
@@ -481,6 +484,123 @@ class TestCompiledSchedule:
         assert made == [] and set(envs) == set(net.quiver.vertices)
 
 
+def _step_by_step(net, path, seqs, items, keep=False):
+    """The executor before stacking, the reference: every step of the
+    schedule in its order, on plain arrays."""
+    steps, results = path
+    for a, b, c, (lperm, lshape, rperm, rshape, shape, _, _), make, done in steps:
+        for i, leaf in make:
+            items[i] = network._item(net, seqs, leaf)
+        x, y = items[a], items[b]
+        if lperm is not None:
+            x = x.transpose(lperm)
+        if lshape is not None:
+            x = x.reshape(lshape)
+        if rperm is not None:
+            y = y.transpose(rperm)
+        if rshape is not None:
+            y = y.reshape(rshape)
+        items[c] = x @ y if shape is None else (x @ y).reshape(shape)
+        if not keep:
+            for i in done:
+                del items[i]
+    return [(items[i] if type(i) is int else network._item(net, seqs, i)).transpose(axes) for i, axes in results]
+
+
+def _groups(path):
+    return [run for run in path.plan[0] if type(run) is network.Group]
+
+
+def _members(group):
+    slots = group.c[1]
+    return slots.stop - slots.start if type(slots) is slice else len(slots)
+
+
+class TestStackedSchedule:
+    """Like small steps run as one matmul, bit for bit as step by step."""
+
+    @pytest.mark.parametrize("kind, w, bond, n", [
+        ("chain", 2, 4, 16), ("tree", 2, 4, 16), ("mera", 2, 2, 16),
+        ("chain", 3, 4, 12), ("tree", 3, 4, 16), ("mera", 3, 3, 8),
+        ("chain", 27, 8, 8), ("tree", 27, 8, 8), ("mera", 27, 8, 8),
+    ])
+    def test_merged_mi_schedules_equal_the_step_loop(self, kind, w, bond, n):
+        net = random_network(kind, n, w, bond, philox(50))
+        pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+        joints = site_marginal(net, {}, list(pairs))
+        path = network._path(net, ((), pairs, 0))
+        want = _step_by_step(net, path, None, {})
+        assert len(joints) == len(want) == len(pairs)
+        for got, joint in zip(network._execute(net, path, None, {}), want):
+            assert np.array_equal(got, joint)
+        for got, joint in zip(joints, want):
+            assert np.array_equal(got, joint.real)
+        if w < 27:
+            assert _groups(path)
+        else:  # every operand is too big to stack
+            assert all(16 * math.prod(shape) > network.STACK_BYTES for _, shape in path.plan[1])
+
+    @pytest.mark.parametrize("kind, bond", [("chain", 4), ("tree", 4), ("mera", 2)])
+    def test_a_list_with_fixed_operators_equals_the_step_loop(self, kind, bond):
+        net = random_network(kind, 16, 2, bond, philox(51))
+        fixed = {5: np.array([[0.2, 0.1j], [-0.1j, 0.8]]), 9: np.diag([0.3, 0.7])}
+        wanted = [p for p in range(16) if p not in fixed] + [(0, 3), (2, 15), (1, 4, 6), (10, 12)]
+        opened = tuple(p if isinstance(p, tuple) else (p,) for p in wanted)
+        path = network._path(net, ((5, 9), opened, 0))
+        want = _step_by_step(net, path, None, {-1 - p: np.asarray(o, dtype=complex) for p, o in fixed.items()})
+        for got, joint in zip(site_marginal(net, fixed, wanted), want):
+            assert np.array_equal(got, joint.real)
+        assert _groups(path)
+
+    def test_mera_conditionals_with_a_gathered_prefix_equal_the_step_loop(self):
+        net = random_network("mera", 16, 2, 4, philox(52))
+        seqs = philox(53).integers(0, 2, size=(6, 16))
+        for k in (0, 1, 7, 15):
+            got = network._doubled(net, {}, [(k,)], seqs[:, :k])
+            path = network._path(net, ((), ((k,),), k))
+            want = _step_by_step(net, path, seqs[:, :k], {})
+            want = want if k else [np.broadcast_to(x, (len(seqs),) + x.shape) for x in want]
+            assert np.array_equal(got[0], want[0])
+            if k:  # a schedule with rows runs its steps as they are
+                assert path.plan == (path[0], ())
+
+    @pytest.mark.parametrize("kind", ["chain", "tree", "mera"])
+    def test_contract_and_environments_equal_the_step_loop(self, kind):
+        net = random_network(kind, 16, 2, 4, philox(54))
+        seqs = philox(55).integers(0, 2, size=(8, 16))
+        saved, want_saved = {}, {}
+        amps = network.contract(net, seqs, saved)
+        (want,) = _step_by_step(net, network._path(net), seqs, want_saved, keep=True)
+        assert np.array_equal(amps, want)
+        assert saved.keys() == want_saved.keys()
+        assert all(np.array_equal(saved[i], want_saved[i]) for i in saved)
+        weights = 1.0 / amps
+        envs, want_envs = (network.environments(net, seqs, s, weights) for s in (saved, want_saved))
+        assert envs.keys() == want_envs.keys()
+        assert all(np.array_equal(envs[v], want_envs[v]) for v in envs)
+
+    @pytest.mark.parametrize("kind, bond, calls", [("chain", 4, 156), ("tree", 8, 56)])
+    def test_benchmark_curves_run_few_calls(self, kind, bond, calls, monkeypatch):
+        # chain: 992 steps; tree: 782
+        net = random_network(kind, 32, 2, bond, philox(48))
+        path = _curve_schedule(net, monkeypatch)
+        runs, stacks = path.plan
+        assert len(runs) == calls
+        assert sum(map(_members, _groups(path))) + len(runs) - len(_groups(path)) == len(path[0])
+        assert all(16 * math.prod(shape) <= network.STACK_BYTES for _, shape in stacks)
+
+    def test_no_group_holds_an_item_above_the_cutoff(self):
+        net = random_network("tree", 32, 2, 8, philox(48))
+        pairs = tuple((i, i + l) for i in range(31) for l in range(1, 17) if i + l < 32)
+        path = network._path(net, ((), pairs, 0))
+        runs, stacks = path.plan
+        for run in _groups(path):
+            for j, _ in (run.a, run.b, run.c):
+                assert 16 * math.prod(stacks[j][1]) <= network.STACK_BYTES
+                assert _members(run) * 16 * math.prod(stacks[j][1]) <= network.GATHER_BYTES
+        assert any(type(run) is network.Step for run in runs)  # the larger steps run alone
+
+
 class TestWholePositions:
     def test_whole_numbers_read_as_positions(self, rng):
         net = random_network("mera", 8, 2, 2, rng)
@@ -502,6 +622,38 @@ class TestWholePositions:
         net = random_network("tree", 8, 2, 2, rng)
         with pytest.raises(ValueError, match=r"^position 1\.5 is not a finite whole number$"):
             call(net)
+
+
+def _first_bad_by_loop(opened, n, fixed):
+    """The message the per-entry check loop raised for ``opened``, or None."""
+    for ps in opened:
+        for p in ps:
+            if not 0 <= p < n:
+                return f"position {p} outside [0,{n})"
+            if p in fixed:
+                return f"position {p} is both fixed and open"
+        if not all(map(operator.lt, ps, ps[1:])):
+            return f"open positions {ps} are not strictly increasing"
+    return None
+
+
+_POSITION = st.one_of(st.integers(-2, 9), st.sampled_from([-2**63 - 1, 2**63, 2**70]))
+_TREE8 = random_network("tree", 8, 2, 2, philox(56))
+
+
+@settings(max_examples=300)
+@given(entries=st.lists(st.one_of(_POSITION, st.lists(_POSITION, min_size=1, max_size=3).map(tuple)),
+                        min_size=1, max_size=6),
+       fixed=st.sets(st.integers(0, 7), max_size=2))
+def test_a_list_is_checked_at_once_as_the_loop_checked_it(entries, fixed):
+    ops = {p: np.eye(2) for p in fixed}
+    want = _first_bad_by_loop([p if isinstance(p, tuple) else (p,) for p in entries], 8, fixed)
+    if want is None:
+        assert len(site_marginal(_TREE8, ops, entries)) == len(entries)
+    else:
+        with pytest.raises(ValueError) as raised:
+            site_marginal(_TREE8, ops, entries)
+        assert str(raised.value) == want
 
 
 def _imported_modules(path: Path):
