@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from . import corpus, diagnostics, model, sampling, training
-from .errors import IsotnError, UnsupportedTopologyError
+from .errors import IsotnError, UnsupportedTopologyError, _brief_value
 from .manifold import gauge_orbit_rank, moduli_dimension, real_stiefel_dim
 from .model_io import PRNG_NAME, ModelBundle, load_model, save_model
 from .network import random_network
@@ -34,7 +34,11 @@ def _parse_bond(text: str):
     parts = [p for p in text.split(",") if p]
     if not parts:
         raise ValueError("--bond-dims must name at least one dimension")
-    vals = [int(p) for p in parts]
+    try:
+        vals = [int(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"--bond-dims takes whole numbers separated by commas, "
+                         f"got {_brief_value(repr(text))}") from None
     return vals[0] if len(vals) == 1 else vals
 
 

@@ -9,13 +9,14 @@ out-of-vocabulary symbol.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import numpy as np
 
 from .errors import _brief_value
 from .model import SampleMultiset, SymbolSet
-from .network import whole_array
+from .network import whole_array, whole_number
 
 SCHEMES = ("bytes", "chars", "words")
 
@@ -24,8 +25,8 @@ _OOV_TEXT = "<oov>"
 
 # the vocabulary file is one token per line; these escapes keep tokens
 # containing line-structure characters representable
-_ESCAPES = {"\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-_UNESCAPES = {"\\\\": "\\", "\\n": "\n", "\\r": "\r", "\\t": "\t"}
+_ESCAPES = str.maketrans({"\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"})
+_UNESCAPES = {pair: chr(ch) for ch, pair in _ESCAPES.items()}
 
 
 def _split(text: str, scheme: str):
@@ -53,14 +54,17 @@ def build_vocab(text: str, scheme: str, max_size: int | None = None) -> SymbolSe
     Tokens are ordered by descending count, ties broken lexicographically.
     When ``max_size`` truncates the list, a reserved out-of-vocabulary
     symbol is appended (so the result has max_size + 1 symbols).
+    ``max_size`` is read as a whole number (``2.0`` reads as 2).
     """
     tokens = _split(text, scheme)
     if not tokens:
         raise ValueError(f"no tokens in input under scheme {scheme!r}")
     counts = Counter(tokens)
     ordered = sorted(counts, key=lambda t: (-counts[t], t))
-    if max_size is not None and max_size < 1:
-        raise ValueError("max_size must be positive")
+    if max_size is not None:
+        max_size = whole_number(max_size, "max_size")
+        if max_size < 1:
+            raise ValueError("max_size must be positive")
     if max_size is not None and len(ordered) > max_size:
         ordered = ordered[:max_size]
         ordered.append(_oov_token(scheme, set(ordered)))
@@ -115,8 +119,9 @@ def windows(tokens, n: int, stride: int = 1) -> SampleMultiset:
     by :class:`~isotn.model.SampleMultiset` from a strided view of the
     tokens; a tail shorter than ``n`` is dropped. Raises when the stream is
     shorter than one window or holds a token that is not a finite whole
-    number.
+    number; ``n`` and ``stride`` are read as whole numbers too.
     """
+    n, stride = whole_number(n, "window length"), whole_number(stride, "stride")
     if n < 1 or stride < 1:
         raise ValueError("window length and stride must be >= 1")
     tokens = whole_array(tokens, "token")
@@ -126,21 +131,11 @@ def windows(tokens, n: int, stride: int = 1) -> SampleMultiset:
 
 
 def _escape(token: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in token)
+    return token.translate(_ESCAPES)
 
 
 def _unescape(line: str) -> str:
-    out = []
-    i = 0
-    while i < len(line):
-        pair = line[i:i + 2]
-        if pair in _UNESCAPES:
-            out.append(_UNESCAPES[pair])
-            i += 2
-        else:
-            out.append(line[i])
-            i += 1
-    return "".join(out)
+    return re.sub(r"\\[\\nrt]", lambda m: _UNESCAPES[m[0]], line)
 
 
 def save_vocab(vocab: SymbolSet, path) -> None:

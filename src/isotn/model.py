@@ -65,6 +65,7 @@ class SampleMultiset:
     counts: np.ndarray
 
     def __init__(self, n: int, entries: Mapping[SequenceState, int] | np.ndarray):
+        n = whole_number(n, "sequence length")
         if n < 1:
             raise ValueError("sequence length must be positive")
         if isinstance(entries, Mapping):

@@ -28,8 +28,9 @@ tested against, and lives in :mod:`isotn.dense`, which nothing here
 imports.
 
 Every contraction runs one compiled path: a greedy pairwise order over
-items (:func:`_compile`), built once per quiver, edge dims and leg roles
-and cached on the quiver's :class:`~isotn.graph.Plan`. On the ket network
+items (:func:`_compile`), built once per quiver, edge dims and key (the
+positions gathered, open and holding operators) and cached on the
+quiver's :class:`~isotn.graph.Plan`. On the ket network
 (:func:`contract`) it gathers each Out leg at every row's symbol of a
 (B, n) array and gives B amplitudes at once; :func:`environments` runs it
 backwards and folds the batch's weighted vertex environments into one
@@ -49,18 +50,19 @@ schedule (:func:`_merge`) that makes each leaf and each shared item once
 and drops each after its last use; a single path is the one-member case
 of the same executor (:func:`_execute`). All the pair joints of a
 mutual-information curve come from one such schedule (``site_marginal``
-given a list of positions). Every operand's shape is known when a path
-is compiled, so a transpose or reshape that would change nothing is
-compiled to None and skipped.
+given a list of positions). Every item's shape is known, and recorded
+once per id, when a path is compiled, so a transpose or reshape that
+would change nothing is compiled to None and skipped.
 
 A schedule without rows runs its like small steps as one matmul
-(:func:`_stack`, compiled once per schedule at its first run). A step
-whose operands and item each hold at most :data:`STACK_BYTES` runs as
-late as the steps reading its item allow; three or more such steps that
-land together with one spec and operand shapes form a :class:`Group`,
-whose items live in slots of one stack per shape, and run as one gather
-per operand side, one stacked matmul and one scatter of the items. Every
-other step runs alone, as before. The benchmark's chain curve (n=32,
+(:func:`_stack`, compiled from the recorded shapes once per schedule at
+its first run); one with rows runs step by step. A step whose operands
+and item each hold at most :data:`STACK_BYTES` runs as late as the steps
+reading its item allow; three or more such steps that land together with
+one spec and operand shapes form a :class:`Group`, whose items live in
+slots of one stack per shape, and run as one gather per operand side, one
+stacked matmul and one scatter of the items. Every other step runs
+alone, as before. The benchmark's chain curve (n=32,
 w=2, D=4, l_max=16) runs its 992 steps in 156 calls and the tree's
 (D=8) 782 steps in 56, each pair joint bit for bit as step by step;
 schedules of large items, such as w=27 curves, stack nothing.
@@ -432,13 +434,18 @@ class Group(NamedTuple):
 
 
 class Schedule(tuple):
-    """A compiled schedule, the pair (steps, results) of :func:`_path`, and
-    ``plan``, the (runs, stacks) :func:`_execute` runs it by
-    (:func:`_stack`), compiled at its first run."""
+    """A compiled schedule, the pair (steps, results) of :func:`_path`, with
+    the ``shapes`` of its items by id and ``plan``, the (runs, stacks)
+    :func:`_execute` runs it by (:func:`_stack`), compiled at its first run."""
+
+    def __new__(cls, steps: tuple, results: tuple, shapes: Sequence[tuple]):
+        schedule = super().__new__(cls, (steps, results))
+        schedule.shapes = shapes
+        return schedule
 
     @functools.cached_property
     def plan(self) -> tuple[tuple, tuple]:
-        return _stack(*self)
+        return _stack(*self, self.shapes)
 
 
 def _path(net: TensorNetwork, key: tuple | None = None) -> Schedule:
@@ -457,32 +464,41 @@ def _path(net: TensorNetwork, key: tuple | None = None) -> Schedule:
     named by a leaf spec is a path of no steps. A leaf is numbered by its
     spec and a step's item by how it is made, the triple (a, b, spec): one
     id for all the paths of those dims, so equal items of different paths
-    have one id, and equal parts are stored once.
+    have one id, and equal parts are stored once, each id's shape too (a
+    leaf's from its spec, an item's from :func:`_compile`); the items the
+    caller supplies keep negative ids and have none.
     """
-    by_key, parts, made = net.quiver.plan.paths.setdefault(net._dims, ({}, {}, {}))
+    by_key, parts, made, shapes = net.quiver.plan.paths.setdefault(net._dims, ({}, {}, {}, []))
     if key not in by_key:
         share = lambda t: parts.setdefault(t, t) if isinstance(t, tuple) else t
+
+        def number(item: tuple, shape: tuple) -> int:
+            if item not in made:
+                made[item] = len(shapes)
+                shapes.append(shape)
+            return made[item]
+
         if key is not None and len(key[1]) > 1:
             ops, opened, k = key
             members = [_path(net, (ops, (p,), k)) for p in opened]
         else:
             if key is None:  # the ket network, every Out leg gathered: one amplitude per row
-                leaves = {v: _leaf(net, v, range(net.n_sites)) for v in net.quiver.vertices}
+                leaves = {v: _leaf(net, v, net.n_sites) for v in net.quiver.vertices}
                 steps, final, axes = _compile(leaves, {**net.edge_dim, _ROWS: 1}, (_ROWS,))
             else:
                 ops, (p,), k = key
-                steps, final, axes = _doubled_path(net, _roles(net.n_sites, ops, p, k))
+                steps, final, axes = _doubled_path(net, ops, p, k)
             ids, made_here = {}, []
-            for a, b, c, spec in steps:  # in one path each leaf is used once
+            for a, b, c, spec, shape in steps:  # in one path each leaf is used once
                 used = [share(i) for i in (a, b) if type(i) is tuple]
-                make = share(tuple(share((made.setdefault(leaf, len(made)), leaf)) for leaf in used))
+                make = share(tuple(share((number(leaf, leaf[-1]), leaf)) for leaf in used))
                 ids.update((leaf, i) for i, leaf in make)
                 a, b, spec = item = (ids.get(a, a), ids.get(b, b), share(spec))
-                ids[c] = made.setdefault(item, len(made))
+                ids[c] = number(item, share(shape) if spec[4] is None else spec[4])  # each shape held once
                 made_here.append(Step(a, b, ids[c], spec, make, ()))
             members = [(made_here, ((ids.get(final, share(final)), axes),))]
         steps, results = _merge(members)
-        by_key[key] = Schedule((tuple(map(share, steps)), results))
+        by_key[key] = Schedule(tuple(map(share, steps)), results, shapes)
     return by_key[key]
 
 
@@ -511,9 +527,9 @@ def _merge(schedules: Sequence[tuple]) -> tuple:
                   for k, (a, b, c, spec, make, _) in enumerate(steps)), tuple(results))
 
 
-def _stack(steps: Sequence[Step], results: Sequence[tuple]) -> tuple[tuple, tuple]:
-    """The runs :func:`_execute` makes of a schedule's ``steps``, and the
-    (slots, item shape) of each stack they use.
+def _stack(steps: Sequence[Step], results: Sequence[tuple], shapes: Sequence[tuple]) -> tuple[tuple, tuple]:
+    """The runs :func:`_execute` makes of a schedule's ``steps`` by the
+    ``shapes`` of its items, and the (slots, item shape) of each stack.
 
     A step is small when both its operands and its item hold at most
     :data:`STACK_BYTES` each and neither operand is the caller's. A small
@@ -527,20 +543,9 @@ def _stack(steps: Sequence[Step], results: Sequence[tuple]) -> tuple[tuple, tupl
     frees slots early. A schedule with rows, whose sizes are known only
     when it runs, or with nothing to stack runs its steps as they are.
     """
-    shapes = {}  # of every item whose shape is known here: not the caller's
-
-    def operand(i: int, perm: tuple | None, reshape: tuple | None) -> tuple | None:
-        if reshape is not None or shapes.get(i) is None:
-            return reshape
-        return shapes[i] if perm is None else tuple(shapes[i][ax] for ax in perm)
-
-    for a, b, c, (lperm, lshape, rperm, rshape, shape, _, _), make, _ in steps:
-        shapes.update((i, leaf[-1]) for i, leaf in make)
-        x, y = operand(a, lperm, lshape), operand(b, rperm, rshape)
-        shapes[c] = shape if shape is not None or None in (x, y) else x[:-1] + y[-1:]
-    if any(s is not None and -1 in s for s in shapes.values()):
+    if any(-1 in shapes[step.c] for step in steps):  # the rows
         return tuple(steps), ()
-    size = lambda i: 16 * math.prod(shapes[i]) if shapes.get(i) is not None else math.inf
+    size = lambda i: 16 * math.prod(shapes[i]) if i >= 0 else math.inf  # the caller's ids are negative
     small = [max(map(size, step[:3])) <= STACK_BYTES for step in steps]
 
     # when step k runs: (k, 0) in its place, or (t, -d) for a small step, d
@@ -598,7 +603,7 @@ def _soonest(steps: Sequence[Step], runs: list[list[int]], places: list[int]) ->
 
 
 def _place(steps: Sequence[Step], results: Sequence[tuple], runs: list[list[int]],
-           shapes: Mapping[int, tuple]) -> tuple[tuple, tuple]:
+           shapes: Sequence[tuple]) -> tuple[tuple, tuple]:
     """The :class:`Step` or :class:`Group` of each of ``runs`` (lists of step
     numbers, in the order they run) and the (slots, item shape) of each
     stack, for :func:`_stack`.
@@ -700,17 +705,17 @@ _ROWS = -1
 
 
 def _leaf(
-    net: TensorNetwork, v: int, gathered: Container[int], shift: int = 0, shared: Container[int] = ()
+    net: TensorNetwork, v: int, k: int, shift: int = 0, shared: Container[int] = ()
 ) -> tuple[list[int], tuple]:
     """Vertex ``v`` as a leaf: its legs (:data:`_ROWS` if any is gathered,
     then the kept edges) and its spec (v, conj, perm, inverse, positions,
-    shape), which puts its axes in the order (``gathered`` positions, In,
-    kept), gathers it at each row's symbols and reshapes it (-1: the rows).
-    With a ``shift`` it is the bra copy: conjugated, the edges outside
-    ``shared`` shifted by it."""
+    shape), which puts its axes in the order (gathered: Out positions
+    below ``k``, In, kept), gathers it at each row's symbols and reshapes
+    it (-1: the rows). With a ``shift`` it is the bra copy: conjugated,
+    the edges outside ``shared`` shifted by it."""
     q, pos = net.quiver, net.quiver.plan.out_position
     edges = q.vertex_in_edges(v) + q.vertex_out_edges(v)
-    fixed = [ax for ax, e in enumerate(edges) if pos.get(e, -1) in gathered]
+    fixed = [ax for ax, e in enumerate(edges) if pos.get(e, k) < k]
     root = [ax for ax, e in enumerate(edges) if e in q.in_edges]
     kept = [ax for ax in range(len(edges)) if ax not in fixed + root]
     perm = tuple(fixed + root + kept)
@@ -720,20 +725,21 @@ def _leaf(
     return [_ROWS] * bool(fixed) + names, spec
 
 
-def _doubled_path(net: TensorNetwork, roles: str) -> tuple:
-    """The path of the doubled network ⟨Ψ|…|Ψ⟩.
+def _doubled_path(net: TensorNetwork, ops: Sequence[int], opened: Sequence[int], k: int) -> tuple:
+    """The path of the doubled network ⟨Ψ|…|Ψ⟩ for one member (:func:`_path`).
 
-    ``roles[p]`` is position p's role: ``g`` gathered at each row's symbol
-    on both copies, ``o`` open (one edge id on ket, bra and the result,
-    which keeps its diagonal), ``x`` an operator (item -1 − p, legs bra
-    then ket, supplied by the caller) or ``t`` traced (one edge id on ket
-    and bra). A vertex whose out legs are all traced drops out with its
-    bra, exactly, as it is an isometry, and its in legs become traced, so
-    only the causal cone of the other legs is left. Vertex v is ket item v
-    and bra item V + v.
+    The first ``k`` positions are gathered at each row's symbol on both
+    copies. Of the others, those in ``opened`` are open (one edge id on
+    ket, bra and the result, which keeps its diagonal), those in ``ops``
+    hold an operator (item -1 − p, legs bra then ket, supplied by the
+    caller) and the rest are traced (one edge id on ket and bra). A vertex
+    whose out legs are all traced drops out with its bra, exactly, as it
+    is an isometry, and its in legs become traced, so only the causal cone
+    of the other legs is left. Vertex v is ket item v and bra item V + v.
     """
-    q = net.quiver
-    traced = {e for e, r in zip(q.out_edges, roles) if r == "t"}
+    q, outs = net.quiver, net.quiver.out_edges
+    opened = [outs[p] for p in opened]
+    traced = set(outs[k:]).difference(opened, (outs[p] for p in ops))
     kept = []
     for verts in reversed(q.plan.layers):
         for v in verts:
@@ -741,15 +747,13 @@ def _doubled_path(net: TensorNetwork, roles: str) -> tuple:
                 traced.update(q.vertex_in_edges(v))
             else:
                 kept.append(v)
-    opened = [e for e, r in zip(q.out_edges, roles) if r == "o"]
     shift, one = max(net.edge_dim) + 1, traced.union(opened)
-    gathered = {p for p, r in enumerate(roles) if r == "g"}
     bra = max(q.vertices) + 1
-    leaves = {v: _leaf(net, v, gathered) for v in kept}
-    leaves.update({bra + v: _leaf(net, v, gathered, shift, one) for v in kept})
-    leaves.update({-1 - p: ([e + shift, e], None) for p, e in enumerate(q.out_edges) if roles[p] == "x"})
+    leaves = {v: _leaf(net, v, k) for v in kept}
+    leaves.update({bra + v: _leaf(net, v, k, shift, one) for v in kept})
+    leaves.update({-1 - p: ([outs[p] + shift, outs[p]], None) for p in ops})
     dim = {**net.edge_dim, **{e + shift: d for e, d in net.edge_dim.items()}, _ROWS: 1}
-    return _compile(leaves, dim, [_ROWS] * bool(gathered) + opened)
+    return _compile(leaves, dim, [_ROWS] * bool(k) + opened)
 
 
 def _compile(leaves: Mapping[int, tuple[list[int], tuple | None]], dim: Mapping[int, int],
@@ -771,12 +775,12 @@ def _compile(leaves: Mapping[int, tuple[list[int], tuple | None]], dim: Mapping[
 
     Returns (steps, final item, its axes in ``out`` order); a leaf is named
     by its spec. Step (a, b, c, (lperm, lshape, rperm, rshape, shape, linv,
-    rinv)) makes item c by one matmul of a and b, transposed (a: batch,
-    kept, summed legs; b: batch, summed, kept legs) and reshaped. Every
-    item's shape is known here (-1: the rows), so a permutation that is the
-    identity (with its inverse), a reshape of an operand to the shape it
-    has and a reshape of the product to the shape the matmul gives are
-    None, and the executor skips them.
+    rinv), c's shape) makes item c by one matmul of a and b, transposed
+    (a: batch, kept, summed legs; b: batch, summed, kept legs) and
+    reshaped. Every item's shape is known here (-1: the rows), so a
+    permutation that is the identity (with its inverse), a reshape of an
+    operand to the shape it has and a reshape of the product to the shape
+    the matmul gives are None, and the executor skips them.
     """
     legs = {i: list(ls) for i, (ls, _) in leaves.items()}
     base = max(legs) + 1  # the id of the first item a step makes
@@ -829,7 +833,7 @@ def _compile(leaves: Mapping[int, tuple[list[int], tuple | None]], dim: Mapping[
             lperm, None if lshape == shape_of(lt) else lshape,
             rperm, None if rshape == shape_of(rt) else rshape,
             None if shape == lshape[:-1] + rshape[-1:] else shape,
-            None if lperm is None else _inverse(lperm), None if rperm is None else _inverse(rperm))))
+            None if lperm is None else _inverse(lperm), None if rperm is None else _inverse(rperm)), shape))
         return c
 
     heap = sorted({(size(*p), *p) for p in {tuple(sorted(h)) for e, h in holders.items() if is_summed(e)}})
@@ -860,10 +864,9 @@ def _execute(net: TensorNetwork, path: Schedule, seqs: np.ndarray | None, items:
     once, gathered at ``seqs``, just before its first use; a transpose or
     reshape the schedule holds as None is skipped. ``items`` holds the
     plain arrays made so far and those the caller supplies; each is dropped
-    after its last use. With ``keep`` the steps run as they are and every
-    item stays in ``items``."""
-    steps, results = path
-    runs, stacks = (steps, ()) if keep else path.plan
+    after its last use unless ``keep`` is set: a schedule with rows, like
+    :func:`contract`'s, runs step by step, so then every item stays."""
+    runs, stacks = path.plan
     if stacks:
         stacks = [np.empty((n, *shape), dtype=np.complex128) for n, shape in stacks]
     for run in runs:
@@ -874,8 +877,7 @@ def _execute(net: TensorNetwork, path: Schedule, seqs: np.ndarray | None, items:
                 items[i] = _item(net, seqs, leaf)
             x, y = items[a], items[b]
         else:
-            spec, (ja, sa), (jb, sb), (jc, sc), make, load, show, done = run
-            lperm, lshape, rperm, rshape, shape = spec
+            (lperm, lshape, rperm, rshape, shape), (ja, sa), (jb, sb), (jc, sc), make, load, show, done = run
             for i, leaf in make:
                 items[i] = _item(net, seqs, leaf)
             for i, j, s in load:
@@ -899,7 +901,7 @@ def _execute(net: TensorNetwork, path: Schedule, seqs: np.ndarray | None, items:
         if not keep:
             for i in done:
                 del items[i]
-    return [(items[i] if type(i) is int else _item(net, seqs, i)).transpose(axes) for i, axes in results]
+    return [(items[i] if type(i) is int else _item(net, seqs, i)).transpose(axes) for i, axes in path[1]]
 
 
 def _item(net: TensorNetwork, seqs: np.ndarray | None, leaf: tuple) -> np.ndarray:
@@ -1044,7 +1046,8 @@ def _check_open(opened: Sequence[tuple[int, ...]], n: int, ops: Container[int]) 
 
 def _site_ops(net: TensorNetwork, site_ops: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Validate a position -> operator map against a pure-state model; each
-    position must be a whole number (``2.0`` reads as 2)."""
+    position must be a whole number (``2.0`` reads as 2) and each operator
+    a square matrix of finite entries on its site's space."""
     dims = net.site_dims
     ops: dict[int, np.ndarray] = {}
     for p, o in site_ops.items():
@@ -1054,6 +1057,8 @@ def _site_ops(net: TensorNetwork, site_ops: Mapping[int, np.ndarray]) -> dict[in
         o = np.asarray(o, dtype=np.complex128)
         if o.shape != (dims[p], dims[p]):
             raise ShapeError(f"operator at position {p} has shape {o.shape}, expected square {dims[p]}")
+        if not np.isfinite(o).all():
+            raise ShapeError(f"operator at position {p}: entries must be finite (found NaN or Inf)")
         ops[p] = o
     _require_model(net)
     return ops
@@ -1078,18 +1083,6 @@ def _doubled(
     return out if seqs is None or k else [np.broadcast_to(x, (len(seqs),) + x.shape) for x in out]
 
 
-def _roles(n: int, ops: Iterable[int], open_pos: Iterable[int], k: int = 0) -> str:
-    """The :func:`_doubled_path` roles of n positions: the first k gathered,
-    then ``open_pos`` open and ``ops`` operators, the rest traced."""
-    roles = ["t"] * n
-    for p in ops:
-        roles[p] = "x"
-    for p in open_pos:
-        roles[p] = "o"
-    roles[:k] = "g" * k
-    return "".join(roles)
-
-
 # ------------------------------------------------------------------
 # random-network builders for the standard topologies
 # ------------------------------------------------------------------
@@ -1110,15 +1103,15 @@ def _bond_dims(q: Quiver, kind: str, n: int, w: int, bond: int | Sequence[int]) 
     it) gets w ** (n − r) on a chain or w ** (n >> r) otherwise, so every
     vertex can be an isometry, capped by ``bond``: an integer caps every
     row, a sequence rows 1…R in order (R = n − 1 on a chain, depth − 1
-    otherwise), and w any deeper row.
+    otherwise), and w any deeper row. Every cap is read as a whole number.
     """
-    rows = n - 1 if kind == "chain" else n.bit_length() - 2
-    caps = None if isinstance(bond, int) else [int(b) for b in bond]
-    if caps is not None and len(caps) != rows:
+    rows, scalar = n - 1 if kind == "chain" else n.bit_length() - 2, np.ndim(bond) == 0
+    caps = [whole_number(b, "bond dimension") for b in ([bond] if scalar else bond)]
+    if not scalar and len(caps) != rows:
         what = {"chain": f"bond dims for a chain of {n}", "tree": "per-level bond dims",
                 "mera": "per-row bond dims"}[kind]
         raise ValueError(f"need {rows} {what}, got {len(caps)}")
-    for b in [bond] if caps is None else caps:
+    for b in caps:
         if b < 1:
             raise ValueError(f"bond dimension must be positive, got {b}")
     row, dims = {q.in_edges[0]: 0}, {q.in_edges[0]: 1}
@@ -1131,7 +1124,7 @@ def _bond_dims(q: Quiver, kind: str, n: int, w: int, bond: int | Sequence[int]) 
                 if e in q.plan.out_position:
                     dims[e] = w
                 else:
-                    cap = bond if caps is None else caps[r - 1] if r <= rows else w
+                    cap = caps[0] if scalar else caps[r - 1] if r <= rows else w
                     dims[e] = _capped_power(w, n - r if kind == "chain" else n >> r, cap)
     return dims
 
@@ -1177,8 +1170,10 @@ def random_network(
     caps internal dimensions at the natural growth pattern of the
     topology; a sequence pins them explicitly (per bond for chains, per
     level/row for trees and MERAs). Dimensions are clamped wherever a
-    larger value would make an isometric vertex impossible.
+    larger value would make an isometric vertex impossible. ``n``,
+    ``phys_dim`` and ``bond`` are read as whole numbers (``2.0`` reads as 2).
     """
+    n, phys_dim = whole_number(n, "site count"), whole_number(phys_dim, "symbol dimension")
     if phys_dim < 1:
         raise ValueError(f"symbol dimension must be positive, got {phys_dim}")
     builders = {"chain": build_chain, "tree": build_binary_tree, "mera": build_mera}

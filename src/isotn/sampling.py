@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConditioningError, _brief
 from .graph import Quiver
-from .network import SequenceState, TensorNetwork, _doubled, _require_model, sequence_array
+from .network import SequenceState, TensorNetwork, _doubled, _require_model, sequence_array, whole_number
 
 # conditionals smaller than this total mass are treated as exactly zero
 _MASS_FLOOR = 1e-300
@@ -75,7 +75,9 @@ def sample_blocks(
     net: TensorNetwork, count: int, rng: np.random.Generator
 ) -> Iterator[list[SequenceState]]:
     """The draws of :func:`sample`, a block of up to :data:`_BLOCK_ROWS` at
-    a time, each yielded as soon as it is drawn."""
+    a time, each yielded as soon as it is drawn. ``count`` is read as a
+    whole number (``2.0`` reads as 2)."""
+    count = whole_number(count, "count")
     if count < 0:
         raise ValueError("count must be nonnegative")
     kernel = _kernel(net) if count else None

@@ -19,13 +19,14 @@ measured there.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ZeroAmplitudeError
+from .errors import ZeroAmplitudeError, _brief_value
 from .manifold import retract, tangent_project
 from .model import SampleMultiset
 from .network import (
@@ -50,8 +51,10 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning rate {self.learning_rate} is not a finite positive number")
+        rate = self.learning_rate
+        if not (isinstance(rate, numbers.Real) and 0 < rate < math.inf):
+            shown = _brief_value(rate if isinstance(rate, numbers.Real) else repr(rate))
+            raise ValueError(f"learning rate {shown} is not a finite positive number")
         for field, what in (("steps", "step count"), ("batch_size", "batch size"), ("seed", "seed"),
                             ("checkpoint_every", "checkpoint_every")):
             object.__setattr__(self, field, whole_number(getattr(self, field), what))

@@ -95,6 +95,17 @@ class TestTrainCommand:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: --bond-dims must name at least one dimension\n"
 
+    @pytest.mark.parametrize("bond", ["2,a", "2.5", "4,,x"])
+    def test_a_bond_that_is_not_a_whole_number_is_one_error_line(self, tmp_path, corpus_file, vocab_file,
+                                                                 capsys, bond):
+        out_path = tmp_path / "m.isotn"
+        args = train_args(corpus_file, vocab_file, out_path, steps=1)
+        args[args.index("--bond-dims") + 1] = bond
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"error: --bond-dims takes whole numbers separated by commas, "
+                                           f"got {bond!r}\n")
+        assert not out_path.exists()
+
     def test_a_negative_seed_is_one_error_line(self, tmp_path, corpus_file, vocab_file, capsys):
         out_path = tmp_path / "m.isotn"
         assert main(train_args(corpus_file, vocab_file, out_path, steps=1, seed=-1)) == 1

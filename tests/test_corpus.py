@@ -9,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from isotn.corpus import (
+    _escape,
+    _unescape,
     build_vocab,
     detokenize,
     load_vocab,
@@ -57,6 +59,11 @@ class TestBuildVocab:
     def test_nonpositive_max_size_rejected(self):
         with pytest.raises(ValueError, match=r"^max_size must be positive$"):
             build_vocab("ab", "chars", max_size=0)
+
+    def test_max_size_is_read_as_a_whole_number(self):
+        assert build_vocab("abcab", "chars", 2.0) == build_vocab("abcab", "chars", 2)
+        with pytest.raises(ValueError, match=r"^max_size 2\.5 is not a finite whole number$"):
+            build_vocab("abcab", "chars", 2.5)
 
     def test_frequency_then_lexicographic_order(self):
         vocab = build_vocab("bb aa aa bb cc", "words")
@@ -150,6 +157,16 @@ class TestWindows:
             tracemalloc.stop()
         assert peak <= 2 * sample.rows.nbytes
 
+    def test_length_and_stride_are_read_as_whole_numbers(self):
+        tokens = [0, 1, 0, 1, 1]
+        assert windows(tokens, 2.0, 2.0).entries == windows(tokens, 2, 2).entries
+        with pytest.raises(ValueError, match=r"^window length 2\.5 is not a finite whole number$"):
+            windows(tokens, 2.5)
+        with pytest.raises(ValueError, match=r"^stride 1\.5 is not a finite whole number$"):
+            windows(tokens, 2, stride=1.5)
+        with pytest.raises(ValueError, match=r"^window length and stride must be >= 1$"):
+            windows(tokens, 2, stride=0.0)
+
     def test_short_stream_rejected(self):
         with pytest.raises(ValueError):
             windows([0, 1], 3)
@@ -232,6 +249,32 @@ def test_vocab_file_round_trips_any_text(text, scheme, max_size):
         path = Path(tmp) / "vocab.txt"
         save_vocab(vocab, path)
         assert load_vocab(path, scheme) == vocab
+
+
+# text made of the characters the vocabulary file escapes, and literal escape pairs
+_ESCAPY_TEXT = st.lists(st.sampled_from(["\\", "\n", "\r", "\t", "\\n", "\\t", "\\\\", "n", "x", " "]),
+                        min_size=1).map("".join)
+
+
+@given(text=_ESCAPY_TEXT)
+def test_escapes_round_trip_backslashes_and_line_breaks(text):
+    line = _escape(text)
+    assert not {"\n", "\r", "\t"} & set(line)
+    assert _unescape(line) == text
+    for scheme in ("chars", "words"):
+        if not text.split() and scheme == "words":
+            continue
+        vocab = build_vocab(text, scheme)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vocab.txt"
+            save_vocab(vocab, path)
+            assert load_vocab(path, scheme) == vocab
+
+
+def test_vocab_file_bytes_are_fixed(tmp_path):
+    path = tmp_path / "vocab.txt"
+    save_vocab(SymbolSet(("a\\b", "\n", "\\n", "\t\r", "é"), "words"), path)
+    assert path.read_bytes() == b"a\\\\b\n\\n\n\\\\n\n\\t\\r\n\xc3\xa9\n"
 
 
 def test_trailing_oov_symbol_is_exempt(tmp_path):

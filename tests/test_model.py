@@ -52,6 +52,16 @@ def test_sample_multiset_rejects_non_whole_numbers(entries, value):
         SampleMultiset(2, entries)
 
 
+def test_sample_multiset_reads_its_length_as_a_whole_number():
+    table = np.array([[0, 1], [0, 1], [1, 1]])
+    s = SampleMultiset(2.0, table)
+    assert type(s.n) is int and s.n == 2 and s.entries == SampleMultiset(2, table).entries
+    with pytest.raises(ValueError, match=r"^sequence length 2\.5 is not a finite whole number$"):
+        SampleMultiset(2.5, table)
+    with pytest.raises(ValueError, match=r"^sequence length must be positive$"):
+        SampleMultiset(0.0, table)
+
+
 def test_sample_multiset_keeps_whole_floats_as_ints():
     s = SampleMultiset(2, {(2.0, 1): 2.0})
     assert s.entries == {(2, 1): 2} and all(type(x) is int for x in (*next(iter(s.entries)), s.cardinality))

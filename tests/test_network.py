@@ -624,6 +624,19 @@ class TestWholePositions:
             call(net)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+@pytest.mark.parametrize("call", [
+    lambda net, op: site_operator_expectation(net, {0: np.eye(2), 3: op}),
+    lambda net, op: site_marginal(net, {3: op}, 1),
+    lambda net, op: site_marginal(net, {3: op}, [1, (0, 2)]),
+], ids=["expectation", "fixed", "fixed_for_a_list"])
+def test_a_non_finite_operator_is_named(bad, call):
+    net = random_network("mera", 8, 2, 2, philox(61))
+    op = np.array([[bad, 0], [0, 1]])
+    with pytest.raises(ShapeError, match=r"^operator at position 3: entries must be finite \(found NaN or Inf\)$"):
+        call(net, op)
+
+
 def _first_bad_by_loop(opened, n, fixed):
     """The message the per-entry check loop raised for ``opened``, or None."""
     for ps in opened:
@@ -723,6 +736,27 @@ class TestValidation:
     def test_random_network_rejects(self, rng, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             random_network(*args, rng)
+
+    @pytest.mark.parametrize("args", [("tree", 4.0, 2, 2), ("tree", 4, 2.0, 2), ("tree", 4, 2, 2.0),
+                                      ("tree", 4, 2, [2.0]), ("tree", 4, np.int64(2), np.int64(2))],
+                             ids=["n", "phys_dim", "bond", "bond_list", "numpy_ints"])
+    def test_random_network_reads_whole_numbers(self, args):
+        want = random_network("tree", 4, 2, 2, philox(60))
+        got = random_network(*args, philox(60))
+        assert dict(got.edge_dim) == dict(want.edge_dim)
+        assert all(type(d) is int for d in got.edge_dim.values())
+        assert all(np.array_equal(got.vertex_tensor[v], want.vertex_tensor[v]) for v in want.quiver.vertices)
+
+    @pytest.mark.parametrize("args, message", [
+        (("chain", 4, 2, [2.5, 2, 2]), "bond dimension 2.5 is not a finite whole number"),
+        (("chain", 4, 2, 2.5), "bond dimension 2.5 is not a finite whole number"),
+        (("chain", 4.5, 2, 2), "site count 4.5 is not a finite whole number"),
+        (("chain", 4, 2.5, 2), "symbol dimension 2.5 is not a finite whole number"),
+        (("chain", 4, 2, [2, 0, 2]), r"bond dimension must be positive, got 0"),
+    ], ids=["bond_list_entry", "bond", "n", "phys_dim", "zero_bond_in_list"])
+    def test_random_network_names_a_size_that_is_not_whole(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_network(*args, philox(60))
 
     def test_shape_mismatch_rejected(self, rng):
         q = Quiver((0,), (), (0,), (1,), {1: 0}, {0: 0})

@@ -147,6 +147,15 @@ class TestSample:
         net = random_network("tree", 4, 2, 2, rng)
         assert sample(net, 0, philox(0)) == []
 
+    def test_count_is_read_as_a_whole_number(self, rng):
+        net = random_network("tree", 4, 2, 2, rng)
+        assert sample(net, 3.0, philox(0)) == sample(net, 3, philox(0))
+        for bad in (2.5, "3", None):
+            with pytest.raises(ValueError, match=r"^count .* is not a finite whole number$"):
+                sample(net, bad, philox(0))
+        with pytest.raises(ValueError, match=r"^count must be nonnegative$"):
+            sample(net, -1.0, philox(0))
+
 
 class TestExactness:
     @pytest.mark.parametrize("make", [

@@ -322,6 +322,12 @@ def test_train_config_names_the_field_it_rejects(field, value, message):
         TrainConfig(**{"learning_rate": 0.1, "steps": 1, field: value})
 
 
+@pytest.mark.parametrize("rate, shown", [(None, "None"), ("0.1", "'0.1'"), (1j, "1j")])
+def test_train_config_names_a_learning_rate_that_is_not_a_real_number(rate, shown):
+    with pytest.raises(ValueError, match=f"^learning rate {re.escape(shown)} is not a finite positive number$"):
+        TrainConfig(learning_rate=rate, steps=1)
+
+
 def test_train_config_keeps_whole_floats_as_ints():
     cfg = TrainConfig(learning_rate=0.1, steps=2.0, batch_size=3.0, checkpoint_every=1.0)
     assert (cfg.steps, cfg.batch_size, cfg.checkpoint_every) == (2, 3, 1)
