@@ -120,14 +120,14 @@ def cmd_mi(args) -> int:
         source = np.repeat(sample_set.rows, sample_set.counts, axis=0)
         label = args.data
     curve = diagnostics.decay_curve(source, args.lmax)
-    fits = {kind: diagnostics._safe_fit(curve, kind) for kind in ("power", "exponential")}
+    fits = diagnostics.fit_both(curve)
 
     print(f"# mutual information decay: {label}")
     print(f"{'l':>4s}  {'I(l)':>14s}")
     for l, v in curve.points:
         print(f"{l:4d}  {v:14.6e}")
-    for kind in ("power", "exponential"):
-        print(diagnostics.format_fit_line(kind, fits[kind]))
+    for kind, fit in fits.items():
+        print(diagnostics.format_fit_line(kind, fit))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             for key, value in diagnostics.curve_records(curve, fits):

@@ -82,6 +82,23 @@ def oov_index(vocab: SymbolSet) -> int | None:
     return None
 
 
+def check_vocab(vocab: SymbolSet) -> None:
+    """Raise ValueError unless ``vocab``'s scheme is known and every token
+    but a trailing reserved OOV symbol is one that scheme produces: a byte
+    value 0..255 under ``bytes``, one character under ``chars``, one word
+    under ``words``. Vocabulary files and model files are read under this
+    rule, so a file read under the wrong scheme is rejected instead of
+    mapping all text to OOV."""
+    scheme, oov = vocab.scheme, oov_index(vocab)
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    for i, tok in enumerate(vocab.symbols):
+        producible = (type(tok) is int and 0 <= tok <= 255 if scheme == "bytes"
+                      else type(tok) is str and _split(tok, scheme) == [tok])
+        if i != oov and not producible:
+            raise ValueError(f"vocabulary token {tok!r:.40} cannot come from scheme {scheme!r}")
+
+
 def tokenize(text: str, vocab: SymbolSet) -> list[int]:
     """Map text to symbol indices; unknown tokens fall back to the OOV slot.
 
@@ -149,27 +166,25 @@ def save_vocab(vocab: SymbolSet, path) -> None:
             fh.write((str(tok) if vocab.scheme == "bytes" else _escape(tok)) + "\n")
 
 
-def load_vocab(path, scheme: str) -> SymbolSet:
-    """Read a vocabulary file written by :func:`save_vocab`.
+def _byte_token(line: str, where: str) -> int:
+    try:
+        return int(line)
+    except ValueError:  # not a number, or more digits than int() reads
+        raise ValueError(f"{where}: byte token {_brief_value(repr(line))} is not a whole number") from None
 
-    Every token but a trailing reserved OOV symbol must be one that
-    ``scheme`` produces, so a file read under the wrong scheme is rejected
-    instead of mapping all text to OOV.
-    """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+
+def load_vocab(path, scheme: str) -> SymbolSet:
+    """Read a vocabulary file written by :func:`save_vocab`, under the rule
+    of :func:`check_vocab`. A bytes-scheme line that is not a whole number
+    raises a ValueError naming the file and line."""
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if scheme == "bytes":
-        symbols = tuple(int(line) for line in lines)
+        symbols = tuple(_byte_token(line, f"{path}, line {k}") for k, line in enumerate(lines, 1))
     else:
         symbols = tuple(_unescape(line) for line in lines)
     vocab = SymbolSet(symbols, scheme)
-    oov = oov_index(vocab)
-    for i, tok in enumerate(symbols):
-        producible = 0 <= tok <= 255 if scheme == "bytes" else _split(tok, scheme) == [tok]
-        if i != oov and not producible:
-            raise ValueError(f"vocabulary token {tok!r:.40} cannot come from scheme {scheme!r}")
+    check_vocab(vocab)
     return vocab

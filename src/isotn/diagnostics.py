@@ -255,6 +255,12 @@ def _safe_fit(curve: DecayCurve, kind: str) -> DecayFit:
         return DecayFit(kind, (), math.inf, 0.0, degenerate=True)
 
 
+def fit_both(curve: DecayCurve) -> dict[str, DecayFit]:
+    """The power and the exponential fit of ``curve``, in that order; a form
+    with too few usable points is a degenerate fit with no parameters."""
+    return {kind: _safe_fit(curve, kind) for kind in ("power", "exponential")}
+
+
 def _verdict(fits: Mapping[str, DecayFit]) -> tuple[str, float]:
     exp_fit, pow_fit = fits["exponential"], fits["power"]
     if exp_fit.degenerate and pow_fit.degenerate:
@@ -299,8 +305,7 @@ def compare_decay(
             )
         )
     curve_a, curve_b = curves
-    fits_a = {k: _safe_fit(curve_a, k) for k in ("power", "exponential")}
-    fits_b = {k: _safe_fit(curve_b, k) for k in ("power", "exponential")}
+    fits_a, fits_b = fit_both(curve_a), fit_both(curve_b)
     verdict_a, delta_a = _verdict(fits_a)
     verdict_b, delta_b = _verdict(fits_b)
     return DecayReport(
@@ -317,16 +322,19 @@ def format_fit_line(label: str, fit: DecayFit) -> str:
     return f"  {label:12s} {pieces}; r2={fit.r_squared:.6f}{tag}"
 
 
+def _per_model(report: DecayReport, name_a: str, name_b: str):
+    """(name, curve, fits, verdict, delta_r2) of each model of the report."""
+    return ((name_a, report.curve_a, report.fits_a, report.verdict_a, report.delta_r2_a),
+            (name_b, report.curve_b, report.fits_b, report.verdict_b, report.delta_r2_b))
+
+
 def render_decay_report(report: DecayReport, name_a: str = "A", name_b: str = "B") -> str:
     """Plain-text table of the comparison report."""
     lines = [f"# decay comparison (ensemble size {report.ensemble_size})", ""]
     lines.append(f"{'l':>4s}  {'I_' + name_a:>14s}  {'I_' + name_b:>14s}")
     for (l, va), (_, vb) in zip(report.curve_a.points, report.curve_b.points):
         lines.append(f"{l:4d}  {va:14.6e}  {vb:14.6e}")
-    for name, fits, verdict, delta in (
-        (name_a, report.fits_a, report.verdict_a, report.delta_r2_a),
-        (name_b, report.fits_b, report.verdict_b, report.delta_r2_b),
-    ):
+    for name, _, fits, verdict, delta in _per_model(report, name_a, name_b):
         lines.append("")
         lines.append(f"model {name}: better fit = {verdict} (delta_r2 = {delta:+.6f})")
         lines.append(format_fit_line("power", fits["power"]))
@@ -353,10 +361,7 @@ def curve_records(
 def decay_report_records(report: DecayReport, name_a: str = "A", name_b: str = "B"):
     """Flat key-value pairs of the report for the structured output file."""
     recs: list[tuple[str, str]] = [("ensemble_size", str(report.ensemble_size))]
-    for name, curve, fits, verdict, delta in (
-        (name_a, report.curve_a, report.fits_a, report.verdict_a, report.delta_r2_a),
-        (name_b, report.curve_b, report.fits_b, report.verdict_b, report.delta_r2_b),
-    ):
+    for name, curve, fits, verdict, delta in _per_model(report, name_a, name_b):
         recs += curve_records(curve, fits, f"{name}.")
         recs.append((f"{name}.verdict", verdict))
         recs.append((f"{name}.delta_r2", repr(delta)))

@@ -113,22 +113,18 @@ def topological_layers(q: Quiver) -> tuple[tuple[int, ...], ...]:
     deterministic. Raises CycleError (listing one offending edge sequence)
     if the internal edges contain a directed cycle.
     """
-    preds: dict[int, list[int]] = {v: [] for v in q.vertices}
-    succs: dict[int, list[int]] = {v: [] for v in q.vertices}
-    for e in q.internal_edges:
-        preds[q.target[e]].append(q.source[e])
-        succs[q.source[e]].append(q.target[e])
-
+    # internal edges are those of the quiver's adjacency with both ends
     depth: dict[int, int] = {}
-    indegree = {v: len(preds[v]) for v in q.vertices}
+    indegree = {v: sum(e in q.source for e in q.vertex_in_edges(v)) for v in q.vertices}
     frontier = [v for v in q.vertices if indegree[v] == 0]
     order = 0
     while frontier:
         nxt = []
         for v in frontier:
-            depth[v] = max((depth[p] + 1 for p in preds[v] if p in depth), default=0)
+            depth[v] = max((depth[q.source[e]] + 1 for e in q.vertex_in_edges(v) if e in q.source),
+                           default=0)
             order += 1
-            for s in succs[v]:
+            for s in (q.target[e] for e in q.vertex_out_edges(v) if e in q.target):
                 indegree[s] -= 1
                 if indegree[s] == 0:
                     nxt.append(s)

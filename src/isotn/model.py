@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import _brief, _brief_value
+from .errors import _brief
 from .network import SequenceState, TensorNetwork, amplitude, amplitudes, whole_array, whole_number
 
 Distribution = dict[SequenceState, float]
@@ -69,15 +69,17 @@ class SampleMultiset:
         if n < 1:
             raise ValueError("sequence length must be positive")
         if isinstance(entries, Mapping):
-            items = sorted((tuple(whole_number(x, "symbol") for x in s), whole_number(m, "multiplicity"))
-                           for s, m in entries.items())
-            for s, m in items:
+            for s in entries:
                 if len(s) != n:
                     raise ValueError(f"sequence {_brief(s)} has length {len(s)}, expected {n}")
-                if m < 1:
-                    raise ValueError(f"multiplicity of {_brief(s)} must be >= 1, got {_brief_value(m)}")
-            rows = np.array([s for s, _ in items], dtype=np.int64).reshape(len(items), n)
-            counts = np.array([m for _, m in items], dtype=np.int64)
+            rows = whole_array(np.fromiter((x for s in entries for x in s), object), "symbol").reshape(-1, n)
+            counts = whole_array(np.fromiter(entries.values(), object), "multiplicity")
+            order = np.lexsort(rows.T[::-1])  # lexicographic, as the table form's rows
+            rows, counts = rows[order], counts[order]
+            low = np.flatnonzero(counts < 1)
+            if low.size:
+                raise ValueError(f"multiplicity of {_brief(tuple(rows[low[0]].tolist()))} must be >= 1, "
+                                 f"got {counts[low[0]]}")
         else:
             table = whole_array(entries, "symbol")
             if table.ndim != 2 or table.shape[1] != n:

@@ -12,7 +12,8 @@ bit-exact.
 
 The header holds no isometry tolerance, so a file cannot loosen its own
 check; a key the reader does not use, such as the tolerance line of older
-files, is ignored. A bundle's vocabulary must fit every site's dimension.
+files, is ignored. A bundle's vocabulary must fit every site's dimension
+and hold only tokens its scheme produces (:func:`~isotn.corpus.check_vocab`).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import check_vocab
 from .errors import ModelFileError
 from .graph import Quiver
 from .model import SymbolSet
@@ -48,6 +50,7 @@ class ModelBundle:
     def __post_init__(self):
         if self.symbols is None:
             return
+        check_vocab(self.symbols)
         for k, d in enumerate(self.net.site_dims):
             if d != self.symbols.size:
                 raise ValueError(f"a vocabulary of {self.symbols.size} symbols does not fit "

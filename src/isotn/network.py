@@ -82,7 +82,7 @@ from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import IsometryImpossibleError, ShapeError, _brief_value
+from .errors import ShapeError, _brief_value
 from .graph import (
     Quiver,
     build_binary_tree,
@@ -96,6 +96,7 @@ from .tensor_core import (
     isometry_violation,
     matrix_dims,
     random_isometries,
+    require_isometric_dims,
 )
 
 # A sequence state is one symbol index per Out edge, in canonical
@@ -165,7 +166,8 @@ class TensorNetwork:
     vertex_tensor: Mapping[int, np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "edge_dim", MappingProxyType(dict(self.edge_dim)))
+        dims = {e: whole_number(d, f"edge {e} dimension") for e, d in self.edge_dim.items()}
+        object.__setattr__(self, "edge_dim", MappingProxyType(dims))
         # the key of this network's compiled paths and shape groups on its quiver's plan
         object.__setattr__(self, "_dims", tuple(sorted(self.edge_dim.items())))
         q, tensors = self.quiver, self.vertex_tensor
@@ -215,11 +217,7 @@ class TensorNetwork:
             if run.shape != (len(verts),) + shape:
                 raise ShapeError(f"vertex {verts[0]}: run of shape {run.shape} does not hold "
                                  f"{len(verts)} tensors of shape {shape}")
-            out_dim, in_dim = matrix_dims(shape, split)
-            if in_dim > out_dim:
-                raise IsometryImpossibleError(
-                    f"vertex {verts[0]}: incoming dimension {in_dim} exceeds outgoing {out_dim}"
-                )
+            require_isometric_dims(*matrix_dims(shape, split), f"vertex {verts[0]}: ")
         violation = {}
         for (verts, _, split), run in zip(groups, runs):
             worst = isometry_violation(run, split)

@@ -104,12 +104,15 @@ def is_isometry(tensor: np.ndarray, split: IndexSplit, tol: float = DEFAULT_ISOM
     out-dimension, since then no isometry of that shape exists at all.
     """
     split.validate(np.ndim(tensor))
-    out_dim, in_dim = matrix_dims(np.shape(tensor), split)
-    if in_dim > out_dim:
-        raise IsometryImpossibleError(
-            f"in-dimension {in_dim} exceeds out-dimension {out_dim}"
-        )
+    require_isometric_dims(*matrix_dims(np.shape(tensor), split))
     return isometry_violation(tensor, split) <= tol
+
+
+def require_isometric_dims(out_dim: int, in_dim: int, where: str = "") -> None:
+    """Raise IsometryImpossibleError, its message led by ``where``, when the
+    in-dimension exceeds the out-dimension: no isometry of that shape exists."""
+    if in_dim > out_dim:
+        raise IsometryImpossibleError(f"{where}incoming dimension {in_dim} exceeds outgoing {out_dim}")
 
 
 @functools.cache  # few distinct (ndim, split) pairs, and a step asks for them many times
@@ -194,8 +197,7 @@ def random_isometries(k: int, in_dim: int, out_dim: int, rng: np.random.Generato
     """
     if in_dim < 1 or out_dim < 1:
         raise ValueError("dimensions must be positive")
-    if in_dim > out_dim:
-        raise ValueError(f"in_dim {in_dim} exceeds out_dim {out_dim}: no isometry exists")
+    require_isometric_dims(out_dim, in_dim)
     x = rng.standard_normal((k, 2, out_dim, in_dim))
     z = np.empty((k, out_dim, in_dim), dtype=np.complex128)
     z.real, z.imag = x[:, 0], x[:, 1]

@@ -68,6 +68,16 @@ class TestTrainCommand:
         assert err == "error: vocabulary token 'the' cannot come from scheme 'chars'\n"
         assert not out.exists()
 
+    def test_a_bytes_vocabulary_line_that_is_not_a_number_is_one_error_line(self, tmp_path, corpus_file,
+                                                                           capsys):
+        vocab, out = tmp_path / "v.txt", tmp_path / "model.isotn"
+        vocab.write_text("97\nx98\n", encoding="utf-8")
+        assert main(["train", "--graph", "chain", "--n", "4", "--vocab", str(vocab), "--scheme", "bytes",
+                     "--data", str(corpus_file), "--steps", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {vocab}, line 2: byte token 'x98' is not a whole number\n"
+        assert not out.exists()
+
     def test_zero_steps_keeps_initial_network(self, tmp_path, corpus_file, vocab_file):
         out = tmp_path / "model.isotn"
         assert main(train_args(corpus_file, vocab_file, out, steps=0, seed=9)) == 0
@@ -538,6 +548,35 @@ class TestModelFile:
         assert main(["sample", "--model", str(path), "--count", "20"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.replace(b'symbol "b"', b"symbol 5"), "vocabulary token 5 cannot come from scheme 'chars'"),
+        (lambda h: h.replace(b'symbol "b"', b'symbol "ab"'),
+         "vocabulary token 'ab' cannot come from scheme 'chars'"),
+        (lambda h: h.replace(b"scheme chars", b"scheme nonsense"),
+         "unknown scheme 'nonsense'; expected one of ('bytes', 'chars', 'words')"),
+    ], ids=["integer_token", "two_characters", "unknown_scheme"])
+    def test_a_vocabulary_its_scheme_cannot_produce_is_rejected(self, tmp_path, rng, capsys, edit, message):
+        path, data = tmp_path / "m.isotn", tmp_path / "data.txt"
+        data.write_text("abba", encoding="utf-8")
+        save_model(ModelBundle(random_network("tree", 4, 2, 2, rng), SymbolSet(("a", "b"), "chars"), "tree", 0),
+                   path)
+        self.rewrite(path, edit)  # with a valid checksum, so only the vocabulary rule can reject it
+        with pytest.raises(ModelFileError, match=re.escape(f"invalid model: {message}")):
+            load_model(path)
+        for argv in (["sample", "--count", "3"], ["eval", "--data", str(data)], ["inspect"]):
+            assert main([argv[0], "--model", str(path), *argv[1:]]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {path}: invalid model: {message}\n"
+
+    @pytest.mark.parametrize("symbols", [("a", 5), ("a", "ab")])
+    @pytest.mark.parametrize("scheme", ["chars", "bytes", "nonsense"])
+    def test_a_vocabulary_its_scheme_cannot_produce_is_not_saved(self, tmp_path, rng, symbols, scheme):
+        path = tmp_path / "m.isotn"
+        with pytest.raises(ValueError, match="cannot come from scheme|unknown scheme"):
+            save_model(ModelBundle(random_network("tree", 4, 2, 2, rng), SymbolSet(symbols, scheme), "tree", 0),
+                       path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("line,message", [(rb"vertex 1\n", "vertex 1 is repeated"),
                                               (rb"edge internal 1 [^\n]*\n", "internal edge 1 is repeated")],

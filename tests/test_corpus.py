@@ -271,6 +271,16 @@ def test_escapes_round_trip_backslashes_and_line_breaks(text):
             assert load_vocab(path, scheme) == vocab
 
 
+@pytest.mark.parametrize("line, shown", [("x98", "'x98'"), ("9" * 5000, "'" + "9" * 39 + "…")],
+                         ids=["not_a_number", "5000_digits"])
+def test_a_bytes_line_that_is_not_a_number_names_its_line(tmp_path, line, shown):
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"97\n{line}\n98\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_vocab(path, "bytes")
+    assert str(info.value) == f"{path}, line 2: byte token {shown} is not a whole number"
+
+
 def test_vocab_file_bytes_are_fixed(tmp_path):
     path = tmp_path / "vocab.txt"
     save_vocab(SymbolSet(("a\\b", "\n", "\\n", "\t\r", "é"), "words"), path)

@@ -133,6 +133,15 @@ def test_unsigned_symbols_past_int64_rejected():
     np.testing.assert_array_equal(SampleMultiset(1, np.array([[5], [2]], dtype=np.uint8)).rows, [[2], [5]])
 
 
+def test_a_mapping_reads_symbols_and_multiplicities_as_a_table_does():
+    with pytest.raises(ValueError, match=r"^symbol 9223372036854775808 does not fit in int64$"):
+        SampleMultiset(1, {(2**63,): 1})
+    with pytest.raises(ValueError, match=r"^multiplicity 9223372036854775808 does not fit in int64$"):
+        SampleMultiset(1, {(1,): 2**63})
+    with pytest.raises(ValueError, match=r"^multiplicity of \(0, 0\) must be >= 1, got -1$"):
+        SampleMultiset(2, {(1, 1): 0, (0, 0): -1})
+
+
 @pytest.mark.parametrize("make", [
     lambda: SampleMultiset(1, {("x" * 100_000,): 1}),
     lambda: amplitudes(random_network("chain", 4, 2, 2, philox(1)), [[0, "x" * 100_000, 0, 0]]),

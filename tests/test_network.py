@@ -794,6 +794,18 @@ class TestValidation:
         with pytest.raises(IsometryImpossibleError, match=r"^vertex 1: incoming dimension 4 exceeds outgoing 2$"):
             TensorNetwork(q, {0: 1, 1: 4, 2: 2, 3: 2}, tensors)
 
+    def test_edge_dims_are_read_as_whole_numbers(self):
+        q = Quiver((0,), (), (0,), (1,), {1: 0}, {0: 0})
+        tensors = {0: np.array([[0.6, 0.8j]])}
+        net, whole = TensorNetwork(q, {0: 1, 1: 2.0}, tensors), TensorNetwork(q, {0: 1, 1: 2}, tensors)
+        assert dict(net.edge_dim) == {0: 1, 1: 2} and all(type(d) is int for d in net.edge_dim.values())
+        assert np.array_equal(amplitudes(net, [[0], [1]]), amplitudes(whole, [[0], [1]]))
+        for d in (2.5, "2", math.nan):
+            with pytest.raises(ValueError, match=r"^edge 1 dimension .* is not a finite whole number$"):
+                TensorNetwork(q, {0: 1, 1: d}, tensors)
+        with pytest.raises(ShapeError, match=r"^edge 1 has no positive dimension assigned$"):
+            TensorNetwork(q, {0: 1, 1: 0.0}, tensors)
+
     def test_missing_edge_dim_rejected(self):
         q = Quiver((0,), (), (0,), (1,), {1: 0}, {0: 0})
         with pytest.raises(ShapeError):

@@ -63,6 +63,14 @@ class TestRandomIsometry:
         with pytest.raises(ValueError):
             random_isometry(4, 2, philox(0))
 
+    def test_an_impossible_shape_is_worded_as_everywhere(self):
+        # the draw, the test and a network's check share one rule and one wording
+        for draw in (lambda: random_isometries(2, 3, 2, philox(0)), lambda: random_isometry(3, 2, philox(0))):
+            with pytest.raises(IsometryImpossibleError, match=r"^incoming dimension 3 exceeds outgoing 2$"):
+                draw()
+        with pytest.raises(IsometryImpossibleError, match=r"^incoming dimension 4 exceeds outgoing 2$"):
+            is_isometry(np.zeros((2, 4)), IndexSplit((1,), (0,)))
+
     @pytest.mark.parametrize("in_dim, out_dim", [(0, 2), (1, 0)])
     def test_a_zero_dimension_is_rejected(self, in_dim, out_dim):
         with pytest.raises(ValueError, match=r"^dimensions must be positive$"):
