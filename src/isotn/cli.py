@@ -22,14 +22,6 @@ from .network import random_network
 from .tensor_core import _STREAM_INIT, _STREAM_SAMPLE, _rng
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise IsotnError(f"cannot read {path}: {exc.strerror}") from exc
-
-
 def _parse_bond(text: str):
     parts = [p for p in text.split(",") if p]
     if not parts:
@@ -43,7 +35,7 @@ def _parse_bond(text: str):
 
 
 def cmd_vocab(args) -> int:
-    vocab = corpus.build_vocab(_read_text(args.data), args.scheme, args.max_size)
+    vocab = corpus.build_vocab(corpus.read_text(args.data), args.scheme, args.max_size)
     corpus.save_vocab(vocab, args.out)
     print(f"wrote {vocab.size} symbols to {args.out}")
     return 0
@@ -55,7 +47,7 @@ def cmd_train(args) -> int:
         checkpoint_every=args.checkpoint_every,
     )
     vocab = corpus.load_vocab(args.vocab, args.scheme)
-    tokens = corpus.tokenize(_read_text(args.data), vocab)
+    tokens = corpus.tokenize(corpus.read_text(args.data), vocab)
     sample_set = corpus.windows(tokens, args.n, args.stride)
     net = random_network(args.graph, args.n, vocab.size, _parse_bond(args.bond_dims),
                          _rng(args.seed, _STREAM_INIT))
@@ -87,7 +79,7 @@ def cmd_eval(args) -> int:
     bundle = load_model(args.model)
     if bundle.symbols is None:
         raise IsotnError("model file carries no vocabulary; cannot tokenize data")
-    tokens = corpus.tokenize(_read_text(args.data), bundle.symbols)
+    tokens = corpus.tokenize(corpus.read_text(args.data), bundle.symbols)
     sample_set = corpus.windows(tokens, bundle.net.n_sites, args.stride)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -116,7 +108,7 @@ def cmd_mi(args) -> int:
         if not args.vocab:
             raise IsotnError("--data mode needs --vocab")
         vocab = corpus.load_vocab(args.vocab, args.scheme)
-        sample_set = corpus.windows(corpus.tokenize(_read_text(args.data), vocab), args.n, args.stride)
+        sample_set = corpus.windows(corpus.tokenize(corpus.read_text(args.data), vocab), args.n, args.stride)
         source = np.repeat(sample_set.rows, sample_set.counts, axis=0)
         label = args.data
     curve = diagnostics.decay_curve(source, args.lmax)

@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import _brief_value
+from .errors import _brief_value, _unreadable
 from .model import SampleMultiset, SymbolSet
 from .network import whole_array, whole_number
 
@@ -173,12 +173,25 @@ def _byte_token(line: str, where: str) -> int:
         raise ValueError(f"{where}: byte token {_brief_value(repr(line))} is not a whole number") from None
 
 
+def read_text(path, newline: str | None = None) -> str:
+    """The UTF-8 text of the file at ``path``, its newlines read as
+    :func:`open`'s ``newline`` says (None: universal newlines). A file that
+    cannot be read, or holds a byte that is not UTF-8, raises an
+    :class:`~isotn.errors.InputFileError` naming the path, the reason and
+    the byte's line."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from exc
+
+
 def load_vocab(path, scheme: str) -> SymbolSet:
-    """Read a vocabulary file written by :func:`save_vocab`, under the rule
-    of :func:`check_vocab`. A bytes-scheme line that is not a whole number
+    """Read a vocabulary file written by :func:`save_vocab` (by
+    :func:`read_text`, every character kept), under the rule of
+    :func:`check_vocab`. A bytes-scheme line that is not a whole number
     raises a ValueError naming the file and line."""
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path, "\n").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if scheme == "bytes":

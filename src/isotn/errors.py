@@ -87,3 +87,21 @@ class FitError(IsotnError, ValueError):
 
 class ModelFileError(IsotnError, ValueError):
     """A model file is malformed, truncated, or fails its checksum."""
+
+
+class InputFileError(IsotnError, OSError, ValueError):
+    """An input file cannot be opened or read, or holds a byte that is not
+    UTF-8 where text is read. It is an OSError and a ValueError, so a caller
+    that catches the OSError of a missing file, or the ValueError of a bad
+    byte, still catches it."""
+
+
+def _unreadable(path, exc: OSError | UnicodeDecodeError) -> InputFileError:
+    """The one wording of an unreadable input, "cannot read <path>: <reason>";
+    a byte that is not UTF-8 is named with its line, counted by newlines."""
+    if isinstance(exc, UnicodeDecodeError):
+        line = 1 + exc.object.count(b"\n", 0, exc.start)
+        reason = f"line {line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+    else:
+        reason = exc.strerror or _brief_value(exc)
+    return InputFileError(f"cannot read {path}: {reason}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import check_vocab
-from .errors import ModelFileError
+from .errors import ModelFileError, _unreadable
 from .graph import Quiver
 from .model import SymbolSet
 from .network import TensorNetwork, VertexStacks, group_vertices
@@ -163,8 +163,13 @@ def load_model(path) -> ModelBundle:
     are read straight into its slot of its run's array, in file order,
     and the runs are handed to
     :meth:`~isotn.network.TensorNetwork.from_runs` as the network's
-    storage, so a loaded model holds its tensors once."""
-    with open(path, "rb") as fh:
+    storage, so a loaded model holds its tensors once. A file that cannot
+    be opened raises :class:`~isotn.errors.InputFileError`."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         prefix = fh.read(len(MAGIC) + 8)
         if len(prefix) < len(MAGIC) + 8 or prefix[: len(MAGIC)] != MAGIC:

@@ -46,13 +46,15 @@ Each item a path makes is numbered by how it is made, not by its place in
 the path: a leaf by its spec, a step's item by the triple (operand a,
 operand b, step), one id per quiver and edge dims, so equal items of
 different paths share an id. Several paths then run as one merged
-schedule (:func:`_merge`) that makes each leaf and each shared item once
-and drops each after its last use; a single path is the one-member case
-of the same executor (:func:`_execute`). All the pair joints of a
-mutual-information curve come from one such schedule (``site_marginal``
-given a list of positions). Every item's shape is known, and recorded
-once per id, when a path is compiled, so a transpose or reshape that
-would change nothing is compiled to None and skipped.
+schedule (:func:`_merge`) that makes each shared item once; a single path
+runs by the same executor (:func:`_execute`). When a leaf is made and an
+item dropped is decided in one place, :func:`_place`, for every schedule:
+a leaf just before its first read, an item after its last read, a result
+never. All the pair joints of a mutual-information curve come from one
+merged schedule (``site_marginal`` given a list of positions). Every
+item's shape is known, and recorded once per id, when a path is
+compiled, so a transpose or reshape that would change nothing is
+compiled to None and skipped.
 
 A schedule without rows runs its like small steps as one matmul
 (:func:`_stack`, compiled from the recorded shapes once per schedule at
@@ -458,13 +460,14 @@ def _path(net: TensorNetwork, key: tuple | None = None) -> Schedule:
     c, spec, make, done) makes item c from items a and b as
     :func:`_compile` says; ``make`` lists the (id, spec) of the leaves it
     uses first, made just before it, and ``done`` the operands it uses for
-    the last time. Each result is (item, axes), one per member; an item
-    named by a leaf spec is a path of no steps. A leaf is numbered by its
-    spec and a step's item by how it is made, the triple (a, b, spec): one
-    id for all the paths of those dims, so equal items of different paths
-    have one id, and equal parts are stored once, each id's shape too (a
-    leaf's from its spec, an item's from :func:`_compile`); the items the
-    caller supplies keep negative ids and have none.
+    the last time, both set by :func:`_place` with one run per step. Each
+    result is (item, axes), one per member; an item named by a leaf spec is
+    a path of no steps. A leaf is numbered by its spec and a step's item by
+    how it is made, the triple (a, b, spec): one id for all the paths of
+    those dims, so equal items of different paths have one id, and equal
+    parts are stored once, each id's shape too (a leaf's from its spec, an
+    item's from :func:`_compile`); the items the caller supplies keep
+    negative ids and have none.
     """
     by_key, parts, made, shapes = net.quiver.plan.paths.setdefault(net._dims, ({}, {}, {}, []))
     if key not in by_key:
@@ -478,7 +481,7 @@ def _path(net: TensorNetwork, key: tuple | None = None) -> Schedule:
 
         if key is not None and len(key[1]) > 1:
             ops, opened, k = key
-            members = [_path(net, (ops, (p,), k)) for p in opened]
+            steps, results = _merge([_path(net, (ops, (p,), k)) for p in opened])
         else:
             if key is None:  # the ket network, every Out leg gathered: one amplitude per row
                 leaves = {v: _leaf(net, v, net.n_sites) for v in net.quiver.vertices}
@@ -494,35 +497,21 @@ def _path(net: TensorNetwork, key: tuple | None = None) -> Schedule:
                 a, b, spec = item = (ids.get(a, a), ids.get(b, b), share(spec))
                 ids[c] = number(item, share(shape) if spec[4] is None else spec[4])  # each shape held once
                 made_here.append(Step(a, b, ids[c], spec, make, ()))
-            members = [(made_here, ((ids.get(final, share(final)), axes),))]
-        steps, results = _merge(members)
+            steps, results = made_here, ((ids.get(final, share(final)), axes),)
+        steps, _ = _place(steps, results, [[k] for k in range(len(steps))], shapes)
         by_key[key] = Schedule(tuple(map(share, steps)), results, shapes)
     return by_key[key]
 
 
-def _merge(schedules: Sequence[tuple]) -> tuple:
-    """One schedule of the steps of ``schedules`` in order, each item made
-    once, and every member's results. A leaf is made at its first use, and
-    a leaf or an item is dropped after its last use unless it is a
-    result."""
-    steps, results, seen = [], [], set()
-    for member_steps, member_results in schedules:
+def _merge(schedules: Sequence[tuple]) -> tuple[list, tuple]:
+    """The steps of ``schedules`` in member order, each item's step once,
+    and every member's results. When each leaf is made and each item
+    dropped is left to :func:`_place`."""
+    steps = {}
+    for member_steps, _ in schedules:
         for step in member_steps:
-            if step.c not in seen:
-                seen.add(step.c)
-                steps.append(step)
-        results += member_results
-    first = {}
-    for k, step in enumerate(steps):
-        for i, _ in step.make:  # the leaves among a and b
-            first.setdefault(i, k)
-    last = {i: k for k, step in enumerate(steps) for i in step[:2]}
-    last.update((i, -1) for i, _ in results)
-    # a member's own tuple when every leaf in it is used first here, as on a single path
-    firsts = lambda make, k: (make if all(first[i] == k for i, _ in make)
-                              else tuple(leaf for leaf in make if first[leaf[0]] == k))
-    return (tuple(Step(a, b, c, spec, firsts(make, k), tuple(i for i in (a, b) if last[i] == k))
-                  for k, (a, b, c, spec, make, _) in enumerate(steps)), tuple(results))
+            steps.setdefault(step.c, step)
+    return list(steps.values()), tuple(r for _, results in schedules for r in results)
 
 
 def _stack(steps: Sequence[Step], results: Sequence[tuple], shapes: Sequence[tuple]) -> tuple[tuple, tuple]:
@@ -539,7 +528,8 @@ def _stack(steps: Sequence[Step], results: Sequence[tuple], shapes: Sequence[tup
     step on its own runs as a :class:`Step` on plain arrays. Groups that
     land before one step run as soon as their operands are made, which
     frees slots early. A schedule with rows, whose sizes are known only
-    when it runs, or with nothing to stack runs its steps as they are.
+    when it runs, or with nothing to stack runs its steps as they are, as
+    :func:`_path` timed them.
     """
     if any(-1 in shapes[step.c] for step in steps):  # the rows
         return tuple(steps), ()
@@ -604,23 +594,27 @@ def _place(steps: Sequence[Step], results: Sequence[tuple], runs: list[list[int]
            shapes: Sequence[tuple]) -> tuple[tuple, tuple]:
     """The :class:`Step` or :class:`Group` of each of ``runs`` (lists of step
     numbers, in the order they run) and the (slots, item shape) of each
-    stack, for :func:`_stack`.
+    stack.
 
-    A group's operands and items live in slots of the stack of their shape,
-    and everything else as plain arrays. A plain array a group reads is
-    loaded into a slot at its first such read, and a group's item that a
-    step or a result reads is shown as a plain view of its slot. A slot is
-    free again after its last read, and a plain array is dropped then;
-    results are never dropped.
+    This is the one home of the lifetime rule: :func:`_path` times every
+    schedule by it, one run per step in step order, and :func:`_stack`
+    times the runs it reorders and stacks. A leaf is made just before the
+    first run that reads it. A group's operands and items live in slots of
+    the stack of their shape, and everything else as plain arrays. A plain
+    array a group reads is loaded into a slot at its first such read, and a
+    group's item that a step or a result reads is shown as a plain view of
+    its slot. A slot is free again after its last read, and a plain array
+    is dropped then, a run's drops in the order it reads them; results are
+    never dropped.
     """
-    leaves = {i: leaf for step in steps for i, leaf in step.make}
+    leaves = {leaf[0]: leaf for step in steps for leaf in step.make}
     grouped = {steps[k].c for ks in runs if len(ks) > 1 for k in ks}
     made, loaded, plain_last, slot_last = defaultdict(list), defaultdict(list), {}, {}
     for t, ks in enumerate(runs):
         for k in ks:
             for i in steps[k][:2]:
                 if i in leaves:  # made before its first run
-                    made[t].append((i, leaves.pop(i)))
+                    made[t].append(leaves.pop(i))
                 if len(ks) == 1:
                     plain_last[i] = t
                     if i in grouped:
@@ -633,11 +627,11 @@ def _place(steps: Sequence[Step], results: Sequence[tuple], runs: list[list[int]
     for i, _ in results:
         if type(i) is int:
             plain_last[i] = slot_last[i] = len(runs)
-    ends, drops = defaultdict(list), defaultdict(list)
+    ends = defaultdict(list)
     for i, t in slot_last.items():
         ends[t].append(i)
-    for i, t in plain_last.items():
-        drops[t].append(i)
+    # what run t drops, in the order it reads them
+    drops = lambda t, read: tuple(i for i in read if plain_last[i] == t)
 
     stack, count, free, slot = {}, [], [], {}
 
@@ -661,7 +655,9 @@ def _place(steps: Sequence[Step], results: Sequence[tuple], runs: list[list[int]
         members = [steps[k] for k in ks]
         if len(ks) == 1:
             release(t)
-            step, make, done = members[0], tuple(made[t]), tuple(drops[t])
+            step = members[0]
+            make = step.make if made[t] == list(step.make) else tuple(made[t])  # a shared tuple stays shared
+            done = drops(t, step[:2])
             plan.append(step if (make, done) == step[4:] else step._replace(make=make, done=done))
             continue
         for i in loaded[t]:
@@ -677,7 +673,7 @@ def _place(steps: Sequence[Step], results: Sequence[tuple], runs: list[list[int]
             *(_slots([slot[step[m]] for step in members]) for m in range(3)),
             tuple(made[t]), tuple((i, *slot[i]) for i in loaded[t]),
             tuple((step.c, *slot[step.c]) for step in members if step.c in plain_last),
-            tuple(drops[t])))
+            drops(t, loaded[t])))
     return tuple(plan), tuple((n, shape) for n, shape in zip(count, stack))
 
 

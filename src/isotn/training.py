@@ -101,7 +101,8 @@ def mean_gradient(
     net: TensorNetwork, rows: Sequence[Sequence[int]], counts: Sequence[int]
 ) -> tuple[Gradient, float]:
     """Mean gradient and mean per-sequence objective of the rows of a (B, n)
-    symbol table, row b weighted by ``counts[b]``, a positive whole number.
+    symbol table, row b weighted by ``counts[b]``, a positive whole number
+    (a real number, not a string that reads as one).
 
     The whole batch runs the network's compiled path forward for the
     amplitudes and backward for the summed environments. The gradient is a
@@ -112,6 +113,10 @@ def mean_gradient(
     seqs, given = sequence_array(net, rows), np.asarray(counts)
     if given.shape != (len(seqs),):
         raise ValueError(f"{given.size} counts given for {len(seqs)} rows")
+    if given.dtype.kind not in "biuf":  # a string or complex value is no count, though it casts to one
+        for b, x in enumerate(given.tolist()):
+            if not isinstance(x, numbers.Real):
+                raise ValueError(f"count {_brief_value(repr(x))} of row {b} is not a positive whole number")
     mult = given.astype(np.float64)
     bad = np.flatnonzero(~(np.isfinite(mult) & (mult >= 1.0) & (np.floor(mult) == mult)))
     if bad.size:

@@ -2,15 +2,17 @@ import hashlib
 import re
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from isotn import cli, sampling, training
+from isotn import cli, model_io, sampling, training
 from isotn.cli import main
-from isotn.errors import ModelFileError, ZeroAmplitudeError
+from isotn.corpus import load_vocab, save_vocab
+from isotn.errors import InputFileError, ModelFileError, ZeroAmplitudeError
 from isotn.model import SymbolSet
 from isotn.model_io import MAGIC, ModelBundle, load_model, save_model
 from isotn.network import random_network
@@ -598,6 +600,82 @@ class TestModelFile:
         path.write_bytes(b"not a model file at all------------------")
         with pytest.raises(ModelFileError):
             load_model(path)
+
+
+@pytest.mark.parametrize("cut", [8, 16], ids=["checksum", "last_tensor"])
+def test_a_file_that_shrinks_while_read_is_truncated(tmp_path, monkeypatch, cut):
+    # the size is taken when the file opens, so a file cut short after that
+    # passes the length check and runs out while its tensors or checksum are read
+    path = tmp_path / "m.isotn"
+    save_model(ModelBundle(random_network("tree", 4, 2, 2, philox(3)), None, "tree", 0), path)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-cut])
+    monkeypatch.setattr(model_io, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=full)))
+    with pytest.raises(ModelFileError, match=f"^{re.escape(str(path))}: file truncated while reading$"):
+        load_model(path)
+
+
+class TestUnreadableInputs:
+    """Every input that cannot be read gives one error line naming its path
+    and the reason, and the line of a byte that is not UTF-8."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        save_vocab(SymbolSet(("a", "b"), "chars"), tmp_path / "vocab.txt")
+        (tmp_path / "data.txt").write_text("abab\nbaba\n" * 4, encoding="utf-8")
+        (tmp_path / "bad.txt").write_bytes(b"ab\r\nb\xffa\nab\n")
+        save_model(ModelBundle(random_network("tree", 4, 2, 2, philox(3)), SymbolSet(("a", "b"), "chars"),
+                               "tree", 0), tmp_path / "m.isotn")
+        return tmp_path
+
+    @staticmethod
+    def train(files, data="data.txt", vocab="vocab.txt"):
+        return ["train", "--graph", "chain", "--n", "2", "--vocab", str(files / vocab),
+                "--data", str(files / data), "--steps", "1", "--out", str(files / "out.isotn")]
+
+    @pytest.mark.parametrize("command", [
+        lambda f: TestUnreadableInputs.train(f, vocab="bad.txt"),
+        lambda f: TestUnreadableInputs.train(f, data="bad.txt"),
+        lambda f: ["vocab", "--data", str(f / "bad.txt"), "--out", str(f / "v.txt")],
+        lambda f: ["eval", "--model", str(f / "m.isotn"), "--data", str(f / "bad.txt")],
+        lambda f: ["mi", "--data", str(f / "bad.txt"), "--vocab", str(f / "vocab.txt"), "--lmax", "1"],
+        lambda f: ["mi", "--data", str(f / "data.txt"), "--vocab", str(f / "bad.txt"), "--lmax", "1"],
+    ], ids=["train_vocab", "train_data", "vocab_data", "eval_data", "mi_data", "mi_vocab"])
+    def test_a_byte_that_is_not_utf8_is_named_with_its_file_and_line(self, files, capsys, command):
+        capsys.readouterr()
+        assert main(command(files)) == 1
+        assert capsys.readouterr().err == (f"error: cannot read {files / 'bad.txt'}: line 2: byte 0xff "
+                                           f"is not UTF-8 (invalid start byte)\n")
+
+    @pytest.mark.parametrize("command", [
+        lambda f, p: ["vocab", "--data", p, "--out", str(f / "v.txt")],
+        lambda f, p: TestUnreadableInputs.train(f, vocab=p),
+        lambda f, p: ["eval", "--model", str(f / "m.isotn"), "--data", p],
+        lambda f, p: ["eval", "--model", p, "--data", str(f / "data.txt")],
+        lambda f, p: ["sample", "--model", p, "--count", "1"],
+        lambda f, p: ["mi", "--model", p, "--lmax", "1"],
+        lambda f, p: ["dim", "--model", p],
+        lambda f, p: ["inspect", "--model", p],
+    ], ids=["vocab_data", "train_vocab", "eval_data", "eval_model", "sample_model",
+            "mi_model", "dim_model", "inspect_model"])
+    @pytest.mark.parametrize("target, reason", [("missing", "No such file or directory"),
+                                                ("", "Is a directory")], ids=["missing", "directory"])
+    def test_a_missing_or_directory_input_is_one_error_line(self, files, capsys, command, target, reason):
+        path = str(files / target)
+        capsys.readouterr()
+        assert main(command(files, path)) == 1
+        assert capsys.readouterr().err == f"error: cannot read {path}: {reason}\n"
+
+    def test_library_readers_keep_their_error_types(self, files):
+        with pytest.raises(InputFileError) as info:
+            load_vocab(files / "missing", "chars")
+        assert isinstance(info.value, OSError)
+        with pytest.raises(InputFileError, match="line 2: byte 0xff") as info:
+            load_vocab(files / "bad.txt", "chars")
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(InputFileError, match="Is a directory") as info:
+            load_model(files)
+        assert isinstance(info.value, OSError)
 
 
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -601,6 +601,77 @@ class TestStackedSchedule:
         assert any(type(run) is network.Step for run in runs)  # the larger steps run alone
 
 
+def _assert_lifetimes(runs, results, supplied=()):
+    """The lifetime rule on ``runs`` (a schedule's steps, or the runs of its
+    plan) on plain arrays: each leaf made once, just before a read of the
+    run that makes it; no item read after it is dropped; every item that is
+    not a result dropped exactly once, by a run that reads it; no result
+    dropped. A group reads the items it loads and makes the items it shows."""
+    kept = {i for i, _ in results if type(i) is int}
+    live, seen = set(supplied), set(supplied)
+    for run in runs:
+        if type(run) is network.Step:
+            reads, writes = run[:2], [run.c]
+        else:
+            reads, writes = [i for i, _, _ in run.load], [i for i, _, _ in run.show]
+        for i, _ in run.make:
+            assert i not in seen and i in reads
+            seen.add(i)
+        live.update(i for i, _ in run.make)
+        assert live.issuperset(reads)
+        assert seen.isdisjoint(writes)
+        seen.update(writes)
+        live.update(writes)
+        assert set(run.done) <= set(reads) and kept.isdisjoint(run.done)
+        assert len(set(run.done)) == len(run.done)
+        live.difference_update(run.done)
+    assert live == kept
+
+
+LIFETIME_CASES = [("curve", "chain"), ("curve", "tree"), ("curve", "mera"), ("fixed", "chain"),
+                  ("fixed", "tree"), ("fixed", "mera"), ("ket", "chain"), ("ket", "tree"), ("ket", "mera"),
+                  ("conditionals", "mera")]
+
+
+def _lifetime_schedules(case, kind, monkeypatch):
+    """[(schedule, the caller's ids)] of one kind of schedule: a decay curve
+    (the benchmark's on chain and tree), a list with fixed operators, the
+    ket network and conditionals with a gathered prefix."""
+    if case == "curve" and kind != "mera":
+        bond = dict(BENCHMARK_MI_MODELS)[kind]
+        return [(_curve_schedule(random_network(kind, 32, 2, bond, philox(48)), monkeypatch), ())]
+    net = random_network(kind, 16, 2, {"chain": 4, "tree": 4, "mera": 2}[kind], philox(51))
+    if case == "curve":
+        return [(network._path(net, ((), tuple((i, j) for i in range(16) for j in range(i + 1, 16)), 0)), ())]
+    if case == "fixed":
+        opened = tuple((p,) for p in range(16) if p not in (5, 9)) + ((0, 3), (2, 15), (1, 4, 6), (10, 12))
+        return [(network._path(net, ((5, 9), opened, 0)), (-6, -10))]
+    if case == "ket":
+        return [(network._path(net), ())]
+    return [(network._path(net, ((), ((k,),), k)), ()) for k in (1, 7, 15)]
+
+
+class TestLifetimes:
+    """One rule times every schedule, its steps and its plan's runs."""
+
+    @pytest.mark.parametrize("case, kind", LIFETIME_CASES)
+    def test_steps_and_plan_keep_the_lifetime_rule(self, case, kind, monkeypatch):
+        for path, supplied in _lifetime_schedules(case, kind, monkeypatch):
+            _assert_lifetimes(path[0], path[1], supplied)
+            runs, stacks = path.plan
+            _assert_lifetimes(runs, path[1], supplied)
+            assert bool(stacks) == (case in ("curve", "fixed"))  # those stack; rows or a lone path do not
+            if case in ("ket", "conditionals"):  # rows: the plan is the steps
+                assert path.plan == (path[0], ())
+
+    @pytest.mark.parametrize("kind, bond", BENCHMARK_MI_MODELS)
+    def test_a_lone_step_drops_its_operands_in_operand_order(self, kind, bond, monkeypatch):
+        path = _curve_schedule(random_network(kind, 32, 2, bond, philox(48)), monkeypatch)
+        lone = [run for run in path[0] + path.plan[0] if type(run) is network.Step]
+        assert any(len(step.done) == 2 for step in lone)
+        assert all(step.done == tuple(i for i in step[:2] if i in step.done) for step in lone)
+
+
 class TestWholePositions:
     def test_whole_numbers_read_as_positions(self, rng):
         net = random_network("mera", 8, 2, 2, rng)

@@ -170,6 +170,18 @@ def test_counts_must_be_positive_whole_numbers_one_per_row(counts, message):
         sgd_step(net, np.array([[0, 1, 0, 1], [1, 1, 0, 0]]), np.array(counts), 0.1)
 
 
+@pytest.mark.parametrize("counts, message", [
+    (["1", "2"], "count '1' of row 0 is not a positive whole number"),
+    (["a", 1], "count 'a' of row 0 is not a positive whole number"),
+    ([1 + 0j, 1], r"count \(1\+0j\) of row 0 is not a positive whole number"),
+    ([1, None], "count None of row 1 is not a positive whole number"),
+], ids=["numeric_strings", "text", "complex", "none"])
+def test_a_count_that_is_not_a_real_number_is_named(counts, message):
+    net = random_network("tree", 4, 2, 2, philox(3))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mean_gradient(net, np.array([[0, 1, 0, 1], [1, 1, 0, 0]]), counts)
+
+
 class TestTrain:
     def _sample(self):
         return SampleMultiset(4, {(0, 0, 0, 0): 4, (1, 1, 1, 1): 2, (0, 1, 0, 1): 2})
